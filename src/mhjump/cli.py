@@ -349,10 +349,7 @@ def cmd_verify_geometry(cfg, seed, out_dir, threads, rep):
             worst_rev = max(worst_rev, reversibility_gap(chain, m))
         under, over = half_space_masses(chain)
         worst_half_gap = max(worst_half_gap, abs(under - over), abs(over - base))
-        comps = random_reversible_batch(chain, cfg.n_reversible, rng)
-        gaps = np.abs(comps - chain.rates[None, :, :])
-        off = ~np.eye(chain.n, dtype=bool)
-        dists = np.sum(chain.mu[None, :, None] * gaps * off[None, :, :], axis=(1, 2))
+        dists = d_mu(chain, random_reversible_batch(chain, cfg.n_reversible, rng), chain.rates)
         worst_lower = min(worst_lower, float(dists.min()) - base)
     rows = [
         (a, per_alpha_sum[j] / cfg.n_chains, 0.0, "mean_d_mu") for j, a in enumerate(alphas)

@@ -84,14 +84,18 @@ def mix(m1, m2, alpha):
 
 
 def d_mu(chain, a, b):
-    """sum_{x != y} mu(x) |A(x,y) - B(x,y)|."""
+    """sum_{x != y} mu(x) |A(x,y) - B(x,y)|.
+
+    a and b may also be stacks (..., n, n) of rate matrices, broadcast against
+    each other; the result is then one distance per stacked pair.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.shape != chain.rates.shape:
+    if a.shape[-2:] != chain.rates.shape or b.shape[-2:] != chain.rates.shape:
         raise ConfigurationError("rate matrices must match the chain size")
-    gap = np.abs(a - b)
     off = ~np.eye(chain.n, dtype=bool)
-    return float(np.sum(chain.mu[:, None] * gap * off))
+    dist = np.sum(chain.mu[:, None] * np.abs(a - b) * off, axis=(-2, -1))
+    return float(dist) if dist.ndim == 0 else dist
 
 
 def reversibility_gap(chain, m):

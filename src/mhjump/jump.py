@@ -13,9 +13,11 @@ six uniforms,
 
     [exp-clock, coordinate, branch, sign, magnitude, accept],
 
-transformed by inverse cdfs only. The scalar reference simulator and the
-vectorized block engine therefore consume identical per-path tapes and
-produce bit-identical paths; block boundaries and thread scheduling cannot
+transformed by inverse cdfs only; the |z| draw is
+DominatingKernel.sample_abs, masked per row by the branch column. The scalar
+reference simulator and the vectorized block engine therefore consume
+identical per-path tapes, share one thinning step, and produce bit-identical
+paths; block boundaries and thread scheduling cannot
 change any path's values because no randomness is shared across paths. Rows
 are drawn in fixed chunks of TAPE_CHUNK events; a path that ends mid-chunk
 simply ignores the unused rows.
@@ -28,17 +30,21 @@ observation time is the state after the last jump at or before it).
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
-from .errors import ConfigurationError, DomainBoxError, DominationError
-from .kernels import GeneratorKind, accept_log_from_delta, total_rate_bound
-from .targets import SeparableTargetPotential
+from .errors import ConfigurationError, DomainBoxError
+from .kernels import (
+    DominatingKernel,
+    GeneratorKind,
+    accept_log_from_delta,
+    check_domination,
+    thinning_kernel,
+)
+from .targets import TargetPotential
 
 TAPE_COLS = 6
 COL_EXP, COL_COORD, COL_BRANCH, COL_SIGN, COL_MAG, COL_ACC = range(TAPE_COLS)
@@ -49,7 +55,6 @@ DOMAIN_JUMP = 0
 DOMAIN_LANGEVIN = 1
 DOMAIN_DIRECT = 2
 
-_ACCEPT_SLACK = 1e-9
 _BOX_POLICIES = ("abort", "continue")
 
 
@@ -123,69 +128,65 @@ class ObservedEnsemble:
 class _EventParams:
     """Constants of the per-event transform for one (kind, target, proposal)."""
 
-    d_star: int
-    T: float
+    kind: GeneratorKind
+    target: TargetPotential
+    dom: DominatingKernel
     alpha: float
-    theta: float
-    epsilon: float
-    sqrt_eps: float
     rate_total: float
     p_plain: float
-    mean_tilt: float
-    trunc_tilt: float
-    box: Optional[float]
 
 
 def _event_params(kind, target, proposal, rate_scale=1.0):
     alpha = kind.alpha_eff
-    theta = target.grad_bound / target.T
-    r0 = total_rate_bound(kind, target, proposal)
-    eps = proposal.epsilon
-    return _EventParams(
-        d_star=target.d_star,
-        T=target.T,
-        alpha=alpha,
-        theta=theta,
-        epsilon=eps,
-        sqrt_eps=math.sqrt(eps),
-        rate_total=r0 * rate_scale,
-        p_plain=alpha / r0,
-        mean_tilt=eps * theta,
-        trunc_tilt=float(ndtr(-theta * math.sqrt(eps))),
-        box=target.box,
-    )
+    dom = thinning_kernel(kind, target, proposal)
+    r0 = alpha + (1.0 - alpha) * dom.lam
+    return _EventParams(kind, target, dom, alpha, r0 * rate_scale, alpha / r0)
 
 
 def _decode_events(p, rows):
     """Tape rows (..., 6) -> (dt, coordinate, z, |z|, accept-uniform)."""
+    d = p.target.d_star
     dt = -np.log1p(-rows[..., COL_EXP]) / p.rate_total
-    i = np.minimum((rows[..., COL_COORD] * p.d_star).astype(np.int64), p.d_star - 1)
-    tilted = rows[..., COL_BRANCH] >= p.p_plain
-    mean = np.where(tilted, p.mean_tilt, 0.0)
-    lo = np.where(tilted, p.trunc_tilt, 0.5)
-    abs_z = mean + p.sqrt_eps * ndtri(lo + rows[..., COL_MAG] * (1.0 - lo))
+    i = np.minimum((rows[..., COL_COORD] * d).astype(np.int64), d - 1)
+    abs_z = p.dom.sample_abs(rows[..., COL_MAG], rows[..., COL_BRANCH] >= p.p_plain)
     z = np.where(rows[..., COL_SIGN] < 0.5, -abs_z, abs_z)
     return dt, i, z, abs_z, rows[..., COL_ACC]
 
 
-def _delta_u_rows(target, state, i, z):
-    """dU for one coordinate move per row of a (B, d) state block."""
-    if isinstance(target, SeparableTargetPotential):
-        xi = state[np.arange(state.shape[0]), i]
-        return target.delta_u1(xi, z)
-    y = state.copy()
-    y[np.arange(state.shape[0]), i] += z
-    return target.u(y) - target.u(state)
+def _thin(p, x, i, z, abs_z, u_acc, where):
+    """The thinning step: accept each candidate move with probability a(z).
+
+    where(k) describes candidate k if the declared gradient bound fails.
+    """
+    la = accept_log_from_delta(p.target.delta_u_move(x, i, z), abs_z, p.alpha, p.dom.tilt, p.target.T)
+    check_domination(la, p.kind, p.target, where)
+    with np.errstate(divide="ignore"):
+        return np.log(u_acc) < la
 
 
-def _check_domination(la, kind, target, where):
-    if np.any(la > _ACCEPT_SLACK):
-        k = int(np.argmax(la))
-        raise DominationError(
-            f"acceptance log-probability {float(np.max(la)):.3e} > 0 for kind "
-            f"{kind.label()} at {where(k)}: declared grad_bound {target.grad_bound} "
-            "is not a true bound along this move"
-        )
+def check_run(obs_grid, n_paths):
+    """Validate an ensemble request; returns the observation grid as an array."""
+    if n_paths < 1:
+        raise ConfigurationError("n_paths must be >= 1")
+    obs = np.asarray(obs_grid, dtype=float)
+    if obs.ndim != 1 or obs.size == 0 or np.any(obs < 0.0) or np.any(np.diff(obs) <= 0.0):
+        raise ConfigurationError("obs_grid must be nonnegative and strictly increasing")
+    return obs
+
+
+def run_spans(run_span, n_paths, block_paths, threads):
+    """Call run_span(block, lo, hi) for each block of consecutive paths.
+
+    Blocks run in order, or on a pool of threads when threads > 1; run_span
+    writes its own rows of the output, so the schedule cannot change them.
+    """
+    spans = [(b, lo, min(lo + block_paths, n_paths)) for b, lo in enumerate(range(0, n_paths, block_paths))]
+    if threads <= 1:
+        for span in spans:
+            run_span(*span)
+    else:
+        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+            list(pool.map(lambda span: run_span(*span), spans))
 
 
 def _validate_x0(target, x0):
@@ -214,7 +215,6 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
     if x.ndim != 1:
         raise ConfigurationError("simulate_path takes a single initial state")
     p = _event_params(kind, target, proposal, rate_scale)
-    separable = isinstance(target, SeparableTargetPotential)
     times, states = [], []
     n_exits = 0
     t = 0.0
@@ -232,35 +232,27 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
                     n_box_exits=n_exits,
                 )
             i = int(i)
-            if separable:
-                du = target.delta_u1(x[i], z)
-            else:
-                du = target.delta_u_move(x, i, z)
-            la = accept_log_from_delta(du, abs_z, p.alpha, p.theta, p.T)
-            _check_domination(np.atleast_1d(la), kind, target, lambda _: f"x={x!r}, i={i}, z={z!r}")
-            with np.errstate(divide="ignore"):
-                accept = np.log(u_acc) < la
-            if accept:
+            if _thin(p, x, i, z, abs_z, u_acc, lambda _: f"x={x!r}, i={i}, z={z!r}"):
                 x[i] += z
-                if p.box is not None and abs(x[i]) > p.box:
+                if target.box is not None and abs(x[i]) > target.box:
                     n_exits += 1
                     if box_policy == "abort":
                         raise DomainBoxError(
-                            f"state left the domain box +-{p.box} at t={t:.6g}: x={x!r}"
+                            f"state left the domain box +-{target.box} at t={t:.6g}: x={x!r}"
                         )
                 times.append(t)
                 states.append(x.copy())
 
 
-def _run_block(kind, target, proposal, p, x0_block, horizon, streams, obs_proc, box_policy, path_offset):
+def _run_block(p, x0_block, horizon, streams, obs_proc, box_policy, path_offset):
     b, d = x0_block.shape
+    box = p.target.box
     n_obs = obs_proc.size
     state = x0_block.copy()
     t = np.zeros(b)
     ptr = np.zeros(b, dtype=np.int64)
     samples = np.empty((b, n_obs, d))
     n_acc = np.zeros(b, dtype=np.int64)
-    n_exits = np.zeros(b, dtype=np.int64)
     rows_idx = np.arange(b)
     tapes = None
     k = TAPE_CHUNK
@@ -278,32 +270,26 @@ def _run_block(kind, target, proposal, p, x0_block, horizon, streams, obs_proc, 
             sel = rows_idx[pending]
             samples[sel, ptr[sel], :] = state[sel]
             ptr[pending] += 1
-        du = _delta_u_rows(target, state, i, z)
-        la = accept_log_from_delta(du, abs_z, p.alpha, p.theta, p.T)
-        _check_domination(
-            la, kind, target,
+        acc = (t <= horizon) & _thin(
+            p, state, i, z, abs_z, u_acc,
             lambda j: f"path {path_offset + j}, x={state[j]!r}, i={int(i[j])}, z={float(z[j])!r}",
         )
-        with np.errstate(divide="ignore"):
-            acc = (t <= horizon) & (np.log(u_acc) < la)
         if acc.any():
             sel = rows_idx[acc]
             moved = state[sel, i[sel]] + z[sel]
             state[sel, i[sel]] = moved
             n_acc[sel] += 1
-            if p.box is not None:
-                out = np.abs(moved) > p.box
+            if box is not None and box_policy == "abort":
+                out = np.abs(moved) > box
                 if out.any():
-                    n_exits[sel] += out
-                    if box_policy == "abort":
-                        j = int(sel[out][0])
-                        raise DomainBoxError(
-                            f"path {path_offset + j} left the domain box +-{p.box}: x={state[j]!r}"
-                        )
+                    j = int(sel[out][0])
+                    raise DomainBoxError(
+                        f"path {path_offset + j} left the domain box +-{box}: x={state[j]!r}"
+                    )
     remaining = ptr < n_obs
     for j in rows_idx[remaining]:
         samples[j, ptr[j]:, :] = state[j]
-    return samples, n_acc, n_exits
+    return samples, n_acc
 
 
 def simulate_ensemble(
@@ -327,13 +313,9 @@ def simulate_ensemble(
     path runs to process time max(obs_grid)/epsilon; with rescaled=False the
     grid is raw process time (diagnostic runs).
     """
-    if n_paths < 1:
-        raise ConfigurationError("n_paths must be >= 1")
     if box_policy not in _BOX_POLICIES:
         raise ConfigurationError(f"box_policy must be one of {_BOX_POLICIES}")
-    obs = np.asarray(obs_grid, dtype=float)
-    if obs.ndim != 1 or obs.size == 0 or np.any(obs < 0.0) or np.any(np.diff(obs) <= 0.0):
-        raise ConfigurationError("obs_grid must be nonnegative and strictly increasing")
+    obs = check_run(obs_grid, n_paths)
     x0 = _validate_x0(target, x0)
     if x0.ndim == 1:
         starts = np.broadcast_to(x0, (n_paths, target.d_star))
@@ -347,26 +329,14 @@ def simulate_ensemble(
     p = _event_params(kind, target, proposal)
     samples = np.empty((n_paths, obs.size, target.d_star))
     counts = np.zeros(n_paths, dtype=np.int64)
-    exits = np.zeros(n_paths, dtype=np.int64)
-    spans = [(lo, min(lo + block_paths, n_paths)) for lo in range(0, n_paths, block_paths)]
 
-    def run_span(span):
-        lo, hi = span
+    def run_span(_, lo, hi):
         streams = [path_stream(master_seed, DOMAIN_JUMP, q) for q in range(lo, hi)]
-        s, c, e = _run_block(
-            kind, target, proposal, p, np.array(starts[lo:hi], dtype=float),
-            horizon, streams, obs_proc, box_policy, lo,
+        samples[lo:hi], counts[lo:hi] = _run_block(
+            p, np.array(starts[lo:hi], dtype=float), horizon, streams, obs_proc, box_policy, lo,
         )
-        samples[lo:hi] = s
-        counts[lo:hi] = c
-        exits[lo:hi] = e
 
-    if threads <= 1:
-        for span in spans:
-            run_span(span)
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(run_span, spans))
+    run_spans(run_span, n_paths, block_paths, threads)
     ens = ObservedEnsemble(
         obs_grid=obs,
         samples=samples,
@@ -392,23 +362,13 @@ def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed, 
         raise ConfigurationError("first_jump_displacements takes a single state")
     rng = path_stream(master_seed, DOMAIN_DIRECT, 0)
     p = _event_params(kind, target, proposal)
-    separable = isinstance(target, SeparableTargetPotential)
     out_z = np.empty(n_samples)
     out_i = np.empty(n_samples, dtype=np.int64)
     filled = 0
     while filled < n_samples:
         rows = rng.random((batch, TAPE_COLS))
         _, i, z, abs_z, u_acc = _decode_events(p, rows)
-        if separable:
-            du = target.delta_u1(x[i], z)
-        else:
-            tiled = np.broadcast_to(x, (batch, x.size)).copy()
-            tiled[np.arange(batch), i] += z
-            du = target.u(tiled) - target.u(np.broadcast_to(x, (batch, x.size)))
-        la = accept_log_from_delta(du, abs_z, p.alpha, p.theta, p.T)
-        _check_domination(la, kind, target, lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
-        with np.errstate(divide="ignore"):
-            acc = np.log(u_acc) < la
+        acc = _thin(p, x, i, z, abs_z, u_acc, lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
         za, ia = z[acc], i[acc]
         take = min(n_samples - filled, za.size)
         out_z[filled:filled + take] = za[:take]

@@ -15,7 +15,10 @@ displacement density with total mass
 Splitting e^{theta z} phi_eps(z) = e^{eps theta^2/2} phi_eps(z - eps theta)
 turns the normalized dominating density into an equal-weight two-sided
 mixture of shifted Gaussians restricted to half-lines, sampled exactly by a
-sign flip plus one inverse-cdf draw (no rejection).
+sign flip plus one inverse-cdf draw (no rejection). That draw,
+DominatingKernel.sample_abs, is the simulators' |z| transform for every
+candidate event; a per-row mask sends plain-branch candidates to the
+untilted proposal.
 
 Accepted-rate algebra for the mixture family, the contract the simulator
 relies on: candidates arrive at rate R = alpha + (1-alpha) Lam(eps) with
@@ -33,13 +36,14 @@ yields accepted events at rate density R q(z) a(z)
 because s1 <= 1 and s2 <= e^{theta|z|}; alpha = 1 reduces to plain-clock
 thinning with a(z) = s1 and alpha = 0 to a(z) = s2 e^{-theta|z|}. A computed
 log a > 0 means the declared grad_bound was not a true bound and is raised
-as a hard error rather than clipped.
+as a hard error by check_domination rather than clipped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -123,7 +127,11 @@ class DominatingKernel:
     def lam(self) -> float:
         return math.exp(self.log_total_rate)
 
-    @property
+    @cached_property
+    def sigma(self) -> float:
+        return math.sqrt(self.epsilon)
+
+    @cached_property
     def mean_abs(self) -> float:
         """Mean of the shifted component on the positive side (eps * theta)."""
         return self.epsilon * self.tilt
@@ -136,16 +144,20 @@ class DominatingKernel:
     def component_means(self):
         return (-self.mean_abs, self.mean_abs)
 
-    @property
-    def _trunc_lo(self) -> float:
+    @cached_property
+    def trunc_lo(self) -> float:
         """P(N(mean_abs, eps) <= 0) = Phi(-theta sqrt(eps)), the cut mass."""
-        return float(ndtr(-self.tilt * math.sqrt(self.epsilon)))
+        return float(ndtr(-self.tilt * self.sigma))
 
-    def sample_abs(self, u):
-        """Inverse-cdf |z| from N(mean_abs, eps) conditioned on z > 0."""
-        lo = self._trunc_lo
-        u = np.asarray(u, dtype=float)
-        return self.mean_abs + math.sqrt(self.epsilon) * ndtri(lo + u * (1.0 - lo))
+    def sample_abs(self, u, tilted=True):
+        """Inverse-cdf |z| from N(mean_abs, eps) conditioned on z > 0.
+
+        tilted masks the draws per row: where it is False the draw comes from
+        the plain proposal instead, |N(0, eps)|.
+        """
+        mean = np.where(tilted, self.mean_abs, 0.0)
+        lo = np.where(tilted, self.trunc_lo, 0.5)
+        return mean + self.sigma * ndtri(lo + u * (1.0 - lo))
 
     def sample(self, u_sign, u_mag):
         sign = np.where(np.asarray(u_sign, dtype=float) < 0.5, -1.0, 1.0)
@@ -176,13 +188,18 @@ def build_dominating_kernel(target, proposal) -> DominatingKernel:
     )
 
 
+def thinning_kernel(kind, target, proposal) -> DominatingKernel:
+    """The kernel a kind thins against: untilted for m1, whose rates never
+    exceed the proposal, so m1 needs no finite Lam(eps)."""
+    if kind.alpha_eff == 1.0:
+        return DominatingKernel(epsilon=proposal.epsilon, tilt=0.0, log_total_rate=0.0)
+    return build_dominating_kernel(target, proposal)
+
+
 def total_rate_bound(kind, target, proposal) -> float:
     """Uniform-in-x upper bound on the total jump rate of the kind."""
     a = kind.alpha_eff
-    if a == 1.0:
-        return 1.0
-    lam = math.exp(log_lam(proposal.epsilon, target.grad_bound / target.T))
-    return a + (1.0 - a) * lam
+    return a + (1.0 - a) * thinning_kernel(kind, target, proposal).lam
 
 
 def log_rate_density(kind, target, proposal, x, i, y_i):
@@ -219,18 +236,25 @@ def accept_log_from_delta(du, abs_z, alpha_eff, theta, T):
 _ACCEPT_SLACK = 1e-9
 
 
+def check_domination(la, kind, target, where):
+    """Raise DominationError if a log-acceptance exceeds 0 beyond rounding.
+
+    la holds one log a(z) per move; where(k) describes move k for the message.
+    """
+    if np.any(la > _ACCEPT_SLACK):
+        k = int(np.argmax(la))
+        raise DominationError(
+            f"acceptance log-probability {float(np.max(la)):.3e} > 0 for kind "
+            f"{kind.label()} at {where(k)}: declared grad_bound {target.grad_bound} "
+            "is not a true bound along this move"
+        )
+
+
 def thinning_accept_logprob(kind, target, proposal, x, i, z, dom=None):
     """log acceptance probability for a dominating-kernel candidate move."""
     if dom is None:
-        dom = build_dominating_kernel(target, proposal)
-    x = np.asarray(x, dtype=float)
-    du = target.delta_u_move(x, i, z)
-    out = accept_log_from_delta(du, np.abs(z), kind.alpha_eff, dom.tilt, target.T)
-    if np.any(out > _ACCEPT_SLACK):
-        bad = float(np.max(out))
-        raise DominationError(
-            f"acceptance log-probability {bad:.3e} > 0 for kind {kind.label()} at "
-            f"x={np.array2string(np.atleast_1d(x))}, i={i}, z={z}: declared grad_bound "
-            f"{target.grad_bound} is not a true bound here"
-        )
+        dom = thinning_kernel(kind, target, proposal)
+    out = accept_log_from_delta(target.delta_u_move(x, i, z), np.abs(z), kind.alpha_eff,
+                                dom.tilt, target.T)
+    check_domination(out, kind, target, lambda _: f"x={np.array2string(np.atleast_1d(x))}, i={i}, z={z}")
     return np.minimum(out, 0.0)

@@ -19,13 +19,12 @@ for a given seed regardless of thread count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .jump import DOMAIN_LANGEVIN, ObservedEnsemble, path_stream
+from .jump import DOMAIN_LANGEVIN, ObservedEnsemble, check_run, path_stream, run_spans
 
 _VARIANTS = ("rescaled", "standard_clock")
 LANGEVIN_BLOCK = 1024
@@ -87,11 +86,7 @@ def simulate_langevin(
 ):
     """Euler-Maruyama ensemble on obs_grid, grid points snapped to steps."""
     cfg = SdeConfig(dt=dt, variant=variant)
-    if n_paths < 1:
-        raise ConfigurationError("n_paths must be >= 1")
-    obs = np.asarray(obs_grid, dtype=float)
-    if obs.ndim != 1 or obs.size == 0 or np.any(obs < 0.0) or np.any(np.diff(obs) <= 0.0):
-        raise ConfigurationError("obs_grid must be nonnegative and strictly increasing")
+    obs = check_run(obs_grid, n_paths)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (target.d_star,):
         raise ConfigurationError(f"x0 must have {target.d_star} coordinates")
@@ -108,10 +103,8 @@ def simulate_langevin(
     for k, s in enumerate(obs_steps):
         step_to_obs.setdefault(int(s), []).append(k)
     samples = np.empty((n_paths, obs.size, target.d_star))
-    spans = [(lo, min(lo + block_paths, n_paths)) for lo in range(0, n_paths, block_paths)]
 
-    def run_span(args):
-        block_index, (lo, hi) = args
+    def run_span(block_index, lo, hi):
         rng = path_stream(master_seed, DOMAIN_LANGEVIN, block_index)
         state = np.broadcast_to(x0, (hi - lo, target.d_star)).copy()
         for k in step_to_obs.get(0, ()):
@@ -126,13 +119,7 @@ def simulate_langevin(
                 for k in step_to_obs.get(s, ()):
                     samples[lo:hi, k, :] = state
 
-    jobs = list(enumerate(spans))
-    if threads <= 1:
-        for job in jobs:
-            run_span(job)
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(run_span, jobs))
+    run_spans(run_span, n_paths, block_paths, threads)
     return ObservedEnsemble(
         obs_grid=obs,
         samples=samples,

@@ -47,6 +47,14 @@ class GaussianProposal:
         return -0.5 * z * z / self.epsilon - 0.5 * math.log(2.0 * math.pi * self.epsilon)
 
 
+def _move_index(x, i):
+    """Index of the moved coordinate in x: x[..., i], or x[r, i[r]] when x is
+    a block of rows and i holds one coordinate per row."""
+    if x.ndim > 1 and np.ndim(i):
+        return np.arange(x.shape[0]), i
+    return Ellipsis, i
+
+
 class TargetPotential:
     """Gibbs target exp(-U/T): potential values, gradient, declared bounds.
 
@@ -78,10 +86,17 @@ class TargetPotential:
         raise NotImplementedError
 
     def delta_u_move(self, x, i, z):
-        """U(x + z e_i) - U(x); generic fallback via two full evaluations."""
+        """U(x + z e_i) - U(x), the one dU of a single-coordinate move.
+
+        Broadcasts over rows: x is one state (d,) or a block (n, d), i is one
+        coordinate or one per row, z is one displacement or one per row.
+        Generic fallback via two full evaluations of u.
+        """
         x = np.asarray(x, dtype=float)
+        rows = np.broadcast_shapes(x.shape[:-1], np.shape(i), np.shape(z))
+        x = np.broadcast_to(x, rows + x.shape[-1:])
         y = x.copy()
-        y[..., i] = y[..., i] + z
+        y[_move_index(y, i)] += z
         return self.u(y) - self.u(x)
 
     def grad_coord(self, x, i):
@@ -124,11 +139,8 @@ class SeparableTargetPotential(TargetPotential):
         return self.du1(np.asarray(x, dtype=float))
 
     def delta_u_move(self, x, i, z):
-        xi = np.asarray(x, dtype=float)[..., i]
-        return self.u1(xi + z) - self.u1(xi)
-
-    def delta_u1(self, xi, z):
-        """u1(xi + z) - u1(xi) on raw coordinate arrays (simulator fast path)."""
+        x = np.asarray(x, dtype=float)
+        xi = x[_move_index(x, i)]
         return self.u1(xi + z) - self.u1(xi)
 
 

@@ -27,7 +27,6 @@ from .errors import ConfigurationError, QuadratureError
 from .jump import path_stream
 from .targets import (
     GaussianProposal,
-    SeparableTargetPotential,
     gibbs_quantiles_1d,
     log_s_m2,
     log_s_hat_m2,
@@ -205,18 +204,13 @@ def s_bound_check(target, n_pairs=10000, scale_grid=(1e-1, 1e-2, 1e-3), master_s
     rng = path_stream(master_seed, DOMAIN_SBOUND, 0)
     lo = -3.0 if target.box is None else -min(3.0, target.box - 1.0)
     theta = target.grad_bound / target.T
-    rows = np.arange(n_pairs)
 
     def draw_moves(scale):
         x = rng.uniform(lo, -lo, size=(n_pairs, target.d_star))
         i = rng.integers(0, target.d_star, size=n_pairs)
         z = scale * np.where(rng.random(n_pairs) < 0.5, -1.0, 1.0)
-        if isinstance(target, SeparableTargetPotential):
-            du = target.delta_u1(x[rows, i], z)
-        else:
-            du = np.array([target.delta_u_move(x[r], int(i[r]), float(z[r])) for r in rows])
-        gi = np.asarray(target.grad(x))[rows, i]
-        return du, gi, z
+        gi = np.asarray(target.grad(x))[np.arange(n_pairs), i]
+        return target.delta_u_move(x, i, z), gi, z
 
     # fit c1 from the Taylor remainder at the largest probed scale
     du, gi, z = draw_moves(float(max(scale_grid)))
@@ -478,7 +472,7 @@ def kernel_displacement_cdf(kind, target, proposal, x, i=0, half_width=None, n=2
     hw = (_U_RANGE if half_width is None else half_width) * math.sqrt(eps)
     z = np.linspace(-hw, hw, n)
     x = np.asarray(x, dtype=float)
-    du = np.array([target.delta_u_move(x, i, zz) for zz in z])
+    du = target.delta_u_move(x, i, z)
     w = np.exp(log_s_mix(du, target.T, kind.alpha_eff) + proposal.logpdf(z))
     dz = z[1] - z[0]
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * dz)])

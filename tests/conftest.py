@@ -5,7 +5,11 @@ reproducible; derandomizing hypothesis keeps the property tests in the same
 regime.
 """
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
+
+from mhjump.targets import TargetPotential
 
 settings.register_profile(
     "mhjump",
@@ -15,3 +19,27 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 settings.load_profile("mhjump")
+
+
+class CoupledQuadratic(TargetPotential):
+    """U(x) = |x|^2 / 2 + c x_0 x_1 on a box, d* = 2: a non-separable target,
+    so every dU goes through the generic two-evaluation path."""
+
+    name = "coupled"
+
+    def __init__(self, c=0.3, box=6.0):
+        super().__init__(2, 1.0, grad_bound=box * (1.0 + abs(c)), box=box, params={"c": c})
+        self.c = c
+
+    def u(self, x):
+        x = np.asarray(x, dtype=float)
+        return 0.5 * np.sum(x * x, axis=-1) + self.c * x[..., 0] * x[..., 1]
+
+    def grad(self, x):
+        x = np.asarray(x, dtype=float)
+        return x + self.c * x[..., ::-1]
+
+
+@pytest.fixture
+def coupled():
+    return CoupledQuadratic()

@@ -174,6 +174,7 @@ def test_criterion_5_generator_probe_slope():
              + f", {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_6_ks_convergence_to_diffusion():
     t0 = time.time()
     target = BoxedQuadratic(d_star=1)
@@ -203,6 +204,7 @@ def test_criterion_6_ks_convergence_to_diffusion():
              "; ".join(bad if bad else lines) + f", threshold {thr:.4f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_gibbs_stationarity():
     t0 = time.time()
     target = SmoothedDoubleWell(d_star=1)
@@ -230,6 +232,7 @@ def test_criterion_7_gibbs_stationarity():
              "; ".join(bad if bad else lines) + f", {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_8_first_jump_law():
     t0 = time.time()
     target = SmoothedDoubleWell(d_star=1)

@@ -130,6 +130,16 @@ def test_d_mu_is_a_metric_on_rate_matrices():
         d_mu(chain, a, np.zeros((3, 3)))
 
 
+def test_d_mu_on_a_stack_is_per_matrix():
+    chain = chain_from_seed(4)
+    comps = random_reversible_batch(chain, 6, np.random.default_rng(2))
+    dists = d_mu(chain, comps, chain.rates)
+    assert dists.shape == (6,)
+    assert np.array_equal(dists, [d_mu(chain, c, chain.rates) for c in comps])
+    with pytest.raises(ConfigurationError):
+        d_mu(chain, comps[:, :3, :3], chain.rates)
+
+
 @given(seed=st.integers(0, 50_000), n=st.integers(2, 8), alpha=st.floats(0.0, 1.0))
 def test_mixture_distance_independent_of_alpha(seed, n, alpha):
     chain = random_chain(n, np.random.default_rng(seed))

@@ -82,6 +82,39 @@ def test_scalar_and_block_engines_agree_exactly():
             assert np.array_equal(ens.samples[q, k], path.state_at(tp))
 
 
+def test_engines_agree_on_a_non_separable_target(coupled):
+    # the generic row-wise dU must give the same bits in both engines
+    prop = GaussianProposal(0.04)
+    obs = np.array([0.3, 0.7])
+    x0 = np.array([0.5, -0.8])
+    ens, counts = simulate_ensemble(MIX, coupled, prop, x0, obs, 5, 77, block_paths=3,
+                                    return_counts=True)
+    obs_proc = obs / prop.epsilon
+    for q in range(5):
+        path = simulate_path(MIX, coupled, prop, x0, float(obs_proc[-1]),
+                             path_stream(77, DOMAIN_JUMP, q))
+        assert counts[q] == path.jump_times.size > 0
+        for k, tp in enumerate(obs_proc):
+            assert np.array_equal(ens.samples[q, k], path.state_at(tp))
+    z, i = first_jump_displacements(GeneratorKind.m2(), coupled, prop, x0, 2000, 3, batch=512)
+    assert z.shape == i.shape == (2000,)
+    assert set(np.unique(i)) == {0, 1}
+
+
+def test_m1_needs_no_dominating_mass():
+    # eps theta^2 / 2 = 5000 overflows Lam(eps); m1 thins the plain proposal
+    # and never needs it, the tilted kinds cannot run
+    target = BoxedQuadratic(d_star=1, box=100.0)
+    prop = GaussianProposal(1.0)
+    ens = simulate_ensemble(GeneratorKind.m1(), target, prop, np.zeros(1), [0.5, 1.0], 4, 2)
+    assert np.all(np.isfinite(ens.samples))
+    path = simulate_path(GeneratorKind.m1(), target, prop, np.zeros(1), 5.0, 2)
+    assert path.jump_times.size > 0
+    for kind in (GeneratorKind.m2(), MIX):
+        with pytest.raises(ConfigurationError):
+            simulate_ensemble(kind, target, prop, np.zeros(1), [0.5, 1.0], 4, 2)
+
+
 def test_ensemble_invariant_to_blocks_and_threads():
     prop = GaussianProposal(0.09)
     obs = [0.25, 0.5]
@@ -115,6 +148,7 @@ def test_per_path_initial_states():
     assert np.array_equal(ens.samples[:, 0, :], starts)  # obs at t = 0 is the start
 
 
+@pytest.mark.slow
 def test_clock_equivalence_three_sigma():
     # rate r over horizon h has the law of rate 1 over horizon r h
     target = LogCoshWell(d_star=1)

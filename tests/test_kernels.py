@@ -104,6 +104,21 @@ def test_kernel_untilted_degrades_to_proposal():
     assert np.allclose(dom.log_density(z), ref, rtol=1e-12)
 
 
+def test_kernel_tilted_mask_selects_the_component_per_row():
+    from mhjump.kernels import DominatingKernel
+
+    target = SmoothedDoubleWell(d_star=1)
+    prop = GaussianProposal(0.04)
+    dom = build_dominating_kernel(target, prop)
+    plain = DominatingKernel(epsilon=0.04, tilt=0.0, log_total_rate=0.0)
+    u = np.linspace(0.01, 0.99, 12)
+    mask = np.arange(12) % 3 == 0
+    out = dom.sample_abs(u, mask)
+    assert np.array_equal(out[mask], dom.sample_abs(u[mask]))
+    assert np.array_equal(out[~mask], plain.sample_abs(u[~mask]))
+    assert np.array_equal(dom.sample_abs(u, False), plain.sample_abs(u))
+
+
 def test_kernel_density_normalizes_to_one():
     target = SmoothedDoubleWell(d_star=1)
     for eps in (1e-1, 1e-3):

@@ -17,6 +17,7 @@ from mhjump import (
     make_potential,
 )
 from mhjump.targets import (
+    TargetPotential,
     gibbs_quantiles_1d,
     gibbs_table_1d,
     log_s_hat_m2,
@@ -67,14 +68,31 @@ def test_delta_u_move_is_exact_difference(target, x0, x1, z, i):
 @pytest.mark.parametrize("target", all_targets(), ids=lambda t: t.name)
 @given(xi=coords, z=moves)
 def test_separable_fast_path_matches_generic(target, xi, z):
-    # delta_u1 is what the simulator calls in bulk; it must agree with the move
+    # the row-wise separable dU is what the simulator calls in bulk; it must
+    # agree with the generic two-evaluation move
     x = np.array([xi, 0.3])
     assert np.isclose(
-        float(target.delta_u1(np.array([xi]), np.array([z]))[0]),
-        float(target.delta_u_move(x, 0, z)),
+        float(target.delta_u_move(x[None, :], np.array([0]), np.array([z]))[0]),
+        float(TargetPotential.delta_u_move(target, x, 0, z)),
         rtol=1e-12,
         atol=1e-12,
     )
+
+
+def test_delta_u_move_broadcasts_over_rows(coupled):
+    # block of states with one coordinate per row, and one state with many moves
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.0, 3.0, size=(7, 2))
+    i = rng.integers(0, 2, size=7)
+    z = rng.normal(0.0, 0.5, size=7)
+    for target in all_targets() + [coupled]:
+        rows = target.delta_u_move(x, i, z)
+        assert rows.shape == (7,)
+        assert np.array_equal(rows, [target.delta_u_move(x[r], int(i[r]), z[r]) for r in range(7)])
+        fan = target.delta_u_move(x[0], 1, z)
+        assert np.array_equal(fan, [target.delta_u_move(x[0], 1, zz) for zz in z])
+        picked = target.delta_u_move(x[0], i, z)
+        assert np.array_equal(picked, [target.delta_u_move(x[0], int(i[r]), z[r]) for r in range(7)])
 
 
 def test_quadratic_grad_bound_holds_on_box():
@@ -205,7 +223,7 @@ def test_linearized_factor_gap_bounded_by_taylor_remainder(du, gi, z, T):
 def test_taylor_gap_exact_for_quadratic(xi, z):
     # u1 = v^2/2 makes the remainder exactly -z^2 / (2T)
     t = BoxedQuadratic(d_star=1, T=2.0)
-    du = float(t.delta_u1(xi, z))
+    du = float(t.delta_u_move(np.array([xi]), 0, z))
     g = float(taylor_gap(du, xi, z, t.T))
     assert abs(g - (-z * z / (2.0 * t.T))) < 1e-12
 

@@ -25,7 +25,7 @@ from mhjump import (
     simulate_langevin,
     stationarity_chisquare,
 )
-from mhjump.targets import gibbs_quantiles_1d
+from mhjump.targets import gibbs_quantiles_1d, log_s_mix
 from mhjump.verify import (
     apply_limit_generator,
     bump_library,
@@ -296,6 +296,20 @@ def test_displacement_cdf_is_monotone():
     )
     assert cdf[0] == 0.0 and abs(cdf[-1] - 1.0) < 1e-12
     assert np.all(np.diff(cdf) >= 0.0)
+
+
+@pytest.mark.parametrize("kind", [GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5)],
+                         ids=lambda k: k.label())
+def test_displacement_cdf_matches_per_point_loop(kind):
+    # reference: one scalar dU per grid point, as the cdf was first written
+    target = SmoothedDoubleWell(d_star=2)
+    prop = GaussianProposal(1e-2)
+    x = np.array([0.7, -0.2])
+    grid, cdf = kernel_displacement_cdf(kind, target, prop, x, i=1, n=2001)
+    du = np.array([target.delta_u_move(x, 1, zz) for zz in grid])
+    w = np.exp(log_s_mix(du, target.T, kind.alpha_eff) + prop.logpdf(grid))
+    ref = np.concatenate([[0.0], np.cumsum(0.5 * (w[1:] + w[:-1]) * (grid[1] - grid[0]))])
+    assert np.array_equal(cdf, ref / ref[-1])
 
 
 def test_displacement_chisquare_accepts_kernel_draws():
