@@ -68,6 +68,33 @@ _GEOM_TOL = 1e-12
 _REV_TOL = 1e-14
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_numbers(v):
+    return isinstance(v, list) and all(_is_number(e) for e in v)
+
+
+# what each config field must hold; a field whose default is None may be None
+_FIELD_TYPES = (
+    ("an integer", _is_int,
+     ("d_star", "n_paths", "seed", "threads", "n_chains", "n_states", "n_reversible", "n_pairs")),
+    ("a number", _is_number, ("T", "alpha", "epsilon", "dt", "quad_tol")),
+    ("a list of numbers", _is_numbers,
+     ("epsilon_grid", "moment_epsilon_grid", "obs_grid", "t_grid", "folded_epsilon_grid", "scale_grid")),
+    ("a number, a list of numbers or one such list per path",
+     lambda v: _is_number(v) or _is_numbers(v) or (isinstance(v, list) and all(map(_is_numbers, v))),
+     ("x0",)),
+    ("a string", lambda v: isinstance(v, str), ("potential", "kind")),
+    ("an object", lambda v: isinstance(v, dict), ("potential_params",)),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one run; JSON round-trips exactly."""
@@ -95,6 +122,16 @@ class ExperimentConfig:
     folded_epsilon_grid: list = field(default_factory=lambda: [1e-5, 1e-6, 1e-7, 1e-8])
     n_pairs: int = 10000
     scale_grid: list = field(default_factory=lambda: [1e-1, 1e-2, 1e-3])
+
+    def __post_init__(self):
+        defaults = {f.name: f.default for f in dataclasses.fields(self)}
+        for what, ok, names in _FIELD_TYPES:
+            for name in names:
+                value = getattr(self, name)
+                if not (ok(value) or (value is None and defaults[name] is None)):
+                    raise ConfigurationError(f"config field {name!r} must be {what}, got {value!r}")
+        if self.threads < 1:
+            raise ConfigurationError(f"config field 'threads' must be >= 1, got {self.threads}")
 
     @classmethod
     def from_dict(cls, data):
@@ -435,6 +472,8 @@ def main(argv=None):
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         seed = resolve_seed(cfg, args.seed)
         threads = args.threads if args.threads is not None else cfg.threads
+        if threads < 1:
+            raise ConfigurationError(f"--threads must be >= 1, got {threads}")
         out_dir = _ensure_out(args.out)
         return _COMMANDS[args.command](cfg, seed, out_dir, threads, rep)
     except ConfigurationError as exc:

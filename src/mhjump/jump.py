@@ -16,15 +16,23 @@ six uniforms,
 transformed by inverse cdfs only; the |z| draw is
 DominatingKernel.sample_abs, masked per row by the branch column. The scalar
 reference simulator and the vectorized block engine therefore consume
-identical per-path tapes, share one thinning step, and produce bit-identical
-paths; block boundaries and thread scheduling cannot
-change any path's values because no randomness is shared across paths. Rows
-are drawn in fixed chunks of TAPE_CHUNK events; a path that ends mid-chunk
-simply ignores the unused rows.
+identical per-path tapes, share one event transform and one thinning step,
+and produce bit-identical paths; block boundaries and thread scheduling
+cannot change any path's values because no randomness is shared across
+paths. Rows are drawn in chunks of TAPE_CHUNK events; a path that ends
+mid-chunk ignores the unused rows, and because the stream is counter-based a
+path's rows, and so its values, do not depend on the chunk size either.
 
 The block engine advances a block of paths in lock step, one candidate event
-per iteration across the whole block, with finished paths masked out. States
-are right-continuously recorded on the observation grid (the value at an
+per iteration across the whole block, but does its per-tape work once per
+chunk: only the paths still inside the horizon draw a chunk, into one
+preallocated buffer; the chunk is decoded by one call of the event
+transform into event-major arrays; the event times are one cumulative sum
+from each path's clock; and one searchsorted of the times against the
+observation grid finds every observation crossing of the chunk, so states
+are recorded only at the events where some path crosses. Only candidates
+inside the horizon are thinned, as in the scalar engine. States are
+right-continuously recorded on the observation grid (the value at an
 observation time is the state after the last jump at or before it).
 """
 
@@ -48,7 +56,7 @@ from .targets import TargetPotential
 
 TAPE_COLS = 6
 COL_EXP, COL_COORD, COL_BRANCH, COL_SIGN, COL_MAG, COL_ACC = range(TAPE_COLS)
-TAPE_CHUNK = 1024
+TAPE_CHUNK = 256
 BLOCK_PATHS = 512
 
 DOMAIN_JUMP = 0
@@ -144,24 +152,28 @@ def _event_params(kind, target, proposal, rate_scale=1.0):
 
 
 def _decode_events(p, rows):
-    """Tape rows (..., 6) -> (dt, coordinate, z, |z|, accept-uniform)."""
+    """Tape rows (..., 6) -> (dt, coordinate, z, |z|, log accept-uniform)."""
     d = p.target.d_star
     dt = -np.log1p(-rows[..., COL_EXP]) / p.rate_total
     i = np.minimum((rows[..., COL_COORD] * d).astype(np.int64), d - 1)
     abs_z = p.dom.sample_abs(rows[..., COL_MAG], rows[..., COL_BRANCH] >= p.p_plain)
     z = np.where(rows[..., COL_SIGN] < 0.5, -abs_z, abs_z)
-    return dt, i, z, abs_z, rows[..., COL_ACC]
+    with np.errstate(divide="ignore"):
+        log_u = np.log(rows[..., COL_ACC])
+    return dt, i, z, abs_z, log_u
 
 
-def _thin(p, x, i, z, abs_z, u_acc, where):
+def _thin(p, x, i, z, abs_z, log_u, where, live=None):
     """The thinning step: accept each candidate move with probability a(z).
 
-    where(k) describes candidate k if the declared gradient bound fails.
+    where(k) describes candidate k if the declared gradient bound fails;
+    live, if given, masks candidates out of the check and of the accepts.
     """
     la = accept_log_from_delta(p.target.delta_u_move(x, i, z), abs_z, p.alpha, p.dom.tilt, p.target.T)
+    if live is not None:
+        la = np.where(live, la, -np.inf)
     check_domination(la, p.kind, p.target, where)
-    with np.errstate(divide="ignore"):
-        return np.log(u_acc) < la
+    return log_u < la
 
 
 def check_run(obs_grid, n_paths):
@@ -219,10 +231,9 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
     n_exits = 0
     t = 0.0
     while True:
-        tape = rng.random((TAPE_CHUNK, TAPE_COLS))
+        dts, coords, zs, abs_zs, log_us = _decode_events(p, rng.random((TAPE_CHUNK, TAPE_COLS)))
         for k in range(TAPE_CHUNK):
-            dt, i, z, abs_z, u_acc = _decode_events(p, tape[k])
-            t += dt
+            t += dts[k]
             if t > horizon:
                 return JumpPath(
                     initial_state=np.asarray(x0, dtype=float).copy(),
@@ -231,8 +242,8 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
                     horizon=float(horizon),
                     n_box_exits=n_exits,
                 )
-            i = int(i)
-            if _thin(p, x, i, z, abs_z, u_acc, lambda _: f"x={x!r}, i={i}, z={z!r}"):
+            i, z = int(coords[k]), zs[k]
+            if _thin(p, x, i, z, abs_zs[k], log_us[k], lambda _: f"x={x!r}, i={i}, z={z!r}"):
                 x[i] += z
                 if target.box is not None and abs(x[i]) > target.box:
                     n_exits += 1
@@ -244,51 +255,75 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
                 states.append(x.copy())
 
 
+def _crossings(passed, inside):
+    """The observation records of one chunk, grouped by event.
+
+    passed[k, c] is the number of observation points before column c's clock
+    ahead of event k, and passed[k + 1, c] after it. An event inside the
+    horizon records the column's pre-event state at the observation indices
+    [passed[k, c], passed[k + 1, c]). Returns per-event bounds into the
+    records (those of event k are [bounds[k], bounds[k + 1])) and each
+    record's column and observation index.
+    """
+    ks, cols = np.nonzero((passed[1:] > passed[:-1]) & inside)
+    lo = passed[ks, cols]
+    n = passed[ks + 1, cols] - lo
+    obs_idx = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
+    ks, cols = np.repeat(ks, n), np.repeat(cols, n)
+    return np.searchsorted(ks, np.arange(inside.shape[0] + 1)).tolist(), cols, obs_idx
+
+
 def _run_block(p, x0_block, horizon, streams, obs_proc, box_policy, path_offset):
+    """One block of paths in lock step; returns its samples and accepted-event counts."""
     b, d = x0_block.shape
-    box = p.target.box
-    n_obs = obs_proc.size
-    state = x0_block.copy()
-    t = np.zeros(b)
-    ptr = np.zeros(b, dtype=np.int64)
-    samples = np.empty((b, n_obs, d))
+    box = p.target.box if box_policy == "abort" else None
+    samples = np.empty((b, obs_proc.size, d))
     n_acc = np.zeros(b, dtype=np.int64)
-    rows_idx = np.arange(b)
-    tapes = None
-    k = TAPE_CHUNK
-    while np.any(t <= horizon):
-        if k == TAPE_CHUNK:
-            tapes = np.stack([s.random((TAPE_CHUNK, TAPE_COLS)) for s in streams])
-            k = 0
-        dt, i, z, abs_z, u_acc = _decode_events(p, tapes[:, k, :])
-        k += 1
-        t = t + dt
-        while True:
-            pending = (ptr < n_obs) & (obs_proc[np.minimum(ptr, n_obs - 1)] < t)
-            if not pending.any():
-                break
-            sel = rows_idx[pending]
-            samples[sel, ptr[sel], :] = state[sel]
-            ptr[pending] += 1
-        acc = (t <= horizon) & _thin(
-            p, state, i, z, abs_z, u_acc,
-            lambda j: f"path {path_offset + j}, x={state[j]!r}, i={int(i[j])}, z={float(z[j])!r}",
-        )
-        if acc.any():
-            sel = rows_idx[acc]
-            moved = state[sel, i[sel]] + z[sel]
-            state[sel, i[sel]] = moved
-            n_acc[sel] += 1
-            if box is not None and box_policy == "abort":
-                out = np.abs(moved) > box
-                if out.any():
-                    j = int(sel[out][0])
-                    raise DomainBoxError(
-                        f"path {path_offset + j} left the domain box +-{box}: x={state[j]!r}"
-                    )
-    remaining = ptr < n_obs
-    for j in rows_idx[remaining]:
-        samples[j, ptr[j]:, :] = state[j]
+    tape = np.empty((b, TAPE_CHUNK, TAPE_COLS))
+    # the unfinished paths: block rows, states, clocks
+    live = np.arange(b)
+    x = x0_block.copy()
+    t = np.zeros(b)
+
+    def where(j):  # describes candidate j of the current event
+        return f"path {path_offset + int(live[j])}, x={x[j]!r}, i={int(ik[j])}, z={float(zk[j])!r}"
+
+    while live.size:
+        n_live = live.size
+        for r, q in enumerate(live):
+            streams[q].random(out=tape[r])
+        dt, i, z, abs_z, log_u = _decode_events(p, np.ascontiguousarray(tape[:n_live].swapaxes(0, 1)))
+        clock = np.cumsum(np.vstack([t, dt]), axis=0)  # clock[k + 1] is the time of event k
+        inside = clock[1:] <= horizon
+        n_in = inside.sum(axis=0)  # in-horizon events of each path
+        passed = np.searchsorted(obs_proc, clock)
+        bounds, rec_cols, rec_obs = _crossings(passed, inside)
+        rec_rows = live[rec_cols]
+        flat = i + d * np.arange(n_live)  # the moved entries of x_flat
+        x_flat = x.reshape(-1)  # a view: x is always a fresh C-ordered array
+        count = np.zeros(n_live, dtype=np.int64)
+        all_inside = int(n_in.min())
+        for k in range(int(n_in.max())):
+            lo, hi = bounds[k], bounds[k + 1]
+            if lo < hi:
+                samples[rec_rows[lo:hi], rec_obs[lo:hi]] = x[rec_cols[lo:hi]]
+            ik, zk = i[k], z[k]
+            acc = _thin(p, x, ik, zk, abs_z[k], log_u[k], where, None if k < all_inside else inside[k])
+            xi = x_flat[flat[k]]
+            moved = np.where(acc, xi + zk, xi)
+            x_flat[flat[k]] = moved
+            count += acc
+            if box is not None and np.abs(moved).max() > box:
+                j = int(np.argmax(np.abs(moved) > box))
+                raise DomainBoxError(
+                    f"path {path_offset + int(live[j])} left the domain box +-{box}: x={x[j]!r}"
+                )
+        n_acc[live] += count
+        done = ~inside[-1]
+        for c in np.flatnonzero(done):  # a finished path holds its state to the end of the grid
+            samples[live[c], passed[n_in[c], c]:] = x[c]
+        keep = ~done
+        live, x, t = live[keep], x[keep], clock[-1, keep]
     return samples, n_acc
 
 
@@ -367,8 +402,8 @@ def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed, 
     filled = 0
     while filled < n_samples:
         rows = rng.random((batch, TAPE_COLS))
-        _, i, z, abs_z, u_acc = _decode_events(p, rows)
-        acc = _thin(p, x, i, z, abs_z, u_acc, lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
+        _, i, z, abs_z, log_u = _decode_events(p, rows)
+        acc = _thin(p, x, i, z, abs_z, log_u, lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
         za, ia = z[acc], i[acc]
         take = min(n_samples - filled, za.size)
         out_z[filled:filled + take] = za[:take]

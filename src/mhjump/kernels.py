@@ -120,8 +120,12 @@ class DominatingKernel:
     log_total_rate: float
 
     def __post_init__(self):
-        if self.log_total_rate < -1e-12:
-            raise ConfigurationError("total dominating mass must be >= 1")
+        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
+            raise ConfigurationError(f"kernel epsilon must be positive and finite, got {self.epsilon}")
+        if not (self.tilt >= 0.0 and math.isfinite(self.tilt)):
+            raise ConfigurationError(f"kernel tilt must be nonnegative and finite, got {self.tilt}")
+        if not (self.log_total_rate >= -1e-12 and math.isfinite(self.log_total_rate)):
+            raise ConfigurationError("total dominating mass must be finite and >= 1")
 
     @property
     def lam(self) -> float:
@@ -241,7 +245,7 @@ def check_domination(la, kind, target, where):
 
     la holds one log a(z) per move; where(k) describes move k for the message.
     """
-    if np.any(la > _ACCEPT_SLACK):
+    if (la > _ACCEPT_SLACK).any():
         k = int(np.argmax(la))
         raise DominationError(
             f"acceptance log-probability {float(np.max(la)):.3e} > 0 for kind "

@@ -1,5 +1,6 @@
 """Config handling, seed precedence, CLI subcommands and exit codes."""
 
+import dataclasses
 import json
 import os
 
@@ -154,6 +155,50 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
     ok = write_config(tmp_path, n_paths=5, obs_grid=[0.1], epsilon=0.1)
     assert main(["simulate", "--config", ok, "--out", str(tmp_path / "o3")]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_paths": "abc"},
+    {"epsilon": "0.01"},
+    {"n_paths": 2.5},
+    {"threads": 0},
+    {"seed": True},
+    {"kind": "mix", "alpha": "0.5"},
+    {"x0": "abc"},
+    {"x0": [[0.1], "x"]},
+    {"obs_grid": [0.1, "x"]},
+    {"obs_grid": "abc"},
+    {"potential_params": [1]},
+    {"kind": 1},
+])
+def test_exit_code_2_on_mistyped_config_fields(tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, **{"n_paths": 5, "obs_grid": [0.1], "epsilon": 0.1, **bad})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    with pytest.raises(ConfigurationError):
+        ExperimentConfig(**bad)
+
+
+def test_per_path_start_states_from_config(tmp_path, monkeypatch):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, x0=[[0.1], [0.2]], n_paths=2, epsilon=0.1, obs_grid=[0.0, 0.1], seed=1)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 0
+    assert np.array_equal(read_binary(tmp_path / "o" / "ensemble.bin").samples[:, 0, 0], [0.1, 0.2])
+
+
+def test_every_config_field_is_type_checked():
+    from mhjump.cli import _FIELD_TYPES
+
+    checked = [name for _, _, names in _FIELD_TYPES for name in names]
+    assert sorted(checked) == sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
+def test_threads_flag_must_be_positive(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, n_paths=5, obs_grid=[0.1], epsilon=0.1, seed=0)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"), "--threads", "0"]) == 2
+    assert "threads" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_blocked_output(tmp_path, capsys, monkeypatch):

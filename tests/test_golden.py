@@ -1,0 +1,39 @@
+"""Pinned bytes of the jump engine: a silent change to any sample fails here."""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from mhjump import BoxedQuadratic, GaussianProposal, GeneratorKind, SmoothedDoubleWell, simulate_ensemble
+
+TARGETS = {
+    "quadratic": (BoxedQuadratic(d_star=1), [1.0]),
+    "doublewell": (SmoothedDoubleWell(d_star=2), [1.0, -1.0]),
+}
+KINDS = {"m1": GeneratorKind.m1(), "m2": GeneratorKind.m2(), "mix": GeneratorKind.mix(0.5)}
+
+# sha256 of the sample bytes followed by the accepted-event counts
+GOLDEN = {
+    ("quadratic", "m1", 0.1): "e0957731566d8f94732d22ad1587a215b4399ecff67a94a0a603a54c36ea4a1c",
+    ("quadratic", "m1", 0.01): "d565d96c461fcb31a67c9f42286a39eafd6549edc267d14f080a494b74aaf675",
+    ("quadratic", "m2", 0.1): "d078c65c7eaf03dd743e37525cc6837e81a5c50440b9be2152181f42f0c29073",
+    ("quadratic", "m2", 0.01): "9d73b04607f2dd63b93304fd133b19fe5f9a172c96dce36693c00c3c2ab054d8",
+    ("quadratic", "mix", 0.1): "65c0ebe17bdb19576ff534c073e410774d6d9475ac8bda1c9d0422a80c756e47",
+    ("quadratic", "mix", 0.01): "fcf27410245f767199294311246176ecee5c9e64bbadaeaaf344a07b24df6faa",
+    ("doublewell", "m1", 0.1): "20373dcd56aa5fde766ff89df14c2651a2c81554dd9af8a4a5376b452fe9fe77",
+    ("doublewell", "m1", 0.01): "1dc39961d8145e02bf0d428d98f2c83fb45756e68aa4200946100511ef2343c5",
+    ("doublewell", "m2", 0.1): "2309059d9649b78a9c23bd782992ccf9232d7aa57110eeae4fc3d5e71dbcb919",
+    ("doublewell", "m2", 0.01): "abab0bada52f021a77a9cfa827b6d6d0d40f1bb6bf0e151b12cf4dcded8e098b",
+    ("doublewell", "mix", 0.1): "5d470e1abf5daa2cfde2ab3efce430530812a36e3656d2bec8bab3fa753a38bd",
+    ("doublewell", "mix", 0.01): "fd32a8b3fd8add083e1ed674a9428ac88472f8e3aa59bdcf44cc68921ce186a9",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN), ids=lambda c: f"{c[0]}-{c[1]}-{c[2]:g}")
+def test_ensemble_bytes_are_pinned(case):
+    name, kind, eps = case
+    target, x0 = TARGETS[name]
+    ens, counts = simulate_ensemble(KINDS[kind], target, GaussianProposal(eps), np.array(x0),
+                                    [0.0, 0.25, 0.5, 1.0], 64, 20240, return_counts=True)
+    assert hashlib.sha256(ens.samples.tobytes() + counts.tobytes()).hexdigest() == GOLDEN[case]

@@ -8,6 +8,7 @@ import pytest
 from mhjump import (
     ConfigurationError,
     DomainBoxError,
+    DominationError,
     GaussianProposal,
     GeneratorKind,
     LogCoshWell,
@@ -18,10 +19,31 @@ from mhjump import (
     simulate_ensemble,
     simulate_path,
 )
+from mhjump import jump
 from mhjump.jump import DOMAIN_JUMP, JumpPath, ObservedEnsemble
 
 DW = SmoothedDoubleWell(d_star=2)
 MIX = GeneratorKind.mix(0.5)
+KINDS = (GeneratorKind.m1(), GeneratorKind.m2(), MIX)
+WELL = LogCoshWell(d_star=1, c=0.2)
+
+
+def candidate_times(seed, q, n):
+    """Times of the first n candidate events of path q for a rate-1 clock (m1)."""
+    rows = path_stream(seed, DOMAIN_JUMP, q).random((n, 6))
+    return np.cumsum(-np.log1p(-rows[:, 0]))
+
+
+def assert_engines_agree(kind, target, prop, x0, obs, n_paths, seed):
+    """The block engine on raw process time against the scalar engine."""
+    ens, counts = simulate_ensemble(kind, target, prop, x0, obs, n_paths, seed,
+                                    rescaled=False, return_counts=True)
+    for q in range(n_paths):
+        path = simulate_path(kind, target, prop, x0, float(obs[-1]), path_stream(seed, DOMAIN_JUMP, q))
+        assert counts[q] == path.jump_times.size
+        for k, tp in enumerate(obs):
+            assert np.array_equal(ens.samples[q, k], path.state_at(tp))
+    return ens
 
 
 def test_path_stream_reproducible_and_split():
@@ -146,6 +168,69 @@ def test_per_path_initial_states():
         GeneratorKind.m1(), DW, GaussianProposal(0.01), starts, [0.0, 0.1], 3, 1
     )
     assert np.array_equal(ens.samples[:, 0, :], starts)  # obs at t = 0 is the start
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_ensemble_invariant_to_tape_chunk(monkeypatch, chunk):
+    # about 250-300 candidates per path, so the default chunk is crossed too
+    prop = GaussianProposal(0.004)
+    obs = [0.0, 0.3, 0.6, 1.0]
+
+    def runs():
+        return [simulate_ensemble(kind, DW, prop, np.array([1.0, -1.0]), obs, 24, 31,
+                                  block_paths=10, return_counts=True) for kind in KINDS]
+
+    base = runs()
+    monkeypatch.setattr(jump, "TAPE_CHUNK", chunk)
+    for (ens, counts), (other, other_counts) in zip(base, runs()):
+        assert np.array_equal(ens.samples, other.samples)
+        assert np.array_equal(counts, other_counts)
+
+
+def test_observation_at_time_zero_is_the_start():
+    ens = assert_engines_agree(MIX, WELL, GaussianProposal(0.3), np.array([0.4]), [0.0, 2.0], 6, 2)
+    assert np.all(ens.samples[:, 0, 0] == 0.4)
+
+
+def test_several_observations_between_two_candidates():
+    t = candidate_times(8, 0, 6)
+    between = [t[2] + f * (t[3] - t[2]) for f in (0.2, 0.4, 0.6)]
+    ens = assert_engines_agree(GeneratorKind.m1(), WELL, GaussianProposal(0.3), np.array([0.4]),
+                               between + [t[5]], 4, 8)
+    assert np.array_equal(ens.samples[0, 0], ens.samples[0, 2])
+
+
+def test_observation_crossing_on_the_first_row_of_a_chunk(monkeypatch):
+    # with 4 rows per chunk, the crossings of the first two observations are
+    # found at candidates 4 and 8, the first rows of chunks two and three;
+    # the last observation is the horizon and falls on candidate 10
+    monkeypatch.setattr(jump, "TAPE_CHUNK", 4)
+    t = candidate_times(8, 0, 12)
+    obs = [0.5 * (t[3] + t[4]), 0.5 * (t[7] + t[8]), t[10]]
+    assert_engines_agree(GeneratorKind.m1(), WELL, GaussianProposal(0.3), np.array([0.4]), obs, 3, 8)
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
+def test_paths_ending_mid_chunk_while_others_continue(monkeypatch, kind):
+    monkeypatch.setattr(jump, "TAPE_CHUNK", 8)
+    horizon = 20.0
+    ends = [np.searchsorted(candidate_times(5, q, 200), horizon) for q in range(16)]
+    assert len({n // 8 for n in ends}) > 1  # m1 paths end in different chunks
+    assert_engines_agree(kind, WELL, GaussianProposal(0.3), np.array([0.4]),
+                         [1.0, 7.5, 7.6, 15.0, horizon], 16, 5)
+
+
+def test_lying_grad_bound_raises_in_both_engines():
+    # the true slope near the wall of the well is about 2.3, far above 0.1
+    target = SmoothedDoubleWell(d_star=1, grad_bound=0.1)
+    prop = GaussianProposal(0.04)
+    with pytest.raises(DominationError, match="grad_bound"):
+        simulate_path(GeneratorKind.m2(), target, prop, np.array([0.7]), 50.0, 4)
+    with pytest.raises(DominationError, match="path"):
+        simulate_ensemble(GeneratorKind.m2(), target, prop, np.array([0.7]), [0.5, 1.0], 16, 4)
+    # candidates past the horizon are never thinned, so neither engine checks them
+    ens = assert_engines_agree(GeneratorKind.m2(), target, prop, np.array([0.7]), [1e-4], 16, 4)
+    assert np.all(ens.samples == 0.7)
 
 
 @pytest.mark.slow

@@ -23,7 +23,7 @@ from mhjump import (
     total_rate_bound,
 )
 from mhjump.jump import path_stream
-from mhjump.kernels import accept_log_from_delta, log_lam, log_rate_density
+from mhjump.kernels import DominatingKernel, accept_log_from_delta, log_lam, log_rate_density
 
 KINDS = [GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5), GeneratorKind.mix(0.25)]
 
@@ -274,6 +274,21 @@ def test_domination_violation_is_a_hard_error():
     prop = GaussianProposal(0.04)
     with pytest.raises(DominationError, match="grad_bound"):
         thinning_accept_logprob(GeneratorKind.m2(), target, prop, np.array([0.7]), 0, 0.5)
+
+
+@pytest.mark.parametrize("kw", [
+    {"epsilon": -0.1},
+    {"epsilon": 0.0},
+    {"epsilon": math.inf},
+    {"tilt": -1.0},
+    {"tilt": math.nan},
+    {"tilt": math.inf},
+    {"log_total_rate": -0.5},
+    {"log_total_rate": math.nan},
+])
+def test_kernel_rejects_bad_parameters(kw):
+    with pytest.raises(ConfigurationError):
+        DominatingKernel(**{"epsilon": 0.1, "tilt": 1.0, "log_total_rate": 0.0, **kw})
 
 
 def test_accept_log_reduces_at_endpoints():
