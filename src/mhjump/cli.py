@@ -42,7 +42,7 @@ from .finite import (
     random_reversible_batch,
     reversibility_gap,
 )
-from .jump import path_stream, simulate_ensemble
+from .jump import DOMAIN_GEOMETRY, path_stream, simulate_ensemble
 from .kernels import GeneratorKind
 from .langevin import default_dt, simulate_langevin
 from .targets import GaussianProposal, make_potential
@@ -50,6 +50,7 @@ from .verify import (
     bump_library,
     compare_ensembles,
     default_x_grid,
+    fit_loglog_slope,
     folded_normal_moment,
     gaussian_abs_moment,
     generator_convergence_probe,
@@ -58,8 +59,6 @@ from .verify import (
     moment_report,
     s_bound_check,
 )
-
-DOMAIN_GEOMETRY = 4
 
 _SLOPE_WINDOW = (0.35, 0.65)
 _PROBE_WINDOW = (0.35, 0.65)
@@ -413,7 +412,7 @@ def cmd_moments(cfg, seed, out_dir, threads, rep):
             vals = np.array([folded_normal_moment(t, k, e, tol=cfg.quad_tol) for e in eps_grid])
             for e, v in zip(eps_grid, vals):
                 rows.append((e, v, 0.0, f"t={t:g},k={k}"))
-            slope = float(np.polyfit(np.log(eps_grid), np.log(vals), 1)[0])
+            slope = fit_loglog_slope(eps_grid, vals)
             lo, hi = _FOLDED_WINDOWS[k]
             rep.check(lo <= slope <= hi, f"verify.folded_normal_moment[t={t:g},k={k}]",
                       "log-log slope", f"{slope:.4f}", f"in [{lo}, {hi}]")

@@ -36,20 +36,23 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sHBBIQQddQ")
 _KIND_CODES = {"m1": 0, "m2": 1, "mix": 2, "langevin": 3}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
+_META_PREFIX = "# mhjump-ensemble "
 
 
 def _meta_line(ens):
     alpha = "nan" if ens.alpha is None else repr(float(ens.alpha))
     return (
-        f"# mhjump-ensemble kind={ens.kind} alpha={alpha} epsilon={float(ens.epsilon)!r} "
+        f"{_META_PREFIX}kind={ens.kind} alpha={alpha} epsilon={float(ens.epsilon)!r} "
         f"seed={ens.seed} n_paths={ens.n_paths} n_grid={ens.obs_grid.size} d={ens.d_star}"
     )
 
 
+def _csv_header(d):
+    return "path_id,t," + ",".join(f"x_{j + 1}" for j in range(d))
+
+
 def write_csv(ens, path):
-    d = ens.d_star
-    header = "path_id,t," + ",".join(f"x_{j + 1}" for j in range(d))
-    lines = [_meta_line(ens), header]
+    lines = [_meta_line(ens), _csv_header(ens.d_star)]
     grid = ens.obs_grid
     for p in range(ens.n_paths):
         for k in range(grid.size):
@@ -59,26 +62,41 @@ def write_csv(ens, path):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path):
-    with open(path, "r", encoding="ascii") as fh:
-        meta = fh.readline().strip()
-        fh.readline()
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if not meta.startswith("# mhjump-ensemble "):
+def _read_meta(path, meta):
+    """The metadata line -> (kind, alpha, epsilon, seed, n_paths, n_grid, d)."""
+    if not meta.startswith(_META_PREFIX):
         raise ConfigurationError(f"{path} is not an ensemble CSV")
-    fields = dict(tok.split("=", 1) for tok in meta[2:].split()[1:])
-    n_paths = int(fields["n_paths"])
-    n_grid = int(fields["n_grid"])
-    d = int(fields["d"])
+    try:
+        fields = dict(tok.split("=", 1) for tok in meta.split()[2:])
+        kind, alpha, epsilon = fields["kind"], float(fields["alpha"]), float(fields["epsilon"])
+        seed, n_paths, n_grid, d = (int(fields[key]) for key in ("seed", "n_paths", "n_grid", "d"))
+    except KeyError as exc:
+        raise ConfigurationError(f"{path}: metadata lacks {exc}") from None
+    except ValueError as exc:  # a token without "=", or a non-numeric value
+        raise ConfigurationError(f"{path}: bad metadata: {exc}") from None
+    if min(n_paths, n_grid, d) < 1:
+        raise ConfigurationError(f"{path}: n_paths, n_grid and d must be >= 1")
+    return kind, alpha, epsilon, seed, n_paths, n_grid, d
+
+
+def read_csv(path):
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            meta, header = fh.readline().strip(), fh.readline().strip()
+            body = np.loadtxt(fh, delimiter=",", ndmin=2)
+    except ValueError as exc:  # non-numeric cells, ragged rows, non-ASCII bytes
+        raise ConfigurationError(f"{path}: unreadable ensemble CSV: {exc}") from None
+    kind, alpha, epsilon, seed, n_paths, n_grid, d = _read_meta(path, meta)
+    if header != _csv_header(d):
+        raise ConfigurationError(f"{path}: header {header!r} is not {_csv_header(d)!r}")
     if body.shape != (n_paths * n_grid, 2 + d):
         raise ConfigurationError(f"{path}: body shape {body.shape} does not match metadata")
-    alpha = float(fields["alpha"])
     return ObservedEnsemble(
         obs_grid=body[:n_grid, 1].copy(),
         samples=body[:, 2:].reshape(n_paths, n_grid, d),
-        epsilon=float(fields["epsilon"]),
-        kind=fields["kind"],
-        seed=int(fields["seed"]),
+        epsilon=epsilon,
+        kind=kind,
+        seed=seed,
         alpha=None if math.isnan(alpha) else alpha,
     )
 

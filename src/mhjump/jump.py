@@ -17,11 +17,16 @@ transformed by inverse cdfs only; the |z| draw is
 DominatingKernel.sample_abs, masked per row by the branch column. The scalar
 reference simulator and the vectorized block engine therefore consume
 identical per-path tapes, share one event transform and one thinning step,
-and produce bit-identical paths; block boundaries and thread scheduling
-cannot change any path's values because no randomness is shared across
-paths. Rows are drawn in chunks of TAPE_CHUNK events; a path that ends
-mid-chunk ignores the unused rows, and because the stream is counter-based a
-path's rows, and so its values, do not depend on the chunk size either.
+and produce bit-identical paths. A path's values depend only on
+(master_seed, domain, path index): no randomness is shared across paths, so
+neither the number of paths, nor the block of BLOCK_PATHS paths a path runs
+in, nor the thread that runs the block can change them. Rows are drawn in
+chunks of TAPE_CHUNK events; a path that ends mid-chunk ignores the unused
+rows, and because the stream is counter-based a path's rows, and so its
+values, do not depend on the chunk size either.
+
+A run whose expected candidate events per path, clock rate times horizon,
+exceed MAX_CANDIDATES is refused with a ConfigurationError before it starts.
 
 The block engine advances a block of paths in lock step, one candidate event
 per iteration across the whole block, but does its per-tape work once per
@@ -58,16 +63,22 @@ TAPE_COLS = 6
 COL_EXP, COL_COORD, COL_BRANCH, COL_SIGN, COL_MAG, COL_ACC = range(TAPE_COLS)
 TAPE_CHUNK = 256
 BLOCK_PATHS = 512
-
-DOMAIN_JUMP = 0
-DOMAIN_LANGEVIN = 1
-DOMAIN_DIRECT = 2
+FIRST_JUMP_BATCH = 1 << 18
+MAX_CANDIDATES = 1e9  # expected candidate events per path a run may start
 
 _BOX_POLICIES = ("abort", "continue")
 
+# The stream registry: every random draw of the package comes from one of
+# these domains, so no two engines or oracles ever share a stream.
+DOMAIN_JUMP, DOMAIN_LANGEVIN, DOMAIN_DIRECT, DOMAIN_SBOUND, DOMAIN_GEOMETRY = range(5)
+
 
 def path_stream(master_seed, domain, index):
-    """Counter-based stream for one path, independent of execution order."""
+    """Counter-based stream keyed by (master_seed, domain, index).
+
+    Philox is counter-based, so a stream's values depend on its key only,
+    never on which other streams exist or in which order they are drawn.
+    """
     ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(domain), int(index)))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -186,19 +197,29 @@ def check_run(obs_grid, n_paths):
     return obs
 
 
-def run_spans(run_span, n_paths, block_paths, threads):
-    """Call run_span(block, lo, hi) for each block of consecutive paths.
+def run_spans(run_span, n_paths, block, threads):
+    """Call run_span(b, lo, hi) for each block b of `block` consecutive paths.
 
     Blocks run in order, or on a pool of threads when threads > 1; run_span
     writes its own rows of the output, so the schedule cannot change them.
     """
-    spans = [(b, lo, min(lo + block_paths, n_paths)) for b, lo in enumerate(range(0, n_paths, block_paths))]
+    spans = [(b, lo, min(lo + block, n_paths)) for b, lo in enumerate(range(0, n_paths, block))]
     if threads <= 1:
         for span in spans:
             run_span(*span)
     else:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             list(pool.map(lambda span: run_span(*span), spans))
+
+
+def _check_candidates(p, horizon):
+    """Refuse a run whose expected candidate events per path exceed MAX_CANDIDATES."""
+    expected = p.rate_total * horizon
+    if not expected <= MAX_CANDIDATES:
+        raise ConfigurationError(
+            f"{expected:.3g} expected candidate events per path (rate {p.rate_total:.3g} over "
+            f"horizon {horizon:.3g}) exceed {MAX_CANDIDATES:g}; use a smaller epsilon or horizon"
+        )
 
 
 def _validate_x0(target, x0):
@@ -227,6 +248,7 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
     if x.ndim != 1:
         raise ConfigurationError("simulate_path takes a single initial state")
     p = _event_params(kind, target, proposal, rate_scale)
+    _check_candidates(p, horizon)
     times, states = [], []
     n_exits = 0
     t = 0.0
@@ -338,7 +360,6 @@ def simulate_ensemble(
     *,
     rescaled=True,
     threads=1,
-    block_paths=BLOCK_PATHS,
     box_policy="abort",
     return_counts=False,
 ):
@@ -346,7 +367,8 @@ def simulate_ensemble(
 
     With rescaled=True (the default) obs_grid is macroscopic time and each
     path runs to process time max(obs_grid)/epsilon; with rescaled=False the
-    grid is raw process time (diagnostic runs).
+    grid is raw process time (diagnostic runs). Paths run in blocks of
+    BLOCK_PATHS, on `threads` threads; neither changes any path's values.
     """
     if box_policy not in _BOX_POLICIES:
         raise ConfigurationError(f"box_policy must be one of {_BOX_POLICIES}")
@@ -362,6 +384,7 @@ def simulate_ensemble(
     obs_proc = obs / scale
     horizon = float(obs_proc[-1])
     p = _event_params(kind, target, proposal)
+    _check_candidates(p, horizon)
     samples = np.empty((n_paths, obs.size, target.d_star))
     counts = np.zeros(n_paths, dtype=np.int64)
 
@@ -371,7 +394,7 @@ def simulate_ensemble(
             p, np.array(starts[lo:hi], dtype=float), horizon, streams, obs_proc, box_policy, lo,
         )
 
-    run_spans(run_span, n_paths, block_paths, threads)
+    run_spans(run_span, n_paths, BLOCK_PATHS, threads)
     ens = ObservedEnsemble(
         obs_grid=obs,
         samples=samples,
@@ -385,12 +408,14 @@ def simulate_ensemble(
     return ens
 
 
-def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed, batch=1 << 18):
+def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed):
     """Displacements (and coordinates) of first accepted jumps from a fixed x.
 
     Rejected candidates do not move the state, so first accepted displacements
     are iid draws from M(x, .) normalized. This is a direct sampler on a
-    single stream (domain DOMAIN_DIRECT), not a path tape.
+    single stream (domain DOMAIN_DIRECT), not a path tape, read
+    FIRST_JUMP_BATCH rows at a time; accepted rows are a tape-order
+    subsequence, so the batch size cannot change the draws.
     """
     x = _validate_x0(target, x)
     if x.ndim != 1:
@@ -401,7 +426,7 @@ def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed, 
     out_i = np.empty(n_samples, dtype=np.int64)
     filled = 0
     while filled < n_samples:
-        rows = rng.random((batch, TAPE_COLS))
+        rows = rng.random((FIRST_JUMP_BATCH, TAPE_COLS))
         _, i, z, abs_z, log_u = _decode_events(p, rows)
         acc = _thin(p, x, i, z, abs_z, log_u, lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
         za, ia = z[acc], i[acc]

@@ -11,9 +11,15 @@ and reads it on the clock tau(t) = t / (2 T d*), which has the same law.
 The exact Ornstein-Uhlenbeck marginal for the quadratic potential is kept
 as an independent oracle.
 
-Paths are integrated in blocks; each block owns a Philox stream keyed by
-(master_seed, langevin-domain, block index), so results are deterministic
-for a given seed regardless of thread count.
+Determinism. Paths are split into fixed groups of LANGEVIN_BLOCK
+consecutive paths; group g owns the Philox stream keyed by
+(master_seed, DOMAIN_LANGEVIN, g) and integrates its paths in lock step.
+Every chunk of steps draws the noise of a full group, (steps, LANGEVIN_BLOCK,
+d*), and path p reads column p - g * LANGEVIN_BLOCK of it, so a last,
+partial group reads the first columns of the same draws. A path's values
+therefore depend only on (master_seed, domain, path index): not on n_paths,
+not on the thread count. LANGEVIN_BLOCK is part of the reference format:
+changing it changes the bytes of every reference ensemble.
 """
 
 from __future__ import annotations
@@ -82,7 +88,6 @@ def simulate_langevin(
     *,
     variant="rescaled",
     threads=1,
-    block_paths=LANGEVIN_BLOCK,
 ):
     """Euler-Maruyama ensemble on obs_grid, grid points snapped to steps."""
     cfg = SdeConfig(dt=dt, variant=variant)
@@ -103,23 +108,24 @@ def simulate_langevin(
     for k, s in enumerate(obs_steps):
         step_to_obs.setdefault(int(s), []).append(k)
     samples = np.empty((n_paths, obs.size, target.d_star))
+    group = LANGEVIN_BLOCK
 
-    def run_span(block_index, lo, hi):
-        rng = path_stream(master_seed, DOMAIN_LANGEVIN, block_index)
+    def run_span(g, lo, hi):
+        rng = path_stream(master_seed, DOMAIN_LANGEVIN, g)
         state = np.broadcast_to(x0, (hi - lo, target.d_star)).copy()
         for k in step_to_obs.get(0, ()):
             samples[lo:hi, k, :] = state
         s = 0
         while s < n_steps:
             m = min(_STEP_CHUNK, n_steps - s)
-            noise = rng.standard_normal((m, hi - lo, target.d_star)) * math.sqrt(cfg.dt)
+            noise = rng.standard_normal((m, group, target.d_star))[:, :hi - lo] * math.sqrt(cfg.dt)
             for j in range(m):
                 state = step(target, state, cfg.dt, noise[j])
                 s += 1
                 for k in step_to_obs.get(s, ()):
                     samples[lo:hi, k, :] = state
 
-    run_spans(run_span, n_paths, block_paths, threads)
+    run_spans(run_span, n_paths, group, threads)
     return ObservedEnsemble(
         obs_grid=obs,
         samples=samples,

@@ -99,9 +99,6 @@ class TargetPotential:
         y[_move_index(y, i)] += z
         return self.u(y) - self.u(x)
 
-    def grad_coord(self, x, i):
-        return self.grad(x)[..., i]
-
     def in_box(self, x):
         if self.box is None:
             return np.ones(np.shape(x)[:-1], dtype=bool) if np.ndim(x) > 1 else True

@@ -24,7 +24,7 @@ from scipy import stats
 from scipy.integrate import quad
 
 from .errors import ConfigurationError, QuadratureError
-from .jump import path_stream
+from .jump import DOMAIN_SBOUND, path_stream
 from .targets import (
     GaussianProposal,
     gibbs_quantiles_1d,
@@ -38,8 +38,6 @@ QUAD_TOL = 1e-10
 _QUAD_OPTS = dict(limit=500, epsabs=1e-13, epsrel=1e-12)
 _U_RANGE = 12.0
 _SQRT2PI = math.sqrt(2.0 * math.pi)
-
-DOMAIN_SBOUND = 3
 
 DEFAULT_X_VALUES = (-1.8, -0.9, 0.45, 1.1, 2.2)
 _OFFCOORD_FILL = (0.3, -0.7, 1.2, -0.2)
@@ -125,7 +123,6 @@ def moment_report(kind, target, epsilon_grid, x_grid=None, i=0):
     for a, eps in enumerate(eps_grid):
         proposal = GaussianProposal(eps)
         for b, x in enumerate(x_grid):
-            lim = moment_limits(target, x, i)
             for k in (1, 2, 3):
                 values[k][a, b] = generator_moment(kind, target, proposal, x, i, k)
         for k in (1, 2, 3):

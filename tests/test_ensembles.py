@@ -126,3 +126,36 @@ def test_write_binary_rejects_unknown_kind(tmp_path, jump_ens):
     )
     with pytest.raises(ConfigurationError, match="kind"):
         write_binary(bad, tmp_path / "e.bin")
+
+
+def _mangle_csv(path, line, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line] = edit(lines[line])
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("line, edit, message", [
+    (0, lambda s: s.replace(" n_grid=2 d=2", ""), "metadata lacks 'n_grid'"),
+    (0, lambda s: s.replace(" seed=99", " seed99"), "bad metadata"),
+    (0, lambda s: s.replace("n_paths=12", "n_paths=abc"), "bad metadata"),
+    (0, lambda s: s.replace("n_paths=12", "n_paths=-12"), ">= 1"),
+    (1, lambda s: "path_id,t,y_1,y_2\n", "header"),
+    (1, lambda s: "path_id,t,x_1\n", "header"),
+    (5, lambda s: s.rsplit(",", 1)[0] + ",abc\n", "unreadable"),
+    (5, lambda s: s.rsplit(",", 1)[0] + "\n", "unreadable"),
+], ids=["truncated-metadata", "token-without-equals", "non-integer-count",
+        "negative-count", "wrong-header", "header-of-other-dimension",
+        "non-numeric-cell", "ragged-row"])
+def test_read_csv_rejects_malformed_files(tmp_path, jump_ens, line, edit, message):
+    p = tmp_path / "e.csv"
+    write_csv(jump_ens, p)
+    _mangle_csv(p, line, edit)
+    with pytest.raises(ConfigurationError, match=message):
+        read_csv(p)
+
+
+def test_read_csv_rejects_non_ascii_bytes(tmp_path, jump_ens):
+    p = tmp_path / "e.csv"
+    write_binary(jump_ens, p)
+    with pytest.raises(ConfigurationError):
+        read_csv(p)

@@ -1,11 +1,18 @@
-"""Pinned bytes of the jump engine: a silent change to any sample fails here."""
+"""Pinned bytes of both engines: a silent change to any sample fails here."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from mhjump import BoxedQuadratic, GaussianProposal, GeneratorKind, SmoothedDoubleWell, simulate_ensemble
+from mhjump import (
+    BoxedQuadratic,
+    GaussianProposal,
+    GeneratorKind,
+    SmoothedDoubleWell,
+    simulate_ensemble,
+    simulate_langevin,
+)
 
 TARGETS = {
     "quadratic": (BoxedQuadratic(d_star=1), [1.0]),
@@ -37,3 +44,19 @@ def test_ensemble_bytes_are_pinned(case):
     ens, counts = simulate_ensemble(KINDS[kind], target, GaussianProposal(eps), np.array(x0),
                                     [0.0, 0.25, 0.5, 1.0], 64, 20240, return_counts=True)
     assert hashlib.sha256(ens.samples.tobytes() + counts.tobytes()).hexdigest() == GOLDEN[case]
+
+
+# sha256 of the sample bytes of a double-well reference ensemble (dt 1e-2,
+# 10 steps): 1024 paths are one full noise group, and 300 paths read the
+# first 300 columns of the same group's draws.
+LANGEVIN_GOLDEN = {
+    1024: "62babb023dd5b0044cc197df73ee2f0bb4edaff343c53c23f721e2656902bd8a",
+    300: "dfab7c700abe9c4c5608e0fbbd08d5b7b99bc4113267438802204204a8fa328a",
+}
+
+
+@pytest.mark.parametrize("n_paths", sorted(LANGEVIN_GOLDEN))
+def test_langevin_bytes_are_pinned(n_paths):
+    ens = simulate_langevin(SmoothedDoubleWell(d_star=2), np.array([1.0, -1.0]),
+                            [0.0, 0.05, 0.1], n_paths, 1e-2, 20240)
+    assert hashlib.sha256(ens.samples.tobytes()).hexdigest() == LANGEVIN_GOLDEN[n_paths]

@@ -104,13 +104,14 @@ def test_scalar_and_block_engines_agree_exactly():
             assert np.array_equal(ens.samples[q, k], path.state_at(tp))
 
 
-def test_engines_agree_on_a_non_separable_target(coupled):
+def test_engines_agree_on_a_non_separable_target(monkeypatch, coupled):
     # the generic row-wise dU must give the same bits in both engines
     prop = GaussianProposal(0.04)
     obs = np.array([0.3, 0.7])
     x0 = np.array([0.5, -0.8])
-    ens, counts = simulate_ensemble(MIX, coupled, prop, x0, obs, 5, 77, block_paths=3,
-                                    return_counts=True)
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 3)
+    monkeypatch.setattr(jump, "FIRST_JUMP_BATCH", 512)
+    ens, counts = simulate_ensemble(MIX, coupled, prop, x0, obs, 5, 77, return_counts=True)
     obs_proc = obs / prop.epsilon
     for q in range(5):
         path = simulate_path(MIX, coupled, prop, x0, float(obs_proc[-1]),
@@ -118,7 +119,7 @@ def test_engines_agree_on_a_non_separable_target(coupled):
         assert counts[q] == path.jump_times.size > 0
         for k, tp in enumerate(obs_proc):
             assert np.array_equal(ens.samples[q, k], path.state_at(tp))
-    z, i = first_jump_displacements(GeneratorKind.m2(), coupled, prop, x0, 2000, 3, batch=512)
+    z, i = first_jump_displacements(GeneratorKind.m2(), coupled, prop, x0, 2000, 3)
     assert z.shape == i.shape == (2000,)
     assert set(np.unique(i)) == {0, 1}
 
@@ -137,17 +138,28 @@ def test_m1_needs_no_dominating_mass():
             simulate_ensemble(kind, target, prop, np.zeros(1), [0.5, 1.0], 4, 2)
 
 
-def test_ensemble_invariant_to_blocks_and_threads():
+def test_ensemble_invariant_to_blocks_and_threads(monkeypatch):
     prop = GaussianProposal(0.09)
     obs = [0.25, 0.5]
-    base = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 40, 5, block_paths=512)
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 512)
+    base = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 40, 5)
     for block in (3, 17):
-        other = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 40, 5, block_paths=block)
+        monkeypatch.setattr(jump, "BLOCK_PATHS", block)
+        other = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 40, 5)
         assert np.array_equal(base.samples, other.samples)
-    threaded = simulate_ensemble(
-        MIX, DW, prop, np.zeros(2), obs, 40, 5, block_paths=7, threads=4
-    )
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
+    threaded = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 40, 5, threads=4)
     assert np.array_equal(base.samples, threaded.samples)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_ensemble_paths_do_not_depend_on_n_paths(threads):
+    # a path's values depend only on (seed, domain, path index)
+    prop = GaussianProposal(0.09)
+    obs = [0.25, 0.5]
+    full = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 700, 5)
+    part = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 300, 5, threads=threads)
+    assert np.array_equal(part.samples, full.samples[:300])
 
 
 def test_rescaled_grid_is_horizon_division():
@@ -175,10 +187,11 @@ def test_ensemble_invariant_to_tape_chunk(monkeypatch, chunk):
     # about 250-300 candidates per path, so the default chunk is crossed too
     prop = GaussianProposal(0.004)
     obs = [0.0, 0.3, 0.6, 1.0]
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 10)
 
     def runs():
         return [simulate_ensemble(kind, DW, prop, np.array([1.0, -1.0]), obs, 24, 31,
-                                  block_paths=10, return_counts=True) for kind in KINDS]
+                                  return_counts=True) for kind in KINDS]
 
     base = runs()
     monkeypatch.setattr(jump, "TAPE_CHUNK", chunk)
@@ -277,12 +290,12 @@ def test_box_abort_and_continue():
     assert ens.samples.shape == (8, 1, 1)
 
 
-def test_first_jump_displacements_contract():
+def test_first_jump_displacements_contract(monkeypatch):
     target = SmoothedDoubleWell(d_star=3)
     prop = GaussianProposal(0.01)
     z, i = first_jump_displacements(GeneratorKind.m2(), target, prop, np.zeros(3), 30000, 21)
-    z2, i2 = first_jump_displacements(GeneratorKind.m2(), target, prop, np.zeros(3), 30000, 21,
-                                      batch=4096)
+    monkeypatch.setattr(jump, "FIRST_JUMP_BATCH", 4096)
+    z2, i2 = first_jump_displacements(GeneratorKind.m2(), target, prop, np.zeros(3), 30000, 21)
     # accepted rows are a tape-order subsequence, so batching cannot matter
     assert np.array_equal(z, z2) and np.array_equal(i, i2)
     counts = np.bincount(i, minlength=3)
@@ -309,6 +322,20 @@ def test_validation_errors():
     boxed = BoxedQuadratic(d_star=1, box=2.0)
     with pytest.raises(ConfigurationError):
         simulate_path(GeneratorKind.m1(), boxed, prop, np.array([2.5]), 1.0, 0)
+
+
+def test_runaway_runs_are_refused_before_they_start():
+    # m2 on the box-10 quadratic at eps=0.5: Lam ~ 1.44e11 candidates per unit
+    # time, ~2.9e11 per path over the process horizon 2; it would never return
+    target = BoxedQuadratic(d_star=1)
+    prop = GaussianProposal(0.5)
+    with pytest.raises(ConfigurationError, match="expected candidate events"):
+        simulate_ensemble(GeneratorKind.m2(), target, prop, np.zeros(1), [1.0], 4, 0)
+    with pytest.raises(ConfigurationError, match="expected candidate events"):
+        simulate_path(GeneratorKind.m2(), target, prop, np.zeros(1), 2.0, 0)
+    # the cap is on rate x horizon: m1 at the same eps runs
+    path = simulate_path(GeneratorKind.m1(), target, prop, np.zeros(1), 2.0, 0)
+    assert path.horizon == 2.0
 
 
 def test_observed_ensemble_accessors():

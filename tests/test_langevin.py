@@ -14,6 +14,7 @@ from mhjump import (
     ou_exact_marginal,
     simulate_langevin,
 )
+from mhjump import langevin
 from mhjump.langevin import default_dt
 from mhjump.verify import fit_loglog_slope, ks_statistic, ks_threshold
 
@@ -92,18 +93,32 @@ def test_langevin_observation_grid():
     assert np.array_equal(snap.samples, ref.samples)
 
 
-def test_langevin_deterministic_across_threads():
+def test_langevin_deterministic_across_threads(monkeypatch):
     target = SmoothedDoubleWell(d_star=2)
     args = (target, np.array([1.0, -1.0]), [0.1, 0.3], 2100, 1e-2, 123)
-    a = simulate_langevin(*args, threads=1, block_paths=512)
-    b = simulate_langevin(*args, threads=4, block_paths=512)
+    monkeypatch.setattr(langevin, "LANGEVIN_BLOCK", 512)
+    a = simulate_langevin(*args, threads=1)
+    b = simulate_langevin(*args, threads=4)
     assert np.array_equal(a.samples, b.samples)
-    c = simulate_langevin(*args, threads=1, block_paths=512)
+    c = simulate_langevin(*args, threads=1)
     assert np.array_equal(a.samples, c.samples)
     assert not np.array_equal(
         a.samples, simulate_langevin(target, np.array([1.0, -1.0]), [0.1, 0.3], 2100,
                                      1e-2, 124).samples
     )
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_langevin_paths_do_not_depend_on_n_paths(threads):
+    # a path's values depend only on (seed, domain, path index): 300 paths are
+    # the first 300 of 1500, whose second group is partial too
+    target = SmoothedDoubleWell(d_star=2)
+    args = (target, np.array([1.0, -1.0]), [0.1, 0.3])
+    full = simulate_langevin(*args, 1500, 1e-2, 123)
+    assert np.array_equal(simulate_langevin(*args, 1500, 1e-2, 123, threads=threads).samples,
+                          full.samples)
+    part = simulate_langevin(*args, 300, 1e-2, 123, threads=threads)
+    assert np.array_equal(part.samples, full.samples[:300])
 
 
 def test_standard_clock_variant_same_law():
