@@ -19,9 +19,6 @@ from .kernels import (
     DominatingKernel,
     GeneratorKind,
     build_dominating_kernel,
-    rate_density,
-    thinning_accept_logprob,
-    total_rate_bound,
 )
 from .jump import (
     JumpPath,
@@ -31,7 +28,7 @@ from .jump import (
     simulate_ensemble,
     simulate_path,
 )
-from .langevin import SdeConfig, em_step, ou_exact_marginal, simulate_langevin
+from .langevin import em_step, ou_exact_marginal, simulate_langevin
 from .finite import (
     FiniteChain,
     d_mu,

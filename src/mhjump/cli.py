@@ -9,10 +9,10 @@ Configs are JSON with a fixed key set; unknown keys are configuration
 errors. Seed precedence: a seed in the config file wins, then the
 MHJUMP_SEED environment variable, then --seed, then 0. Exit codes: 0 all
 checks passed, 1 a numerical check failed, 2 configuration error, 3 I/O
-error. The run manifest (config hash, version, seed, timestamps, planned
-outputs) is written atomically before any result file; it is the only
-artifact carrying wall-clock data, so result files are byte-stable across
-reruns.
+error. Every file is written atomically. The run manifest (config hash,
+version, seed, timestamps, planned outputs) is written before any result
+file; it is the only artifact carrying wall-clock data, so result files are
+byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigurationError, DomainBoxError, DominationError, QuadratureError
-from .ensembles import write_binary, write_csv
+from .ensembles import atomic_open, write_binary, write_csv
 from .finite import (
     d_mu,
     half_space_masses,
@@ -61,6 +61,15 @@ from .verify import (
 )
 
 _SLOPE_WINDOW = (0.35, 0.65)
+# To first order in dU, s_mix = 1 - dU/(2T) + (1 - 2 alpha)|dU|/(2T): the |dU|
+# kink behind the sqrt(eps) moment order cancels at alpha = 1/2, where the
+# moment errors decay at order eps.
+_MIX_SLOPE_WINDOW = (0.85, 1.15)
+_MOMENT_CHECKS = (
+    (GeneratorKind.m1(), _SLOPE_WINDOW),
+    (GeneratorKind.m2(), _SLOPE_WINDOW),
+    (GeneratorKind.mix(0.5), _MIX_SLOPE_WINDOW),
+)
 _PROBE_WINDOW = (0.35, 0.65)
 _FOLDED_WINDOWS = {3: (1.45, 1.55), 4: (1.95, 2.05)}
 _GEOM_TOL = 1e-12
@@ -92,6 +101,9 @@ _FIELD_TYPES = (
     ("a string", lambda v: isinstance(v, str), ("potential", "kind")),
     ("an object", lambda v: isinstance(v, dict), ("potential_params",)),
 )
+
+# the smallest value of each count; verify-geometry needs two states to compare
+_FIELD_MINIMUMS = (("threads", 1), ("n_chains", 1), ("n_states", 2), ("n_reversible", 1))
 
 
 @dataclass(frozen=True)
@@ -129,8 +141,11 @@ class ExperimentConfig:
                 value = getattr(self, name)
                 if not (ok(value) or (value is None and defaults[name] is None)):
                     raise ConfigurationError(f"config field {name!r} must be {what}, got {value!r}")
-        if self.threads < 1:
-            raise ConfigurationError(f"config field 'threads' must be >= 1, got {self.threads}")
+        for name, least in _FIELD_MINIMUMS:
+            if getattr(self, name) < least:
+                raise ConfigurationError(
+                    f"config field {name!r} must be >= {least}, got {getattr(self, name)}"
+                )
 
     @classmethod
     def from_dict(cls, data):
@@ -194,7 +209,7 @@ def resolve_seed(cfg, cli_seed):
 
 
 def write_manifest(out_dir, cfg, seed, outputs):
-    """Atomic manifest write, before any result artifact."""
+    """The manifest, written before any result artifact."""
     now = time.time()
     manifest = {
         "config_hash": cfg.config_hash(),
@@ -205,11 +220,9 @@ def write_manifest(out_dir, cfg, seed, outputs):
         "outputs": list(outputs),
     }
     path = os.path.join(out_dir, "manifest.json")
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
+    with atomic_open(path, "w", encoding="ascii") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    os.replace(tmp, path)
     return path
 
 
@@ -218,7 +231,7 @@ def write_plot_csv(path, rows):
     lines = ["x,y,yerr,series"]
     for x, y, yerr, series in rows:
         lines.append(f"{float(x)!r},{float(y)!r},{float(yerr)!r},{series}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -295,10 +308,9 @@ def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
     write_manifest(out_dir, cfg, seed, outputs)
     x_grid = default_x_grid(target.d_star)
     eps_grid = list(cfg.moment_epsilon_grid)
-    lo, hi = _SLOPE_WINDOW
 
     drift_rows, vol_rows, third_rows = [], [], []
-    for kind in (GeneratorKind.m1(), GeneratorKind.m2()):
+    for kind, (lo, hi) in _MOMENT_CHECKS:
         report = moment_report(kind, target, eps_grid, x_grid)
         for k, rows in ((1, drift_rows), (2, vol_rows), (3, third_rows)):
             for eps, err in zip(report.epsilon_grid, report.sup_errors[k]):

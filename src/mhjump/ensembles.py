@@ -23,7 +23,9 @@ Binary layout (all little-endian), header then payload:
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -37,6 +39,24 @@ _HEADER = struct.Struct("<4sHBBIQQddQ")
 _KIND_CODES = {"m1": 0, "m2": 1, "mix": 2, "langevin": 3}
 _CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 _META_PREFIX = "# mhjump-ensemble "
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """Open path for writing through a temporary file in the same directory.
+
+    The file appears at path, by os.replace, only when the block completes;
+    if it raises, the temporary file is removed and path is left untouched.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _meta_line(ens):
@@ -58,7 +78,7 @@ def write_csv(ens, path):
         for k in range(grid.size):
             coords = ",".join(repr(float(v)) for v in ens.samples[p, k])
             lines.append(f"{p},{float(grid[k])!r},{coords}")
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
+    with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -76,6 +96,10 @@ def _read_meta(path, meta):
         raise ConfigurationError(f"{path}: bad metadata: {exc}") from None
     if min(n_paths, n_grid, d) < 1:
         raise ConfigurationError(f"{path}: n_paths, n_grid and d must be >= 1")
+    if kind not in _KIND_CODES:
+        raise ConfigurationError(
+            f"{path}: unknown ensemble kind {kind!r}; known: {sorted(_KIND_CODES)}"
+        )
     return kind, alpha, epsilon, seed, n_paths, n_grid, d
 
 
@@ -91,8 +115,15 @@ def read_csv(path):
         raise ConfigurationError(f"{path}: header {header!r} is not {_csv_header(d)!r}")
     if body.shape != (n_paths * n_grid, 2 + d):
         raise ConfigurationError(f"{path}: body shape {body.shape} does not match metadata")
+    grid = body[:n_grid, 1].copy()
+    if not np.array_equal(body[:, 0], np.repeat(np.arange(n_paths), n_grid)):
+        raise ConfigurationError(
+            f"{path}: path_id column is not 0..{n_paths - 1}, each {n_grid} times"
+        )
+    if not np.array_equal(body[:, 1], np.tile(grid, n_paths)):
+        raise ConfigurationError(f"{path}: t column does not repeat one grid for every path")
     return ObservedEnsemble(
-        obs_grid=body[:n_grid, 1].copy(),
+        obs_grid=grid,
         samples=body[:, 2:].reshape(n_paths, n_grid, d),
         epsilon=epsilon,
         kind=kind,
@@ -117,7 +148,7 @@ def write_binary(ens, path):
         alpha,
         int(ens.seed),
     )
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(ens.obs_grid, dtype="<f8").tobytes())
         fh.write(np.ascontiguousarray(ens.samples, dtype="<f8").tobytes())

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .ensembles import atomic_open
 from .errors import ConfigurationError
 
 _MU_TOL = 1e-12
@@ -138,13 +139,16 @@ def save_chain(chain, path):
     lines = [str(chain.n), " ".join(repr(float(v)) for v in chain.mu)]
     for row in chain.rates:
         lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="ascii") as fh:
+    with atomic_open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_chain(path):
-    with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            tokens = fh.read().split()
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"chain file {path} is not ASCII text: {exc}") from None
     if not tokens:
         raise ConfigurationError(f"empty chain file {path}")
     try:

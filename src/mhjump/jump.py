@@ -66,8 +66,6 @@ BLOCK_PATHS = 512
 FIRST_JUMP_BATCH = 1 << 18
 MAX_CANDIDATES = 1e9  # expected candidate events per path a run may start
 
-_BOX_POLICIES = ("abort", "continue")
-
 # The stream registry: every random draw of the package comes from one of
 # these domains, so no two engines or oracles ever share a stream.
 DOMAIN_JUMP, DOMAIN_LANGEVIN, DOMAIN_DIRECT, DOMAIN_SBOUND, DOMAIN_GEOMETRY = range(5)
@@ -91,7 +89,6 @@ class JumpPath:
     jump_times: np.ndarray
     states: np.ndarray
     horizon: float
-    n_box_exits: int = 0
 
     def __post_init__(self):
         t = np.asarray(self.jump_times, dtype=float)
@@ -231,7 +228,7 @@ def _validate_x0(target, x0):
     return x0
 
 
-def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0, box_policy="abort"):
+def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0):
     """Reference per-event simulator; one path, full jump log.
 
     stream is a numpy Generator (use path_stream to match ensemble rows) or
@@ -241,8 +238,6 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
     """
     if horizon <= 0.0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
-    if box_policy not in _BOX_POLICIES:
-        raise ConfigurationError(f"box_policy must be one of {_BOX_POLICIES}")
     rng = stream if isinstance(stream, np.random.Generator) else path_stream(stream, DOMAIN_JUMP, 0)
     x = _validate_x0(target, x0).copy()
     if x.ndim != 1:
@@ -250,7 +245,6 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
     p = _event_params(kind, target, proposal, rate_scale)
     _check_candidates(p, horizon)
     times, states = [], []
-    n_exits = 0
     t = 0.0
     while True:
         dts, coords, zs, abs_zs, log_us = _decode_events(p, rng.random((TAPE_CHUNK, TAPE_COLS)))
@@ -262,17 +256,14 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
                     jump_times=np.array(times),
                     states=np.array(states).reshape(len(times), target.d_star),
                     horizon=float(horizon),
-                    n_box_exits=n_exits,
                 )
             i, z = int(coords[k]), zs[k]
             if _thin(p, x, i, z, abs_zs[k], log_us[k], lambda _: f"x={x!r}, i={i}, z={z!r}"):
                 x[i] += z
                 if target.box is not None and abs(x[i]) > target.box:
-                    n_exits += 1
-                    if box_policy == "abort":
-                        raise DomainBoxError(
-                            f"state left the domain box +-{target.box} at t={t:.6g}: x={x!r}"
-                        )
+                    raise DomainBoxError(
+                        f"state left the domain box +-{target.box} at t={t:.6g}: x={x!r}"
+                    )
                 times.append(t)
                 states.append(x.copy())
 
@@ -295,10 +286,10 @@ def _crossings(passed, inside):
     return np.searchsorted(ks, np.arange(inside.shape[0] + 1)).tolist(), cols, obs_idx
 
 
-def _run_block(p, x0_block, horizon, streams, obs_proc, box_policy, path_offset):
+def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
     """One block of paths in lock step; returns its samples and accepted-event counts."""
     b, d = x0_block.shape
-    box = p.target.box if box_policy == "abort" else None
+    box = p.target.box
     samples = np.empty((b, obs_proc.size, d))
     n_acc = np.zeros(b, dtype=np.int64)
     tape = np.empty((b, TAPE_CHUNK, TAPE_COLS))
@@ -360,7 +351,6 @@ def simulate_ensemble(
     *,
     rescaled=True,
     threads=1,
-    box_policy="abort",
     return_counts=False,
 ):
     """Independent paths recorded on obs_grid; deterministic in master_seed.
@@ -370,8 +360,6 @@ def simulate_ensemble(
     grid is raw process time (diagnostic runs). Paths run in blocks of
     BLOCK_PATHS, on `threads` threads; neither changes any path's values.
     """
-    if box_policy not in _BOX_POLICIES:
-        raise ConfigurationError(f"box_policy must be one of {_BOX_POLICIES}")
     obs = check_run(obs_grid, n_paths)
     x0 = _validate_x0(target, x0)
     if x0.ndim == 1:
@@ -391,7 +379,7 @@ def simulate_ensemble(
     def run_span(_, lo, hi):
         streams = [path_stream(master_seed, DOMAIN_JUMP, q) for q in range(lo, hi)]
         samples[lo:hi], counts[lo:hi] = _run_block(
-            p, np.array(starts[lo:hi], dtype=float), horizon, streams, obs_proc, box_policy, lo,
+            p, np.array(starts[lo:hi], dtype=float), horizon, streams, obs_proc, lo,
         )
 
     run_spans(run_span, n_paths, BLOCK_PATHS, threads)

@@ -140,14 +140,6 @@ class DominatingKernel:
         """Mean of the shifted component on the positive side (eps * theta)."""
         return self.epsilon * self.tilt
 
-    @property
-    def weights(self):
-        return (0.5, 0.5)
-
-    @property
-    def component_means(self):
-        return (-self.mean_abs, self.mean_abs)
-
     @cached_property
     def trunc_lo(self) -> float:
         """P(N(mean_abs, eps) <= 0) = Phi(-theta sqrt(eps)), the cut mass."""
@@ -162,10 +154,6 @@ class DominatingKernel:
         mean = np.where(tilted, self.mean_abs, 0.0)
         lo = np.where(tilted, self.trunc_lo, 0.5)
         return mean + self.sigma * ndtri(lo + u * (1.0 - lo))
-
-    def sample(self, u_sign, u_mag):
-        sign = np.where(np.asarray(u_sign, dtype=float) < 0.5, -1.0, 1.0)
-        return sign * self.sample_abs(u_mag)
 
     def log_density(self, z):
         z = np.asarray(z, dtype=float)
@@ -198,12 +186,6 @@ def thinning_kernel(kind, target, proposal) -> DominatingKernel:
     if kind.alpha_eff == 1.0:
         return DominatingKernel(epsilon=proposal.epsilon, tilt=0.0, log_total_rate=0.0)
     return build_dominating_kernel(target, proposal)
-
-
-def total_rate_bound(kind, target, proposal) -> float:
-    """Uniform-in-x upper bound on the total jump rate of the kind."""
-    a = kind.alpha_eff
-    return a + (1.0 - a) * thinning_kernel(kind, target, proposal).lam
 
 
 def log_rate_density(kind, target, proposal, x, i, y_i):
@@ -252,13 +234,3 @@ def check_domination(la, kind, target, where):
             f"{kind.label()} at {where(k)}: declared grad_bound {target.grad_bound} "
             "is not a true bound along this move"
         )
-
-
-def thinning_accept_logprob(kind, target, proposal, x, i, z, dom=None):
-    """log acceptance probability for a dominating-kernel candidate move."""
-    if dom is None:
-        dom = thinning_kernel(kind, target, proposal)
-    out = accept_log_from_delta(target.delta_u_move(x, i, z), np.abs(z), kind.alpha_eff,
-                                dom.tilt, target.T)
-    check_domination(out, kind, target, lambda _: f"x={np.array2string(np.atleast_1d(x))}, i={i}, z={z}")
-    return np.minimum(out, 0.0)

@@ -1,15 +1,13 @@
 """Euler-Maruyama reference for the limiting diffusion.
 
-Two equivalent parameterizations are provided. The rescaled variant
-integrates
+The integrator steps
 
     dX = -grad U(X) / (2 T d*) dt + dW / sqrt(d*),
 
-the limit of the rescaled jump dynamics; the standard-with-clock variant
-integrates the standard overdamped diffusion dX = -grad U dt + sqrt(2T) dW
-and reads it on the clock tau(t) = t / (2 T d*), which has the same law.
-The exact Ornstein-Uhlenbeck marginal for the quadratic potential is kept
-as an independent oracle.
+the limit of the rescaled jump dynamics. Every observation time must be a
+whole number of steps (within GRID_TOL steps); an off-grid time is refused
+rather than snapped. The exact Ornstein-Uhlenbeck marginal for the
+quadratic potential is kept as an independent oracle.
 
 Determinism. Paths are split into fixed groups of LANGEVIN_BLOCK
 consecutive paths; group g owns the Philox stream keyed by
@@ -25,30 +23,15 @@ changing it changes the bytes of every reference ensemble.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .jump import DOMAIN_LANGEVIN, ObservedEnsemble, check_run, path_stream, run_spans
 
-_VARIANTS = ("rescaled", "standard_clock")
 LANGEVIN_BLOCK = 1024
 _STEP_CHUNK = 256
-
-
-@dataclass(frozen=True)
-class SdeConfig:
-    """Step size and parameterization of the reference integrator."""
-
-    dt: float
-    variant: str = "rescaled"
-
-    def __post_init__(self):
-        if not (self.dt > 0.0 and math.isfinite(self.dt)):
-            raise ConfigurationError(f"dt must be positive, got {self.dt}")
-        if self.variant not in _VARIANTS:
-            raise ConfigurationError(f"variant must be one of {_VARIANTS}")
+GRID_TOL = 1e-6  # steps an observation time may sit off the step grid
 
 
 def default_dt(target):
@@ -57,14 +40,10 @@ def default_dt(target):
 
 
 def em_step(target, x, dt, gaussian_increment):
-    """One rescaled-variant step; the increment must be N(0, dt I)."""
+    """One step of the SDE; the increment must be N(0, dt I)."""
     x = np.asarray(x, dtype=float)
     drift = -target.grad(x) / (2.0 * target.T * target.d_star)
     return x + drift * dt + np.asarray(gaussian_increment, dtype=float) / math.sqrt(target.d_star)
-
-
-def _standard_step(target, x, dt, gaussian_increment):
-    return x - target.grad(x) * dt + math.sqrt(2.0 * target.T) * gaussian_increment
 
 
 def ou_exact_marginal(x0, t, T, d_star=1):
@@ -78,31 +57,22 @@ def ou_exact_marginal(x0, t, T, d_star=1):
     return x0 * decay, var
 
 
-def simulate_langevin(
-    target,
-    x0,
-    obs_grid,
-    n_paths,
-    dt,
-    master_seed,
-    *,
-    variant="rescaled",
-    threads=1,
-):
-    """Euler-Maruyama ensemble on obs_grid, grid points snapped to steps."""
-    cfg = SdeConfig(dt=dt, variant=variant)
+def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads=1):
+    """Euler-Maruyama ensemble on obs_grid, a grid of whole steps of dt."""
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ConfigurationError(f"dt must be positive, got {dt}")
     obs = check_run(obs_grid, n_paths)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (target.d_star,):
         raise ConfigurationError(f"x0 must have {target.d_star} coordinates")
-    if variant == "standard_clock":
-        clock = 1.0 / (2.0 * target.T * target.d_star)
-        times = obs * clock
-        step = _standard_step
-    else:
-        times = obs
-        step = em_step
-    obs_steps = np.rint(times / cfg.dt).astype(np.int64)
+    steps = obs / dt
+    obs_steps = np.rint(steps).astype(np.int64)
+    off = np.abs(steps - obs_steps)
+    if off.max() > GRID_TOL:
+        k = int(np.argmax(off))
+        raise ConfigurationError(
+            f"observation time {obs[k]!r} is {steps[k]!r} steps of dt={dt!r}, not a whole number"
+        )
     n_steps = int(obs_steps[-1])
     step_to_obs = {}
     for k, s in enumerate(obs_steps):
@@ -118,9 +88,9 @@ def simulate_langevin(
         s = 0
         while s < n_steps:
             m = min(_STEP_CHUNK, n_steps - s)
-            noise = rng.standard_normal((m, group, target.d_star))[:, :hi - lo] * math.sqrt(cfg.dt)
+            noise = rng.standard_normal((m, group, target.d_star))[:, :hi - lo] * math.sqrt(dt)
             for j in range(m):
-                state = step(target, state, cfg.dt, noise[j])
+                state = em_step(target, state, dt, noise[j])
                 s += 1
                 for k in step_to_obs.get(s, ()):
                     samples[lo:hi, k, :] = state
@@ -129,7 +99,7 @@ def simulate_langevin(
     return ObservedEnsemble(
         obs_grid=obs,
         samples=samples,
-        epsilon=cfg.dt,
+        epsilon=dt,
         kind="langevin",
         seed=int(master_seed),
         alpha=None,

@@ -99,11 +99,6 @@ class TargetPotential:
         y[_move_index(y, i)] += z
         return self.u(y) - self.u(x)
 
-    def in_box(self, x):
-        if self.box is None:
-            return np.ones(np.shape(x)[:-1], dtype=bool) if np.ndim(x) > 1 else True
-        return np.all(np.abs(np.asarray(x, dtype=float)) <= self.box, axis=-1)
-
     def check_gradient(self, x):
         """Max abs gap between grad and scale-aware central differences."""
         x = np.asarray(x, dtype=float)

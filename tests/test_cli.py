@@ -119,6 +119,19 @@ def test_verify_geometry_quick(tmp_path, capsys, monkeypatch):
     assert "pass" in text and "FAIL" not in text
 
 
+@pytest.mark.parametrize("bad", [
+    {"n_reversible": 0},
+    {"n_states": 1},
+    {"n_chains": 0},
+])
+def test_verify_geometry_rejects_degenerate_sizes(tmp_path, capsys, monkeypatch, bad):
+    # no competitors, or a one-state chain, would pass every check vacuously
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, **{"n_chains": 2, "n_states": 3, "n_reversible": 10, **bad})
+    assert main(["verify-geometry", "--config", cfg, "--out", str(tmp_path / "g")]) == 2
+    assert f"config field {next(iter(bad))!r} must be >=" in capsys.readouterr().err
+
+
 @pytest.mark.slow
 def test_verify_limit_reduced(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("MHJUMP_SEED", raising=False)
@@ -132,6 +145,8 @@ def test_verify_limit_reduced(tmp_path, capsys, monkeypatch):
                  "--threads", "4"]) == 0
     text = capsys.readouterr().out
     assert "FAIL" not in text
+    for k in (1, 2, 3):
+        assert f"pass verify.moment_report[mix(0.5)]: k={k} error slope" in text
     for name in ("drift_convergence.csv", "ks_vs_epsilon.csv", "manifest.json"):
         assert (out / name).exists()
 

@@ -159,3 +159,78 @@ def test_read_csv_rejects_non_ascii_bytes(tmp_path, jump_ens):
     write_binary(jump_ens, p)
     with pytest.raises(ConfigurationError):
         read_csv(p)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda s: "7" + s[s.index(","):], "path_id"),
+    (lambda s: "1,99.0" + s[s.index(",", s.index(",") + 1):], "t column"),
+], ids=["path-id", "grid-time"])
+def test_read_csv_checks_every_path_id_and_time(tmp_path, jump_ens, edit, message):
+    # row 4 is path 1 at t=0.3: both columns must follow the metadata's layout
+    p = tmp_path / "e.csv"
+    write_csv(jump_ens, p)
+    assert p.read_text().splitlines()[4].startswith("1,0.3,")
+    _mangle_csv(p, 4, edit)
+    with pytest.raises(ConfigurationError, match=message):
+        read_csv(p)
+
+
+def test_read_csv_rejects_an_unknown_kind(tmp_path, jump_ens):
+    # only the kinds the binary format can store load, so every read ensemble writes back
+    p = tmp_path / "e.csv"
+    write_csv(jump_ens, p)
+    _mangle_csv(p, 0, lambda s: s.replace("kind=mix", "kind=exotic"))
+    with pytest.raises(ConfigurationError, match="exotic"):
+        read_csv(p)
+
+
+class _DiskFull:
+    """A file that takes half of the first write, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, data):
+        self.fh.write(data[: max(1, len(data) // 2)])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def _writers(ens):
+    from mhjump import random_chain, save_chain
+    from mhjump.cli import ExperimentConfig, write_manifest, write_plot_csv
+
+    chain = random_chain(3, np.random.default_rng(0))
+    return {
+        "write_csv": lambda d: write_csv(ens, d / "e.csv"),
+        "write_binary": lambda d: write_binary(ens, d / "e.bin"),
+        "save_chain": lambda d: save_chain(chain, d / "chain.txt"),
+        "write_plot_csv": lambda d: write_plot_csv(str(d / "plot.csv"), [(0.1, 1.0, 0.0, "s")]),
+        "write_manifest": lambda d: write_manifest(str(d), ExperimentConfig(), 0, ["e.csv"]),
+    }
+
+
+@pytest.mark.parametrize("writer", sorted(_writers(None)))
+def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, jump_ens, writer):
+    from mhjump import ensembles
+
+    write = _writers(jump_ens)[writer]
+    monkeypatch.setattr(ensembles, "open", lambda *a, **kw: _DiskFull(open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path)
+    assert list(tmp_path.iterdir()) == []
+    # a file already at the target keeps its bytes
+    monkeypatch.undo()
+    write(tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(ensembles, "open", lambda *a, **kw: _DiskFull(open(*a, **kw)),
+                        raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write(tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before

@@ -224,3 +224,10 @@ def test_load_chain_errors(tmp_path):
     junk.write_text("2\n0.5 x\n0 1\n1 0\n")
     with pytest.raises(ConfigurationError):
         load_chain(junk)
+
+
+def test_load_chain_rejects_non_ascii_bytes(tmp_path):
+    path = tmp_path / "chain.txt"
+    path.write_bytes(b"2\n0.5 0.5\n0 1\n1 \xff0\n")
+    with pytest.raises(ConfigurationError, match="ASCII"):
+        load_chain(path)

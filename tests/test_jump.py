@@ -82,7 +82,6 @@ def test_simulate_path_invariants():
     assert np.all(np.diff(t) > 0.0)
     assert t[-1] <= 30.0 and t[0] > 0.0
     assert path.states.shape == (t.size, 2)
-    assert path.n_box_exits == 0
 
 
 def test_scalar_and_block_engines_agree_exactly():
@@ -272,8 +271,8 @@ def test_clock_equivalence_three_sigma():
     assert abs(va - vb) <= 3.0 * se_var
 
 
-def test_box_abort_and_continue():
-    # a tight declared box on a globally bounded potential isolates the policy
+def test_box_abort():
+    # a tight declared box on a globally bounded potential isolates the abort
     target = LogCoshWell(d_star=1)
     target.box = 0.9
     prop = GaussianProposal(0.36)
@@ -282,12 +281,6 @@ def test_box_abort_and_continue():
                           rescaled=False)
     with pytest.raises(DomainBoxError):
         simulate_path(GeneratorKind.m2(), target, prop, np.zeros(1), 4.0, 3)
-    path = simulate_path(GeneratorKind.m2(), target, prop, np.zeros(1), 4.0, 3,
-                         box_policy="continue")
-    assert path.n_box_exits >= 1
-    ens = simulate_ensemble(GeneratorKind.m2(), target, prop, np.zeros(1), [4.0], 8, 3,
-                            rescaled=False, box_policy="continue")
-    assert ens.samples.shape == (8, 1, 1)
 
 
 def test_first_jump_displacements_contract(monkeypatch):
@@ -309,8 +302,6 @@ def test_validation_errors():
         simulate_path(MIX, DW, prop, np.zeros(2), -1.0, 0)
     with pytest.raises(ConfigurationError):
         simulate_path(MIX, DW, prop, np.zeros(3), 1.0, 0)
-    with pytest.raises(ConfigurationError):
-        simulate_path(MIX, DW, prop, np.zeros(2), 1.0, 0, box_policy="bounce")
     with pytest.raises(ConfigurationError):
         simulate_ensemble(MIX, DW, prop, np.zeros(2), [0.5, 0.25], 4, 0)
     with pytest.raises(ConfigurationError):

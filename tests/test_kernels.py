@@ -18,12 +18,16 @@ from mhjump import (
     LogCoshWell,
     SmoothedDoubleWell,
     build_dominating_kernel,
-    rate_density,
-    thinning_accept_logprob,
-    total_rate_bound,
 )
-from mhjump.jump import path_stream
-from mhjump.kernels import DominatingKernel, accept_log_from_delta, log_lam, log_rate_density
+from mhjump.jump import _event_params, path_stream
+from mhjump.kernels import (
+    DominatingKernel,
+    accept_log_from_delta,
+    check_domination,
+    log_lam,
+    log_rate_density,
+    rate_density,
+)
 
 KINDS = [GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5), GeneratorKind.mix(0.25)]
 
@@ -135,8 +139,10 @@ def test_kernel_structure():
     assert dom.tilt == 5.0  # grad_bound / T
     assert dom.epsilon == 0.01
     assert dom.mean_abs == 0.01 * 5.0
-    assert sum(dom.weights) == 1.0
-    assert dom.component_means == (-dom.mean_abs, dom.mean_abs)
+    # an equal-weight two-sided mixture with components at -mean_abs, +mean_abs
+    z = np.linspace(0.0, 0.5, 5001)
+    assert np.array_equal(dom.log_density(z), dom.log_density(-z))
+    assert np.isclose(z[np.argmax(dom.log_density(z))], dom.mean_abs, atol=1e-4)
 
 
 def test_kernel_sampler_matches_density():
@@ -146,7 +152,8 @@ def test_kernel_sampler_matches_density():
     dom = build_dominating_kernel(target, GaussianProposal(eps))
     rng = path_stream(42, 7, 0)
     n = 40000
-    z = dom.sample(rng.random(n), rng.random(n))
+    u_sign = rng.random(n)
+    z = np.where(u_sign < 0.5, -1.0, 1.0) * dom.sample_abs(rng.random(n))
     grid = np.linspace(-12.0 * math.sqrt(eps), 12.0 * math.sqrt(eps), 100001)
     dens = np.exp(dom.log_density(grid))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
@@ -158,13 +165,24 @@ def test_kernel_sampler_matches_density():
 # --- rate densities ---
 
 
+def total_rate(kind, target, prop):
+    """The candidate clock rate, the engine's uniform bound on the total jump rate."""
+    return _event_params(kind, target, prop).rate_total
+
+
+def log_accept(kind, target, dom, x, i, z):
+    """The engine's log a(z): one dU, then the thinning formula."""
+    return accept_log_from_delta(target.delta_u_move(x, i, z), np.abs(z), kind.alpha_eff,
+                                 dom.tilt, target.T)
+
+
 def test_total_rate_bound_values():
     target = SmoothedDoubleWell(d_star=1)
     prop = GaussianProposal(0.01)
     lam = math.exp(log_lam(prop.epsilon, target.grad_bound / target.T))
-    assert total_rate_bound(GeneratorKind.m1(), target, prop) == 1.0
-    assert np.isclose(total_rate_bound(GeneratorKind.m2(), target, prop), lam, rtol=1e-14)
-    mixed = total_rate_bound(GeneratorKind.mix(0.25), target, prop)
+    assert total_rate(GeneratorKind.m1(), target, prop) == 1.0
+    assert np.isclose(total_rate(GeneratorKind.m2(), target, prop), lam, rtol=1e-14)
+    mixed = total_rate(GeneratorKind.mix(0.25), target, prop)
     assert np.isclose(mixed, 0.25 + 0.75 * lam, rtol=1e-14)
     assert 1.0 <= mixed <= lam
 
@@ -243,9 +261,11 @@ def test_acceptance_is_a_probability_on_kernel_draws(kind, target):
     rng = path_stream(3, 7, 1)
     lo = 3.0 if target.box is None else target.box - 1.0
     x = rng.uniform(-lo, lo, size=(2000, 2))
-    z = dom.sample(rng.random(2000), rng.random(2000))
+    u_sign = rng.random(2000)
+    z = np.where(u_sign < 0.5, -1.0, 1.0) * dom.sample_abs(rng.random(2000))
     for i in (0, 1):
-        la = thinning_accept_logprob(kind, target, prop, x, i, z, dom)
+        la = log_accept(kind, target, dom, x, i, z)
+        check_domination(la, kind, target, lambda k: f"row {k}")
         assert np.all(la <= 0.0)
         assert np.any(la < 0.0)
 
@@ -256,10 +276,10 @@ def test_accepted_rate_equals_kind_rate():
     prop = GaussianProposal(0.04)
     kind = GeneratorKind.mix(0.3)
     dom = build_dominating_kernel(target, prop)
-    r_total = total_rate_bound(kind, target, prop)
+    r_total = total_rate(kind, target, prop)
     x = np.array([0.8])
     for z in (-0.5, -0.05, 0.02, 0.4):
-        la = float(thinning_accept_logprob(kind, target, prop, x, 0, z, dom))
+        la = float(log_accept(kind, target, dom, x, 0, z))
         q = 0.3 * math.exp(float(prop.logpdf(z))) + 0.7 * math.exp(
             float(dom.log_density(z)) + dom.log_total_rate
         )
@@ -271,9 +291,11 @@ def test_accepted_rate_equals_kind_rate():
 def test_domination_violation_is_a_hard_error():
     # declared bound 0.5 is far below the true slope ~2.3 near the well wall
     target = SmoothedDoubleWell(d_star=1, grad_bound=0.5)
-    prop = GaussianProposal(0.04)
+    kind = GeneratorKind.m2()
+    dom = build_dominating_kernel(target, GaussianProposal(0.04))
+    la = log_accept(kind, target, dom, np.array([0.7]), 0, 0.5)
     with pytest.raises(DominationError, match="grad_bound"):
-        thinning_accept_logprob(GeneratorKind.m2(), target, prop, np.array([0.7]), 0, 0.5)
+        check_domination(la, kind, target, lambda k: "x=0.7, i=0, z=0.5")
 
 
 @pytest.mark.parametrize("kw", [

@@ -1,4 +1,4 @@
-"""Reference integrator: step formulas, OU oracle, clock equivalence."""
+"""Reference integrator: step formula, OU oracle, observation grid, determinism."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from mhjump import (
     BoxedQuadratic,
     ConfigurationError,
-    SdeConfig,
     SmoothedDoubleWell,
     em_step,
     ou_exact_marginal,
@@ -16,17 +15,15 @@ from mhjump import (
 )
 from mhjump import langevin
 from mhjump.langevin import default_dt
-from mhjump.verify import fit_loglog_slope, ks_statistic, ks_threshold
+from mhjump.verify import fit_loglog_slope
 
 
-def test_sde_config_validation():
-    SdeConfig(dt=1e-3)
-    with pytest.raises(ConfigurationError):
-        SdeConfig(dt=0.0)
-    with pytest.raises(ConfigurationError):
-        SdeConfig(dt=float("nan"))
-    with pytest.raises(ConfigurationError):
-        SdeConfig(dt=1e-3, variant="exact")
+def test_langevin_dt_validation():
+    target = BoxedQuadratic(d_star=1)
+    simulate_langevin(target, np.array([1.0]), [0.01], 3, 1e-3, 0)
+    for dt in (0.0, float("nan"), math.inf):
+        with pytest.raises(ConfigurationError, match="dt"):
+            simulate_langevin(target, np.array([1.0]), [0.01], 3, dt, 0)
 
 
 def test_default_dt():
@@ -87,10 +84,13 @@ def test_langevin_observation_grid():
     ens = simulate_langevin(target, np.array([0.3, -0.3]), [0.0, 0.25], 5, 1e-2, 1)
     assert np.array_equal(ens.samples[:, 0, :], np.tile([0.3, -0.3], (5, 1)))
     assert ens.kind == "langevin" and ens.alpha is None and ens.epsilon == 1e-2
-    # off-step obs times snap to the nearest step
-    snap = simulate_langevin(target, np.array([0.3, -0.3]), [0.2501], 5, 1e-2, 1)
-    ref = simulate_langevin(target, np.array([0.3, -0.3]), [0.25], 5, 1e-2, 1)
-    assert np.array_equal(snap.samples, ref.samples)
+    # an off-step observation time is refused, never snapped to a step
+    for obs, dt in (([0.2501], 1e-2), ([0.0001, 0.00015], 1e-4)):
+        with pytest.raises(ConfigurationError, match="whole number"):
+            simulate_langevin(target, np.array([0.3, -0.3]), obs, 5, dt, 1)
+    # rounding in t / dt is not an offset
+    on_grid = simulate_langevin(target, np.array([0.3, -0.3]), [0.1, 0.3, 0.7], 5, 1e-2, 1)
+    assert on_grid.samples.shape == (5, 3, 2)
 
 
 def test_langevin_deterministic_across_threads(monkeypatch):
@@ -119,20 +119,6 @@ def test_langevin_paths_do_not_depend_on_n_paths(threads):
                           full.samples)
     part = simulate_langevin(*args, 300, 1e-2, 123, threads=threads)
     assert np.array_equal(part.samples, full.samples[:300])
-
-
-def test_standard_clock_variant_same_law():
-    # the standard diffusion read on tau(t) = t/(2 T d*) matches the rescaled one
-    target = BoxedQuadratic(d_star=1, T=0.5)
-    n = 3000
-    obs = [0.5, 1.0]
-    a = simulate_langevin(target, np.array([1.0]), obs, n, 5e-4, 31, variant="rescaled")
-    b = simulate_langevin(target, np.array([1.0]), obs, n, 5e-4, 32, variant="standard_clock")
-    for k, t in enumerate(obs):
-        m, v = ou_exact_marginal(1.0, t, 0.5)
-        for xs in (a.marginal(k), b.marginal(k)):
-            assert abs(xs.mean() - m) <= 4.0 * math.sqrt(v / n)
-        assert ks_statistic(a.marginal(k), b.marginal(k)) < ks_threshold(n)
 
 
 def test_langevin_validation():

@@ -12,9 +12,11 @@ from mhjump import (
     BoxedQuadratic,
     ConfigurationError,
     GaussianProposal,
+    GeneratorKind,
     LogCoshWell,
     SmoothedDoubleWell,
     make_potential,
+    simulate_path,
 )
 from mhjump.targets import (
     TargetPotential,
@@ -131,12 +133,15 @@ def test_doublewell_shape():
 
 
 def test_in_box():
+    # a start state must lie in the declared box; a free potential has none
     t = BoxedQuadratic(d_star=2, box=3.0)
-    assert t.in_box(np.array([2.9, -2.9]))
-    assert not t.in_box(np.array([3.1, 0.0]))
+    prop = GaussianProposal(0.01)
+    simulate_path(GeneratorKind.m1(), t, prop, np.array([2.9, -2.9]), 1e-3, 0)
+    with pytest.raises(ConfigurationError, match="box"):
+        simulate_path(GeneratorKind.m1(), t, prop, np.array([3.1, 0.0]), 1e-3, 0)
     free = LogCoshWell(d_star=2)
     assert free.box is None
-    assert free.in_box(np.array([1e6, -1e6]))
+    simulate_path(GeneratorKind.m1(), free, prop, np.array([1e6, -1e6]), 1e-3, 0)
 
 
 def test_make_potential_registry():

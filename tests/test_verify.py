@@ -20,6 +20,7 @@ from mhjump import (
     first_jump_displacements,
     folded_normal_moment,
     generator_moment,
+    make_potential,
     moment_report,
     s_bound_check,
     simulate_langevin,
@@ -121,6 +122,23 @@ def test_equal_weight_mixture_moment_error_decays_faster():
     rep = moment_report(GeneratorKind.mix(0.5), target, [1e-1, 1e-2, 1e-3])
     assert rep.slopes[1] >= 0.8
     assert rep.slopes[2] >= 0.8
+
+
+@pytest.mark.parametrize("name, d_star", [("quadratic", 1), ("doublewell", 1)])
+def test_mixture_moment_window_of_verify_limit(name, d_star):
+    # verify-limit's mix(0.5) window on its default eps grid; mix(0.45) keeps
+    # part of the |dU| kink, so its k=1 slope falls outside the window
+    from mhjump.cli import _MIX_SLOPE_WINDOW, ExperimentConfig
+
+    lo, hi = _MIX_SLOPE_WINDOW
+    target = make_potential(name, d_star=d_star, T=1.0)
+    eps_grid = ExperimentConfig().moment_epsilon_grid
+    rep = moment_report(GeneratorKind.mix(0.5), target, eps_grid)
+    assert lo <= rep.slopes[1] <= hi
+    assert lo <= rep.slopes[2] <= hi
+    assert rep.slopes[3] >= lo
+    off = moment_report(GeneratorKind.mix(0.45), target, eps_grid)
+    assert not lo <= off.slopes[1] <= hi
 
 
 # --- folded moments ---
