@@ -3,9 +3,15 @@
 Clock and rescaling. Candidates of kind "mix(alpha)" arrive as a Poisson
 clock of rate R = alpha + (1-alpha) Lam(eps), each candidate picks a uniform
 coordinate and a displacement from the mixture dominating kernel, and is
-accepted with the probability documented in the kernels module. The time
-rescaling t -> t/eps is applied to the observation horizon, never to the
-rates, so the rate code is identical across eps.
+accepted with the probability documented in the kernels module. When the
+target declares a state-dependent slope bound and the kind is tilted, the
+kernel is tilted by theta(x) and the rate is R(x), both fixed by the state
+before each candidate; R(x) changes only at accepted jumps, so the waiting
+time to candidate k is E_k / R(x) with E_k the tape's exponential variate,
+and each event advances its path's clock by it (the per-event clock). Every
+other run has one rate for the whole path and keeps the chunk clock below.
+The time rescaling t -> t/eps is applied to the observation horizon, never
+to the rates, so the rate code is identical across eps.
 
 Determinism. Path p draws from a Philox stream keyed by
 (master_seed, domain, p). Every candidate event consumes exactly one row of
@@ -14,10 +20,13 @@ six uniforms,
     [exp-clock, coordinate, branch, sign, magnitude, accept],
 
 transformed by inverse cdfs only; the |z| draw is
-DominatingKernel.sample_abs, masked per row by the branch column. The scalar
-reference simulator and the vectorized block engine therefore consume
-identical per-path tapes, share one event transform and one thinning step,
-and produce bit-identical paths. A path's values depend only on
+kernels.sample_abs, masked per row by the branch column. Under the
+per-event clock the rate, the branch split and the tilt of a row come from
+the state the row meets, through one function (_at) evaluated by numpy for a
+single state and for a block of rows alike. The scalar reference simulator
+and the vectorized block engine therefore consume identical per-path tapes,
+share one event transform and one thinning step, and produce bit-identical
+paths. A path's values depend only on
 (master_seed, domain, path index): no randomness is shared across paths, so
 neither the number of paths, nor the block of BLOCK_PATHS paths a path runs
 in, nor the thread that runs the block can change them. Rows are drawn in
@@ -27,34 +36,41 @@ values, do not depend on the chunk size either.
 
 A run whose expected candidate events per path, clock rate times horizon,
 exceed MAX_CANDIDATES is refused with a ConfigurationError before it starts.
+The rate checked is the box-wide one, from grad_bound: the worst case over
+the domain, which the per-event clock's R(x) never exceeds.
 
 The block engine advances a block of paths in lock step, one candidate event
-per iteration across the whole block, but does its per-tape work once per
-chunk: only the paths still inside the horizon draw a chunk, into one
-preallocated buffer; the chunk is decoded by one call of the event
-transform into event-major arrays; the event times are one cumulative sum
-from each path's clock; and one searchsorted of the times against the
-observation grid finds every observation crossing of the chunk, so states
-are recorded only at the events where some path crosses. Only candidates
-inside the horizon are thinned, as in the scalar engine. States are
-right-continuously recorded on the observation grid (the value at an
-observation time is the state after the last jump at or before it).
+per iteration across the whole block. Only the paths still inside the
+horizon draw a chunk, into one preallocated buffer. Under the chunk clock it
+does the rest of its per-tape work once per chunk: the chunk is decoded by
+one call of the event transform into event-major arrays; the event times
+are one cumulative sum from each path's clock; and one searchsorted of the
+times against the observation grid finds every observation crossing of the
+chunk, so states are recorded only at the events where some path crosses.
+Under the per-event clock each event is decoded at the block's current
+states, and one compare of the new clocks against each path's next
+observation finds the crossings. Only candidates inside the horizon are
+thinned, as in the scalar engine. States are right-continuously recorded on
+the observation grid (the value at an observation time is the state after
+the last jump at or before it).
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainBoxError
+from .errors import ConfigurationError, DomainBoxError, DominationError
 from .kernels import (
     DominatingKernel,
     GeneratorKind,
     accept_log_from_delta,
     check_domination,
+    row_kernel,
+    sample_abs,
     thinning_kernel,
 )
 from .targets import TargetPotential
@@ -142,33 +158,75 @@ class ObservedEnsemble:
 
 @dataclass(frozen=True)
 class _EventParams:
-    """Constants of the per-event transform for one (kind, target, proposal)."""
+    """Constants of the per-event transform for one (kind, target, proposal).
+
+    dom is the box-wide kernel; tilt, mean_abs, trunc_lo, the clock rate
+    rate_total and the plain-branch probability p_plain are its constants.
+    local marks a tilted kind on a target whose slope bound depends on the
+    state: the engines then take those five from the state before each event
+    (_at), one per row.
+    """
 
     kind: GeneratorKind
     target: TargetPotential
     dom: DominatingKernel
     alpha: float
+    tilt: float
+    mean_abs: float
+    trunc_lo: float
     rate_total: float
     p_plain: float
+    rate_scale: float
+    local: bool
 
 
 def _event_params(kind, target, proposal, rate_scale=1.0):
     alpha = kind.alpha_eff
     dom = thinning_kernel(kind, target, proposal)
     r0 = alpha + (1.0 - alpha) * dom.lam
-    return _EventParams(kind, target, dom, alpha, r0 * rate_scale, alpha / r0)
+    local = alpha < 1.0 and type(target).slope_bound is not TargetPotential.slope_bound
+    return _EventParams(kind, target, dom, alpha, dom.tilt, dom.mean_abs, dom.trunc_lo,
+                        r0 * rate_scale, alpha / r0, rate_scale, local)
 
 
-def _decode_events(p, rows):
-    """Tape rows (..., 6) -> (dt, coordinate, z, |z|, log accept-uniform)."""
-    d = p.target.d_star
-    dt = -np.log1p(-rows[..., COL_EXP]) / p.rate_total
+def _at(p, x):
+    """The event transform at state x, one state or a block of rows.
+
+    For a local p the kernel is tilted by
+    theta(x) = min(max_i slope_bound(x)_i, grad_bound) / T, which sets the
+    clock rate R(x) and the plain-branch probability alpha / R(x); the cap
+    keeps R(x) at or below the box-wide rate. Otherwise p itself.
+    """
+    if not p.local:
+        return p
+    target = p.target
+    theta = np.minimum(np.max(target.slope_bound(x), axis=-1), target.grad_bound) / target.T
+    if not np.min(theta) >= 0.0:
+        j = int(np.argmax(~(np.reshape(theta, -1) >= 0.0)))
+        raise DominationError(f"slope_bound of {target.name} is negative or NaN at "
+                              f"x={np.reshape(x, (-1, target.d_star))[j]!r}")
+    mean, lo, lam = row_kernel(p.dom.epsilon, theta)
+    r0 = p.alpha + (1.0 - p.alpha) * lam
+    return replace(p, tilt=theta, mean_abs=mean, trunc_lo=lo, rate_total=r0 * p.rate_scale,
+                   p_plain=p.alpha / r0)
+
+
+def _decode_tape(rows, d):
+    """The state-free part of the event transform. Tape rows (..., 6) ->
+    (exponential variate, coordinate, negative sign, magnitude uniform,
+    branch uniform, log accept-uniform)."""
+    e = -np.log1p(-rows[..., COL_EXP])
     i = np.minimum((rows[..., COL_COORD] * d).astype(np.int64), d - 1)
-    abs_z = p.dom.sample_abs(rows[..., COL_MAG], rows[..., COL_BRANCH] >= p.p_plain)
-    z = np.where(rows[..., COL_SIGN] < 0.5, -abs_z, abs_z)
     with np.errstate(divide="ignore"):
         log_u = np.log(rows[..., COL_ACC])
-    return dt, i, z, abs_z, log_u
+    return e, i, rows[..., COL_SIGN] < 0.5, rows[..., COL_MAG], rows[..., COL_BRANCH], log_u
+
+
+def _decode_move(p, e, neg, u_mag, u_branch):
+    """The rest of the event transform, under p's clock rate and kernel:
+    (waiting time, z, |z|)."""
+    abs_z = sample_abs(u_mag, p.dom.sigma, p.mean_abs, p.trunc_lo, u_branch >= p.p_plain)
+    return e / p.rate_total, np.where(neg, -abs_z, abs_z), abs_z
 
 
 def _thin(p, x, i, z, abs_z, log_u, where, live=None):
@@ -177,7 +235,7 @@ def _thin(p, x, i, z, abs_z, log_u, where, live=None):
     where(k) describes candidate k if the declared gradient bound fails;
     live, if given, masks candidates out of the check and of the accepts.
     """
-    la = accept_log_from_delta(p.target.delta_u_move(x, i, z), abs_z, p.alpha, p.dom.tilt, p.target.T)
+    la = accept_log_from_delta(p.target.delta_u_move(x, i, z), abs_z, p.alpha, p.tilt, p.target.T)
     if live is not None:
         la = np.where(live, la, -np.inf)
     check_domination(la, p.kind, p.target, where)
@@ -246,10 +304,13 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
     _check_candidates(p, horizon)
     times, states = [], []
     t = 0.0
+    q = _at(p, x)
     while True:
-        dts, coords, zs, abs_zs, log_us = _decode_events(p, rng.random((TAPE_CHUNK, TAPE_COLS)))
+        rows = rng.random((TAPE_CHUNK, TAPE_COLS))
+        e, coords, neg, u_mag, u_branch, log_us = _decode_tape(rows, target.d_star)
         for k in range(TAPE_CHUNK):
-            t += dts[k]
+            dt, z, abs_z = _decode_move(q, e[k], neg[k], u_mag[k], u_branch[k])
+            t += dt
             if t > horizon:
                 return JumpPath(
                     initial_state=np.asarray(x0, dtype=float).copy(),
@@ -257,8 +318,8 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
                     states=np.array(states).reshape(len(times), target.d_star),
                     horizon=float(horizon),
                 )
-            i, z = int(coords[k]), zs[k]
-            if _thin(p, x, i, z, abs_zs[k], log_us[k], lambda _: f"x={x!r}, i={i}, z={z!r}"):
+            i, z = int(coords[k]), float(z)
+            if _thin(q, x, i, z, abs_z, log_us[k], lambda _: f"x={x!r}, i={i}, z={z!r}"):
                 x[i] += z
                 if target.box is not None and abs(x[i]) > target.box:
                     raise DomainBoxError(
@@ -266,6 +327,14 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
                     )
                 times.append(t)
                 states.append(x.copy())
+                q = _at(p, x)
+
+
+def _spans(lo, hi):
+    """Expand per-column observation ranges [lo, hi) into records: each
+    record's position in lo and its observation index."""
+    n = hi - lo
+    return np.repeat(np.arange(n.size), n), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
 def _crossings(passed, inside):
@@ -279,64 +348,125 @@ def _crossings(passed, inside):
     record's column and observation index.
     """
     ks, cols = np.nonzero((passed[1:] > passed[:-1]) & inside)
-    lo = passed[ks, cols]
-    n = passed[ks + 1, cols] - lo
-    obs_idx = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
-    ks, cols = np.repeat(ks, n), np.repeat(cols, n)
+    rec, obs_idx = _spans(passed[ks, cols], passed[ks + 1, cols])
+    ks, cols = ks[rec], cols[rec]
     return np.searchsorted(ks, np.arange(inside.shape[0] + 1)).tolist(), cols, obs_idx
+
+
+def _move(q, x, flat, i, z, abs_z, log_u, live, describe):
+    """Thin one candidate per row of the block state x and apply the accepted
+    moves in place; returns the accepts.
+
+    flat indexes the moved entries of x's flat view; live, if given, masks
+    rows out; describe(j) names row j's path in error messages.
+    """
+    def where(j):
+        return f"{describe(j)}, x={x[j]!r}, i={int(i[j])}, z={float(z[j])!r}"
+
+    acc = _thin(q, x, i, z, abs_z, log_u, where, live)
+    x_flat = x.reshape(-1)  # a view: x is always a fresh C-ordered array
+    xi = x_flat[flat]
+    moved = np.where(acc, xi + z, xi)
+    x_flat[flat] = moved
+    box = q.target.box
+    if box is not None and np.abs(moved).max() > box:
+        j = int(np.argmax(np.abs(moved) > box))
+        raise DomainBoxError(f"{describe(j)} left the domain box +-{box}: x={x[j]!r}")
+    return acc
+
+
+def _chunk_clock(p, rows, x, t, horizon, obs_proc, record, describe):
+    """Run one chunk of event-major tape rows with one rate for every event.
+
+    Moves x in place and returns the clocks after the chunk and the accepted
+    events of each row; record(cols, obs_idx) stores rows' current states.
+    """
+    n, d = x.shape
+    e, i, neg, u_mag, u_branch, log_u = _decode_tape(rows, d)
+    dt, z, abs_z = _decode_move(p, e, neg, u_mag, u_branch)
+    clock = np.cumsum(np.vstack([t, dt]), axis=0)  # clock[k + 1] is the time of event k
+    inside = clock[1:] <= horizon
+    n_in = inside.sum(axis=0)  # in-horizon events of each path
+    passed = np.searchsorted(obs_proc, clock)
+    bounds, rec_cols, rec_obs = _crossings(passed, inside)
+    flat = i + d * np.arange(n)
+    count = np.zeros(n, dtype=np.int64)
+    all_inside = int(n_in.min())
+    for k in range(int(n_in.max())):
+        lo, hi = bounds[k], bounds[k + 1]
+        if lo < hi:
+            record(rec_cols[lo:hi], rec_obs[lo:hi])
+        count += _move(p, x, flat[k], i[k], z[k], abs_z[k], log_u[k],
+                       None if k < all_inside else inside[k], describe)
+    done = np.flatnonzero(~inside[-1])  # a finished path holds its state to the end of the grid
+    rec, obs_idx = _spans(passed[n_in[done], done], obs_proc.size)
+    record(done[rec], obs_idx)
+    return clock[-1], count
+
+
+def _event_clock(p, rows, x, t, horizon, obs_proc, record, describe):
+    """Run one chunk of event-major tape rows under the per-event clock.
+
+    Each event is decoded at the rows' current states and advances each
+    clock by E_k / R(x); a row whose clock passes its next observation time
+    records its pre-event state up to the new clock. Same contract as
+    _chunk_clock.
+    """
+    n, d = x.shape
+    passed = np.searchsorted(obs_proc, t)  # observation points before each clock
+    upcoming = np.append(obs_proc, np.inf)
+    next_obs = upcoming[passed]
+    e, i, neg, u_mag, u_branch, log_u = _decode_tape(rows, d)
+    flat = i + d * np.arange(n)
+    count = np.zeros(n, dtype=np.int64)
+    inside = None  # every row is inside the horizon
+    for k in range(rows.shape[0]):
+        q = _at(p, x)
+        dt, z, abs_z = _decode_move(q, e[k], neg[k], u_mag[k], u_branch[k])
+        t = t + dt
+        cross = np.flatnonzero(next_obs < t)
+        if cross.size:
+            now = np.searchsorted(obs_proc, t[cross])
+            rec, obs_idx = _spans(passed[cross], now)
+            record(cross[rec], obs_idx)
+            passed[cross] = now
+            next_obs[cross] = upcoming[now]
+            # the horizon is the last observation, so only a crossing can pass it
+            inside = t <= horizon
+            if not inside.any():
+                break
+            if inside.all():
+                inside = None
+        count += _move(q, x, flat[k], i[k], z, abs_z, log_u[k], inside, describe)
+    return t, count
 
 
 def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
     """One block of paths in lock step; returns its samples and accepted-event counts."""
     b, d = x0_block.shape
-    box = p.target.box
     samples = np.empty((b, obs_proc.size, d))
     n_acc = np.zeros(b, dtype=np.int64)
     tape = np.empty((b, TAPE_CHUNK, TAPE_COLS))
+    run_chunk = _event_clock if p.local else _chunk_clock
     # the unfinished paths: block rows, states, clocks
     live = np.arange(b)
     x = x0_block.copy()
     t = np.zeros(b)
 
-    def where(j):  # describes candidate j of the current event
-        return f"path {path_offset + int(live[j])}, x={x[j]!r}, i={int(ik[j])}, z={float(zk[j])!r}"
+    def record(cols, obs_idx):  # the current states of live columns at observation indices
+        samples[live[cols], obs_idx] = x[cols]
+
+    def describe(j):
+        return f"path {path_offset + int(live[j])}"
 
     while live.size:
-        n_live = live.size
         for r, q in enumerate(live):
             streams[q].random(out=tape[r])
-        dt, i, z, abs_z, log_u = _decode_events(p, np.ascontiguousarray(tape[:n_live].swapaxes(0, 1)))
-        clock = np.cumsum(np.vstack([t, dt]), axis=0)  # clock[k + 1] is the time of event k
-        inside = clock[1:] <= horizon
-        n_in = inside.sum(axis=0)  # in-horizon events of each path
-        passed = np.searchsorted(obs_proc, clock)
-        bounds, rec_cols, rec_obs = _crossings(passed, inside)
-        rec_rows = live[rec_cols]
-        flat = i + d * np.arange(n_live)  # the moved entries of x_flat
-        x_flat = x.reshape(-1)  # a view: x is always a fresh C-ordered array
-        count = np.zeros(n_live, dtype=np.int64)
-        all_inside = int(n_in.min())
-        for k in range(int(n_in.max())):
-            lo, hi = bounds[k], bounds[k + 1]
-            if lo < hi:
-                samples[rec_rows[lo:hi], rec_obs[lo:hi]] = x[rec_cols[lo:hi]]
-            ik, zk = i[k], z[k]
-            acc = _thin(p, x, ik, zk, abs_z[k], log_u[k], where, None if k < all_inside else inside[k])
-            xi = x_flat[flat[k]]
-            moved = np.where(acc, xi + zk, xi)
-            x_flat[flat[k]] = moved
-            count += acc
-            if box is not None and np.abs(moved).max() > box:
-                j = int(np.argmax(np.abs(moved) > box))
-                raise DomainBoxError(
-                    f"path {path_offset + int(live[j])} left the domain box +-{box}: x={x[j]!r}"
-                )
+        rows = np.ascontiguousarray(tape[:live.size].swapaxes(0, 1))
+        t, count = run_chunk(p, rows, x, t, horizon, obs_proc, record, describe)
         n_acc[live] += count
-        done = ~inside[-1]
-        for c in np.flatnonzero(done):  # a finished path holds its state to the end of the grid
-            samples[live[c], passed[n_in[c], c]:] = x[c]
-        keep = ~done
-        live, x, t = live[keep], x[keep], clock[-1, keep]
+        keep = t <= horizon
+        live, x, t = live[keep], x[keep], t[keep]
     return samples, n_acc
 
 
@@ -409,15 +539,19 @@ def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed):
     if x.ndim != 1:
         raise ConfigurationError("first_jump_displacements takes a single state")
     rng = path_stream(master_seed, DOMAIN_DIRECT, 0)
-    p = _event_params(kind, target, proposal)
+    p = _at(_event_params(kind, target, proposal), x)
     out_z = np.empty(n_samples)
     out_i = np.empty(n_samples, dtype=np.int64)
+
+    def accepted(rows):  # (z, i) of the accepted rows; the batch's arrays die here
+        e, i, neg, u_mag, u_branch, log_u = _decode_tape(rows, target.d_star)
+        _, z, abs_z = _decode_move(p, e, neg, u_mag, u_branch)
+        acc = _thin(p, x, i, z, abs_z, log_u, lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
+        return z[acc], i[acc]
+
     filled = 0
     while filled < n_samples:
-        rows = rng.random((FIRST_JUMP_BATCH, TAPE_COLS))
-        _, i, z, abs_z, log_u = _decode_events(p, rows)
-        acc = _thin(p, x, i, z, abs_z, log_u, lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
-        za, ia = z[acc], i[acc]
+        za, ia = accepted(rng.random((FIRST_JUMP_BATCH, TAPE_COLS)))
         take = min(n_samples - filled, za.size)
         out_z[filled:filled + take] = za[:take]
         out_i[filled:filled + take] = ia[:take]

@@ -12,13 +12,23 @@ displacement density with total mass
 
     Lam(eps) = E exp(theta |Z|) = 2 exp(eps theta^2 / 2) Phi(theta sqrt(eps)).
 
+A target whose slope bound depends on the state (TargetPotential.slope_bound)
+gives the tighter state-dependent tilt theta(x) = max_i slope_bound(x)_i / T,
+capped by the box-wide one; the max over coordinates keeps the kernel, and so
+the coordinate draw, the same for every i. The clock rate
+R(x) = alpha + (1-alpha) Lam(eps, theta(x)) then depends on the state, but it
+is constant between accepted jumps, because rejected candidates do not move
+the state, so thinning stays exact (Lewis & Shedler 1979; the local bounds of
+the Zig-Zag sampler, Bierkens, Fearnhead & Roberts 2019). row_kernel gives
+such kernels' mean, truncation and mass, one per row of states.
+
 Splitting e^{theta z} phi_eps(z) = e^{eps theta^2/2} phi_eps(z - eps theta)
 turns the normalized dominating density into an equal-weight two-sided
 mixture of shifted Gaussians restricted to half-lines, sampled exactly by a
-sign flip plus one inverse-cdf draw (no rejection). That draw,
-DominatingKernel.sample_abs, is the simulators' |z| transform for every
-candidate event; a per-row mask sends plain-branch candidates to the
-untilted proposal.
+sign flip plus one inverse-cdf draw (no rejection). That draw, sample_abs,
+is the simulators' |z| transform for every candidate event, with the mean
+and truncation of one kernel or of one kernel per row; a per-row mask sends
+plain-branch candidates to the untilted proposal.
 
 Accepted-rate algebra for the mixture family, the contract the simulator
 relies on: candidates arrive at rate R = alpha + (1-alpha) Lam(eps) with
@@ -35,8 +45,9 @@ yields accepted events at rate density R q(z) a(z)
 = [alpha s1 + (1-alpha) s2] phi_eps(z), exactly the mixture rate. a(z) <= 1
 because s1 <= 1 and s2 <= e^{theta|z|}; alpha = 1 reduces to plain-clock
 thinning with a(z) = s1 and alpha = 0 to a(z) = s2 e^{-theta|z|}. A computed
-log a > 0 means the declared grad_bound was not a true bound and is raised
-as a hard error by check_domination rather than clipped.
+log a > 0 means the declared bound (grad_bound, or slope_bound at the current
+state) was not a true bound and is raised as a hard error by check_domination
+rather than clipped.
 """
 
 from __future__ import annotations
@@ -146,14 +157,7 @@ class DominatingKernel:
         return float(ndtr(-self.tilt * self.sigma))
 
     def sample_abs(self, u, tilted=True):
-        """Inverse-cdf |z| from N(mean_abs, eps) conditioned on z > 0.
-
-        tilted masks the draws per row: where it is False the draw comes from
-        the plain proposal instead, |N(0, eps)|.
-        """
-        mean = np.where(tilted, self.mean_abs, 0.0)
-        lo = np.where(tilted, self.trunc_lo, 0.5)
-        return mean + self.sigma * ndtri(lo + u * (1.0 - lo))
+        return sample_abs(u, self.sigma, self.mean_abs, self.trunc_lo, tilted)
 
     def log_density(self, z):
         z = np.asarray(z, dtype=float)
@@ -169,6 +173,30 @@ def log_lam(epsilon, theta):
             f"dominating mass overflows: eps*theta^2/2 = {growth:.3g}; reduce eps or grad_bound"
         )
     return math.log(2.0) + growth + math.log(ndtr(theta * math.sqrt(epsilon)))
+
+
+def sample_abs(u, sigma, mean_abs, trunc_lo, tilted=True):
+    """Inverse-cdf |z| from N(mean_abs, sigma^2) conditioned on z > 0.
+
+    mean_abs and trunc_lo, the tilted component's mean and cut mass, are one
+    kernel's or one per row. tilted masks the draws per row: where it is
+    False the draw comes from the plain proposal instead, |N(0, sigma^2)|.
+    """
+    mean = np.where(tilted, mean_abs, 0.0)
+    lo = np.where(tilted, trunc_lo, 0.5)
+    return mean + sigma * ndtri(lo + u * (1.0 - lo))
+
+
+def row_kernel(epsilon, theta):
+    """(mean_abs, trunc_lo, Lam) of the kernels tilted by theta, one per row.
+
+    The engine caps the tilts by the box-wide one, whose mass log_lam has
+    checked, so no row overflows. numpy evaluates one row and a block of rows alike, so
+    the scalar and block engines get the same bits.
+    """
+    mean = epsilon * theta
+    lo = ndtr(-theta * math.sqrt(epsilon))
+    return mean, lo, np.exp(math.log(2.0) + 0.5 * mean * theta + np.log1p(-lo))
 
 
 def build_dominating_kernel(target, proposal) -> DominatingKernel:
@@ -232,5 +260,5 @@ def check_domination(la, kind, target, where):
         raise DominationError(
             f"acceptance log-probability {float(np.max(la)):.3e} > 0 for kind "
             f"{kind.label()} at {where(k)}: declared grad_bound {target.grad_bound} "
-            "is not a true bound along this move"
+            "or slope_bound is not a true bound along this move"
         )

@@ -13,9 +13,13 @@ to s2 is second order in z. Everything downstream carries log s, not s;
 exponentiation happens at the last moment so that the eps -> 0 regime does
 not lose the tiny dU to rounding.
 
-Potentials declare a per-coordinate gradient bound (grad_bound) used by the
-dominating kernel; the quadratic is unbounded and therefore carries a domain
-box with the bound valid inside it.
+Potentials declare a per-coordinate gradient bound (grad_bound), valid for
+every state of their domain, and may declare a tighter per-state slope
+bound (slope_bound) with U(x) - U(x + z e_i) <= slope_bound(x)_i |z| for
+every z. The jump engine's dominating kernel is tilted by the per-state
+bound; the box-wide grad_bound caps it and sizes the run's worst case. The
+quadratic's per-state bound |x_i| is exact on all of R; its domain box only
+guards the state, which must stay inside it.
 """
 
 from __future__ import annotations
@@ -61,7 +65,7 @@ class TargetPotential:
     Subclasses implement u(x) and grad(x) vectorized over leading axes of x
     with shape (..., d_star). grad_bound is a true bound on sup_x |dU_i(x)|,
     valid on the whole space or, when box is not None, on the centered cube
-    of half-width box.
+    of half-width box. slope_bound may tighten it state by state.
     """
 
     name = "target"
@@ -98,6 +102,16 @@ class TargetPotential:
         y = x.copy()
         y[_move_index(y, i)] += z
         return self.u(y) - self.u(x)
+
+    def slope_bound(self, x):
+        """A bound b(x) on the descent of U along any single-coordinate move:
+        U(x) - U(x + z e_i) <= b(x)_i |z| for every z.
+
+        The default is the constant grad_bound. A subclass may return a
+        tighter array of x's shape; the jump engine then thins the tilted
+        kinds against the state-dependent tilt max_i b(x)_i / T.
+        """
+        return self.grad_bound
 
     def check_gradient(self, x):
         """Max abs gap between grad and scale-aware central differences."""
@@ -137,7 +151,14 @@ class SeparableTargetPotential(TargetPotential):
 
 
 class BoxedQuadratic(SeparableTargetPotential):
-    """U(x) = |x|^2 / 2 on a declared box; grad_bound equals the half-width."""
+    """U(x) = |x|^2 / 2 on a declared box.
+
+    slope_bound(x) = |x_i| is exact on all of R: u1(v) - u1(v + z)
+    = -v z - z^2 / 2 <= |v| |z|, with the gap vanishing as z -> 0 against
+    the sign of v, so domination needs no box. The box guards the state:
+    inside it the half-width grad_bound bounds slope_bound, so the run-size
+    cap computed from grad_bound is a worst case.
+    """
 
     name = "quadratic"
 
@@ -152,6 +173,9 @@ class BoxedQuadratic(SeparableTargetPotential):
 
     def du1(self, v):
         return np.asarray(v, dtype=float)
+
+    def slope_bound(self, x):
+        return np.abs(np.asarray(x, dtype=float))
 
 
 class LogCoshWell(SeparableTargetPotential):

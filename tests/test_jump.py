@@ -26,12 +26,33 @@ DW = SmoothedDoubleWell(d_star=2)
 MIX = GeneratorKind.mix(0.5)
 KINDS = (GeneratorKind.m1(), GeneratorKind.m2(), MIX)
 WELL = LogCoshWell(d_star=1, c=0.2)
+# the quadratic declares a per-state slope bound, so its tilted kinds run the
+# per-event clock
+QUAD = BoxedQuadratic(d_star=2)
+QUAD1 = BoxedQuadratic(d_star=1)
+LOCAL = (GeneratorKind.m2(), MIX)
 
 
 def candidate_times(seed, q, n):
     """Times of the first n candidate events of path q for a rate-1 clock (m1)."""
     rows = path_stream(seed, DOMAIN_JUMP, q).random((n, 6))
     return np.cumsum(-np.log1p(-rows[:, 0]))
+
+
+def replayed_candidate_times(kind, target, prop, x0, seed, q, n, horizon):
+    """Times of path q's candidates under the per-event clock, up to n or the
+    first past the horizon: candidate k waits E_k / R(x) in the state x that
+    candidate k - 1 left, replayed from the scalar engine's jump log."""
+    p = jump._event_params(kind, target, prop)
+    path = simulate_path(kind, target, prop, x0, horizon, path_stream(seed, DOMAIN_JUMP, q))
+    e = -np.log1p(-path_stream(seed, DOMAIN_JUMP, q).random((n, 6))[:, 0])
+    t, times = 0.0, []
+    for k in range(n):
+        t += e[k] / jump._at(p, path.state_at(t)).rate_total
+        times.append(t)
+        if t > horizon:
+            break
+    return np.array(times)
 
 
 def assert_engines_agree(kind, target, prop, x0, obs, n_paths, seed):
@@ -103,6 +124,14 @@ def test_scalar_and_block_engines_agree_exactly():
             assert np.array_equal(ens.samples[q, k], path.state_at(tp))
 
 
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+def test_scalar_and_block_engines_agree_under_the_per_event_clock(kind):
+    prop = GaussianProposal(0.04)
+    obs = np.array([0.3, 0.7, 1.1]) / prop.epsilon
+    ens = assert_engines_agree(kind, QUAD, prop, np.array([1.0, -1.0]), obs, 6, 2024)
+    assert not np.array_equal(ens.samples[:, -1], ens.samples[:, 0])
+
+
 def test_engines_agree_on_a_non_separable_target(monkeypatch, coupled):
     # the generic row-wise dU must give the same bits in both engines
     prop = GaussianProposal(0.04)
@@ -137,28 +166,47 @@ def test_m1_needs_no_dominating_mass():
             simulate_ensemble(kind, target, prop, np.zeros(1), [0.5, 1.0], 4, 2)
 
 
-def test_ensemble_invariant_to_blocks_and_threads(monkeypatch):
+def assert_invariant_to_blocks_and_threads(monkeypatch, kind, target):
     prop = GaussianProposal(0.09)
     obs = [0.25, 0.5]
     monkeypatch.setattr(jump, "BLOCK_PATHS", 512)
-    base = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 40, 5)
+    base = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
     for block in (3, 17):
         monkeypatch.setattr(jump, "BLOCK_PATHS", block)
-        other = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 40, 5)
+        other = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
         assert np.array_equal(base.samples, other.samples)
     monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
-    threaded = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 40, 5, threads=4)
+    threaded = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5, threads=4)
     assert np.array_equal(base.samples, threaded.samples)
+
+
+def test_ensemble_invariant_to_blocks_and_threads(monkeypatch):
+    assert_invariant_to_blocks_and_threads(monkeypatch, MIX, DW)
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+def test_per_event_clock_invariant_to_blocks_and_threads(monkeypatch, kind):
+    assert_invariant_to_blocks_and_threads(monkeypatch, kind, QUAD)
+
+
+def assert_paths_do_not_depend_on_n_paths(kind, target, threads):
+    # a path's values depend only on (seed, domain, path index)
+    prop = GaussianProposal(0.09)
+    obs = [0.25, 0.5]
+    full = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 700, 5)
+    part = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 300, 5, threads=threads)
+    assert np.array_equal(part.samples, full.samples[:300])
 
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_ensemble_paths_do_not_depend_on_n_paths(threads):
-    # a path's values depend only on (seed, domain, path index)
-    prop = GaussianProposal(0.09)
-    obs = [0.25, 0.5]
-    full = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 700, 5)
-    part = simulate_ensemble(MIX, DW, prop, np.zeros(2), obs, 300, 5, threads=threads)
-    assert np.array_equal(part.samples, full.samples[:300])
+    assert_paths_do_not_depend_on_n_paths(MIX, DW, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+def test_per_event_clock_paths_do_not_depend_on_n_paths(kind, threads):
+    assert_paths_do_not_depend_on_n_paths(kind, QUAD, threads)
 
 
 def test_rescaled_grid_is_horizon_division():
@@ -181,16 +229,15 @@ def test_per_path_initial_states():
     assert np.array_equal(ens.samples[:, 0, :], starts)  # obs at t = 0 is the start
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_ensemble_invariant_to_tape_chunk(monkeypatch, chunk):
+def assert_invariant_to_tape_chunk(monkeypatch, chunk, kinds, target):
     # about 250-300 candidates per path, so the default chunk is crossed too
     prop = GaussianProposal(0.004)
     obs = [0.0, 0.3, 0.6, 1.0]
     monkeypatch.setattr(jump, "BLOCK_PATHS", 10)
 
     def runs():
-        return [simulate_ensemble(kind, DW, prop, np.array([1.0, -1.0]), obs, 24, 31,
-                                  return_counts=True) for kind in KINDS]
+        return [simulate_ensemble(kind, target, prop, np.array([1.0, -1.0]), obs, 24, 31,
+                                  return_counts=True) for kind in kinds]
 
     base = runs()
     monkeypatch.setattr(jump, "TAPE_CHUNK", chunk)
@@ -199,8 +246,25 @@ def test_ensemble_invariant_to_tape_chunk(monkeypatch, chunk):
         assert np.array_equal(counts, other_counts)
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_ensemble_invariant_to_tape_chunk(monkeypatch, chunk):
+    assert_invariant_to_tape_chunk(monkeypatch, chunk, KINDS, DW)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_per_event_clock_invariant_to_tape_chunk(monkeypatch, chunk):
+    assert_invariant_to_tape_chunk(monkeypatch, chunk, LOCAL, QUAD)
+
+
 def test_observation_at_time_zero_is_the_start():
     ens = assert_engines_agree(MIX, WELL, GaussianProposal(0.3), np.array([0.4]), [0.0, 2.0], 6, 2)
+    assert np.all(ens.samples[:, 0, 0] == 0.4)
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+def test_per_event_clock_observation_at_time_zero_is_the_start(kind):
+    ens = assert_engines_agree(kind, QUAD1, GaussianProposal(0.3), np.array([0.4]), [0.0, 2.0],
+                               6, 2)
     assert np.all(ens.samples[:, 0, 0] == 0.4)
 
 
@@ -209,6 +273,16 @@ def test_several_observations_between_two_candidates():
     between = [t[2] + f * (t[3] - t[2]) for f in (0.2, 0.4, 0.6)]
     ens = assert_engines_agree(GeneratorKind.m1(), WELL, GaussianProposal(0.3), np.array([0.4]),
                                between + [t[5]], 4, 8)
+    assert np.array_equal(ens.samples[0, 0], ens.samples[0, 2])
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+def test_per_event_clock_several_observations_between_two_candidates(kind):
+    prop, x0 = GaussianProposal(0.3), np.array([0.4])
+    t = replayed_candidate_times(kind, QUAD1, prop, x0, 8, 0, 6, 100.0)
+    assert t.size == 6
+    between = [t[2] + f * (t[3] - t[2]) for f in (0.2, 0.4, 0.6)]
+    ens = assert_engines_agree(kind, QUAD1, prop, x0, between + [t[5]], 4, 8)
     assert np.array_equal(ens.samples[0, 0], ens.samples[0, 2])
 
 
@@ -232,6 +306,16 @@ def test_paths_ending_mid_chunk_while_others_continue(monkeypatch, kind):
                          [1.0, 7.5, 7.6, 15.0, horizon], 16, 5)
 
 
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+def test_per_event_clock_paths_ending_mid_chunk_while_others_continue(monkeypatch, kind):
+    monkeypatch.setattr(jump, "TAPE_CHUNK", 8)
+    prop, x0, horizon = GaussianProposal(0.3), np.array([0.4]), 20.0
+    ends = [replayed_candidate_times(kind, QUAD1, prop, x0, 5, q, 200, horizon).size - 1
+            for q in range(16)]
+    assert len({n // 8 for n in ends}) > 1  # the paths end in different chunks
+    assert_engines_agree(kind, QUAD1, prop, x0, [1.0, 7.5, 7.6, 15.0, horizon], 16, 5)
+
+
 def test_lying_grad_bound_raises_in_both_engines():
     # the true slope near the wall of the well is about 2.3, far above 0.1
     target = SmoothedDoubleWell(d_star=1, grad_bound=0.1)
@@ -243,6 +327,40 @@ def test_lying_grad_bound_raises_in_both_engines():
     # candidates past the horizon are never thinned, so neither engine checks them
     ens = assert_engines_agree(GeneratorKind.m2(), target, prop, np.array([0.7]), [1e-4], 16, 4)
     assert np.all(ens.samples == 0.7)
+
+
+class NanSlopeQuadratic(BoxedQuadratic):
+    """Declares a slope bound that is NaN away from the origin."""
+
+    def slope_bound(self, x):
+        return np.where(np.abs(x) > 0.5, np.nan, np.abs(x))
+
+
+def test_nan_slope_bound_is_refused_in_both_engines():
+    target = NanSlopeQuadratic(d_star=1)
+    prop = GaussianProposal(0.04)
+    with pytest.raises(DominationError, match="negative or NaN"):
+        simulate_path(GeneratorKind.m2(), target, prop, np.array([1.5]), 50.0, 4)
+    with pytest.raises(DominationError, match="negative or NaN"):
+        simulate_ensemble(GeneratorKind.m2(), target, prop, np.array([0.2]), [0.5, 1.0], 16, 4)
+
+
+class HalfSlopeQuadratic(BoxedQuadratic):
+    """Declares half of the quadratic's true per-state slope bound."""
+
+    def slope_bound(self, x):
+        return 0.5 * super().slope_bound(x)
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+def test_lying_slope_bound_raises_in_both_engines(kind):
+    # moving toward 0 from x descends at slope |x|, twice the declared bound
+    target = HalfSlopeQuadratic(d_star=1)
+    prop = GaussianProposal(0.04)
+    with pytest.raises(DominationError, match="slope_bound"):
+        simulate_path(kind, target, prop, np.array([1.5]), 50.0, 4)
+    with pytest.raises(DominationError, match="path"):
+        simulate_ensemble(kind, target, prop, np.array([1.5]), [0.5, 1.0], 16, 4)
 
 
 @pytest.mark.slow

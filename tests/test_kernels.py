@@ -270,6 +270,27 @@ def test_acceptance_is_a_probability_on_kernel_draws(kind, target):
         assert np.any(la < 0.0)
 
 
+@pytest.mark.parametrize("kind", [GeneratorKind.m2(), GeneratorKind.mix(0.5)],
+                         ids=lambda k: k.label())
+@given(x0=st.floats(-30.0, 30.0), x1=st.floats(-30.0, 30.0), z=st.floats(-5.0, 5.0),
+       i=st.integers(0, 1), T=st.sampled_from([0.5, 1.0, 3.0]))
+def test_quadratic_slope_bound_dominates_and_is_tight(kind, x0, x1, z, i, T):
+    # the per-state tilt max_i |x_i| / T, inside the box of half-width 10 and
+    # outside it: log a(z) <= 0 for every move, and sup_z log a(z) = 0,
+    # approached as z -> 0 against the sign of the largest coordinate
+    target = BoxedQuadratic(d_star=2, T=T)
+    x = np.array([x0, x1])
+    theta = float(np.max(target.slope_bound(x))) / T
+    la = float(accept_log_from_delta(target.delta_u_move(x, i, z), abs(z), kind.alpha_eff,
+                                     theta, T))
+    assert la <= 1e-13 * (1.0 + x @ x) / T
+    j = int(np.argmax(np.abs(x)))
+    toward = -np.sign(x[j]) * np.array([1e-2, 1e-4, 1e-6, 1e-8])
+    sup = np.max(accept_log_from_delta(target.delta_u_move(x, j, toward), np.abs(toward),
+                                       kind.alpha_eff, theta, T))
+    assert -1e-9 <= sup <= 1e-13 * (1.0 + x @ x) / T
+
+
 def test_accepted_rate_equals_kind_rate():
     # R * q(z) * a(z) must reproduce [alpha s1 + (1-alpha) s2] phi(z) / d*
     target = SmoothedDoubleWell(d_star=1, T=0.5)
