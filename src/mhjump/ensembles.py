@@ -72,14 +72,34 @@ def _csv_header(d):
 
 
 def write_csv(ens, path):
-    lines = [_meta_line(ens), _csv_header(ens.d_star)]
-    grid = ens.obs_grid
-    for p in range(ens.n_paths):
-        for k in range(grid.size):
-            coords = ",".join(repr(float(v)) for v in ens.samples[p, k])
-            lines.append(f"{p},{float(grid[k])!r},{coords}")
+    times = [repr(t) for t in ens.obs_grid.tolist()]
     with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{_meta_line(ens)}\n{_csv_header(ens.d_star)}\n")
+        for p, states in enumerate(ens.samples):  # one path's rows in memory at a time
+            fh.write("".join(
+                f"{p},{t},{','.join(map(repr, x))}\n" for t, x in zip(times, states.tolist())
+            ))
+
+
+def _check_counts(path, n_paths, n_grid, d):
+    """Header counts are checked before any payload is shaped by them."""
+    if min(n_paths, n_grid, d) < 1:
+        raise ConfigurationError(f"{path}: n_paths, n_grid and d must be >= 1")
+
+
+def _ensemble(path, grid, samples, epsilon, kind, seed, alpha):
+    """The ensemble a reader decoded; its own checks name the file."""
+    try:
+        return ObservedEnsemble(
+            obs_grid=grid,
+            samples=samples,
+            epsilon=epsilon,
+            kind=kind,
+            seed=seed,
+            alpha=None if math.isnan(alpha) else alpha,
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
 
 
 def _read_meta(path, meta):
@@ -94,8 +114,7 @@ def _read_meta(path, meta):
         raise ConfigurationError(f"{path}: metadata lacks {exc}") from None
     except ValueError as exc:  # a token without "=", or a non-numeric value
         raise ConfigurationError(f"{path}: bad metadata: {exc}") from None
-    if min(n_paths, n_grid, d) < 1:
-        raise ConfigurationError(f"{path}: n_paths, n_grid and d must be >= 1")
+    _check_counts(path, n_paths, n_grid, d)
     if kind not in _KIND_CODES:
         raise ConfigurationError(
             f"{path}: unknown ensemble kind {kind!r}; known: {sorted(_KIND_CODES)}"
@@ -122,14 +141,7 @@ def read_csv(path):
         )
     if not np.array_equal(body[:, 1], np.tile(grid, n_paths)):
         raise ConfigurationError(f"{path}: t column does not repeat one grid for every path")
-    return ObservedEnsemble(
-        obs_grid=grid,
-        samples=body[:, 2:].reshape(n_paths, n_grid, d),
-        epsilon=epsilon,
-        kind=kind,
-        seed=seed,
-        alpha=None if math.isnan(alpha) else alpha,
-    )
+    return _ensemble(path, grid, body[:, 2:].reshape(n_paths, n_grid, d), epsilon, kind, seed, alpha)
 
 
 def write_binary(ens, path):
@@ -164,6 +176,7 @@ def read_binary(path):
         raise ConfigurationError(f"{path}: unsupported format version {version}")
     if code not in _CODE_KINDS:
         raise ConfigurationError(f"{path}: unknown kind code {code}")
+    _check_counts(path, n_paths, n_grid, d)
     need = _HEADER.size + 8 * (n_grid + n_paths * n_grid * d)
     if len(raw) != need:
         raise ConfigurationError(f"{path}: expected {need} bytes, got {len(raw)}")
@@ -171,11 +184,4 @@ def read_binary(path):
     samples = np.frombuffer(
         raw, dtype="<f8", count=n_paths * n_grid * d, offset=_HEADER.size + 8 * n_grid
     ).astype(float).reshape(n_paths, n_grid, d)
-    return ObservedEnsemble(
-        obs_grid=grid,
-        samples=samples,
-        epsilon=scale,
-        kind=_CODE_KINDS[code],
-        seed=seed,
-        alpha=None if math.isnan(alpha) else alpha,
-    )
+    return _ensemble(path, grid, samples, scale, _CODE_KINDS[code], seed, alpha)

@@ -139,8 +139,9 @@ class ObservedEnsemble:
     def __post_init__(self):
         grid = np.asarray(self.obs_grid, dtype=float)
         samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 3 or samples.shape[1] != grid.size:
-            raise ConfigurationError("samples must have shape (paths, grid, d)")
+        if samples.ndim != 3 or samples.shape[1] != grid.size or samples.shape[2] < 1:
+            raise ConfigurationError("samples must have shape (paths, grid, d) with d >= 1")
+        check_run(grid, samples.shape[0])
         object.__setattr__(self, "obs_grid", grid)
         object.__setattr__(self, "samples", samples)
 
@@ -247,8 +248,9 @@ def check_run(obs_grid, n_paths):
     if n_paths < 1:
         raise ConfigurationError("n_paths must be >= 1")
     obs = np.asarray(obs_grid, dtype=float)
-    if obs.ndim != 1 or obs.size == 0 or np.any(obs < 0.0) or np.any(np.diff(obs) <= 0.0):
-        raise ConfigurationError("obs_grid must be nonnegative and strictly increasing")
+    if (obs.ndim != 1 or obs.size == 0 or not np.all(np.isfinite(obs)) or np.any(obs < 0.0)
+            or np.any(np.diff(obs) <= 0.0)):
+        raise ConfigurationError("obs_grid must be finite, nonnegative and strictly increasing")
     return obs
 
 

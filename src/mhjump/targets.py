@@ -150,6 +150,21 @@ class SeparableTargetPotential(TargetPotential):
         return self.u1(xi + z) - self.u1(xi)
 
 
+def delta_u_line(target, x, i):
+    """z -> target.delta_u_move(x, i, z) at one fixed start (x, i).
+
+    A separable class that keeps its own dU computes u1(x_i) once, for every
+    z, with the same bits; any other class, and any override of delta_u_move,
+    is called as is.
+    """
+    if type(target).delta_u_move is not SeparableTargetPotential.delta_u_move:
+        return lambda z: target.delta_u_move(x, i, z)
+    x = np.asarray(x, dtype=float)
+    xi = x[_move_index(x, i)]
+    start = target.u1(xi)
+    return lambda z: target.u1(xi + z) - start
+
+
 class BoxedQuadratic(SeparableTargetPotential):
     """U(x) = |x|^2 / 2 on a declared box.
 

@@ -11,7 +11,9 @@ Error-decay orders are asserted through log-log slope fits on a grid of
 proposal variances. Moment and probe errors are aggregated as the sup over
 an x-grid before fitting: the limits hold uniformly in x, and pointwise
 error curves can sit at zeros of the leading coefficient where the local
-decay order is faster than the uniform one.
+decay order is faster than the uniform one. The quadratures at one
+(eps, x, coordinate) share a node memo, so the k = 1, 2, 3 moments pay for
+each distinct node's acceptance factor once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .errors import ConfigurationError, QuadratureError
 from .jump import DOMAIN_SBOUND, path_stream
 from .targets import (
     GaussianProposal,
+    delta_u_line,
     gibbs_quantiles_1d,
     log_s_m2,
     log_s_hat_m2,
@@ -63,32 +66,54 @@ def _phi1(u):
     return np.exp(-0.5 * u * u) / _SQRT2PI
 
 
-def generator_moment(kind, target, proposal, x, i=0, k=1, tol=QUAD_TOL):
-    """(1/eps) int (y_i - x_i)^k M(x, y) dy_i by substituted quadrature.
+class _NodeFactor(dict):
+    """u -> (s(x, x + sqrt(eps) u e_i), phi(u)) for the substituted quadratures,
+    filled on first lookup of each node; dU comes from delta_u_line, which
+    computes a separable target's start energy once."""
 
-    With z = sqrt(eps) u the integral becomes
-    eps^{k/2 - 1} (1/d*) int_{|u|<=12} u^k s(x, x + sqrt(eps) u e_i) phi(u) du;
-    the integrand is smooth except for one kink at u = 0, handed to the
-    adaptive rule as a breakpoint.
-    """
-    if k not in (1, 2, 3):
-        raise ConfigurationError(f"moment order k must be 1, 2, or 3, got {k}")
-    eps = proposal.epsilon
-    root = math.sqrt(eps)
-    alpha = kind.alpha_eff
-    x = np.asarray(x, dtype=float)
+    def __init__(self, kind, target, eps, x, i):
+        super().__init__()
+        self.root = math.sqrt(eps)
+        self.line = delta_u_line(target, x, i)
+        self.T, self.alpha = target.T, kind.alpha_eff
+
+    def __missing__(self, u):
+        s = math.exp(float(log_s_mix(self.line(self.root * u), self.T, self.alpha)))
+        pair = self[u] = (s, _phi1(u))
+        return pair
+
+
+def _quad_line(factor, weight):
+    """int_{|u|<=12} weight(u) s(u) phi(u) du; the integrand is smooth except
+    for one kink at u = 0, handed to the adaptive rule as a breakpoint."""
 
     def integrand(u):
-        du = target.delta_u_move(x, i, root * u)
-        return (u ** k) * math.exp(float(log_s_mix(du, target.T, alpha))) * _phi1(u)
+        s, phi = factor[u]
+        return weight(u) * s * phi
 
-    val, err = quad(integrand, -_U_RANGE, _U_RANGE, points=[0.0], **_QUAD_OPTS)
-    scale = eps ** (0.5 * k - 1.0) / target.d_star
+    return quad(integrand, -_U_RANGE, _U_RANGE, points=[0.0], **_QUAD_OPTS)
+
+
+def _moment(factor, eps, d_star, k, tol):
+    val, err = _quad_line(factor, lambda u: u ** k)
+    scale = eps ** (0.5 * k - 1.0) / d_star
     if err * scale > tol:
         raise QuadratureError(
             f"moment k={k} at eps={eps:g}: error estimate {err * scale:.2e} above {tol:g}"
         )
     return val * scale
+
+
+def generator_moment(kind, target, proposal, x, i=0, k=1, tol=QUAD_TOL):
+    """(1/eps) int (y_i - x_i)^k M(x, y) dy_i by substituted quadrature.
+
+    With z = sqrt(eps) u the integral becomes
+    eps^{k/2 - 1} (1/d*) int_{|u|<=12} u^k s(x, x + sqrt(eps) u e_i) phi(u) du.
+    """
+    if k not in (1, 2, 3):
+        raise ConfigurationError(f"moment order k must be 1, 2, or 3, got {k}")
+    eps = proposal.epsilon
+    return _moment(_NodeFactor(kind, target, eps, x, i), eps, target.d_star, k, tol)
 
 
 def moment_limits(target, x, i=0):
@@ -120,14 +145,16 @@ def moment_report(kind, target, epsilon_grid, x_grid=None, i=0):
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     values = {k: np.empty((eps_grid.size, x_grid.shape[0])) for k in (1, 2, 3)}
     sup_errors = {k: np.empty(eps_grid.size) for k in (1, 2, 3)}
+    limits = [moment_limits(target, x, i) for x in x_grid]
+    lims = {k: np.array([lim[k] for lim in limits]) for k in (1, 2, 3)}
     for a, eps in enumerate(eps_grid):
         proposal = GaussianProposal(eps)
         for b, x in enumerate(x_grid):
+            factor = _NodeFactor(kind, target, proposal.epsilon, x, i)
             for k in (1, 2, 3):
-                values[k][a, b] = generator_moment(kind, target, proposal, x, i, k)
+                values[k][a, b] = _moment(factor, proposal.epsilon, target.d_star, k, QUAD_TOL)
         for k in (1, 2, 3):
-            lims = np.array([moment_limits(target, x, i)[k] for x in x_grid])
-            sup_errors[k][a] = float(np.max(np.abs(values[k][a] - lims)))
+            sup_errors[k][a] = float(np.max(np.abs(values[k][a] - lims[k])))
     slopes = {k: fit_loglog_slope(eps_grid, sup_errors[k]) for k in (1, 2, 3)}
     return MomentReport(
         kind_label=kind.label(),
@@ -312,20 +339,16 @@ def generator_probe_value(kind, target, proposal, tf, x):
     """(1/eps) M f(x): direct quadrature of (f(y) - f(x)) times the rate."""
     eps = proposal.epsilon
     root = math.sqrt(eps)
-    alpha = kind.alpha_eff
     x = np.asarray(x, dtype=float)
     fx = float(tf.value(x))
     total = 0.0
     for i in range(target.d_star):
-        def integrand(u):
-            z = root * u
+        def gain(u):
             y = x.copy()
-            y[i] += z
-            du = target.delta_u_move(x, i, z)
-            s = math.exp(float(log_s_mix(du, target.T, alpha)))
-            return (float(tf.value(y)) - fx) * s * _phi1(u)
+            y[i] += root * u
+            return float(tf.value(y)) - fx
 
-        val, err = quad(integrand, -_U_RANGE, _U_RANGE, points=[0.0], **_QUAD_OPTS)
+        val, _ = _quad_line(_NodeFactor(kind, target, eps, x, i), gain)
         total += val
     return total / (eps * target.d_star)
 
@@ -362,16 +385,10 @@ def generator_convergence_probe(kind, target, tf, x_grid, epsilon_grid):
 
 def kernel_total_rate(kind, target, proposal, x):
     """int M(x, y) dy by per-coordinate quadrature (acceptance-rate oracle)."""
-    root = math.sqrt(proposal.epsilon)
-    alpha = kind.alpha_eff
     x = np.asarray(x, dtype=float)
     total = 0.0
     for i in range(target.d_star):
-        def integrand(u):
-            du = target.delta_u_move(x, i, root * u)
-            return math.exp(float(log_s_mix(du, target.T, alpha))) * _phi1(u)
-
-        val, _ = quad(integrand, -_U_RANGE, _U_RANGE, points=[0.0], **_QUAD_OPTS)
+        val, _ = _quad_line(_NodeFactor(kind, target, proposal.epsilon, x, i), lambda u: 1.0)
         total += val
     return total / target.d_star
 

@@ -1,5 +1,7 @@
 """Ensemble file formats: text round trips, binary layout, error paths."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from mhjump import (
     simulate_ensemble,
     simulate_langevin,
 )
-from mhjump.ensembles import read_binary, read_csv, write_binary, write_csv
+from mhjump.ensembles import _HEADER, read_binary, read_csv, write_binary, write_csv
 from mhjump.targets import GaussianProposal
 
 
@@ -117,6 +119,60 @@ def test_read_binary_rejects_unknown_kind_code(tmp_path, jump_ens):
     p.write_bytes(bytes(raw))
     with pytest.raises(ConfigurationError, match="kind"):
         read_binary(p)
+
+
+@pytest.mark.parametrize("d, n_paths, n_grid", [(0, 3, 2), (2, 0, 2), (2, 3, 0), (0, 2 ** 63 + 5, 1)])
+def test_read_binary_rejects_empty_dimensions(tmp_path, d, n_paths, n_grid):
+    # a header whose payload size matches but describes no samples
+    p = tmp_path / "e.bin"
+    header = _HEADER.pack(b"MHJE", 1, 0, 0, d, n_paths, n_grid, 0.01, math.nan, 0)
+    p.write_bytes(header + np.zeros(n_grid + n_paths * n_grid * d).tobytes())
+    with pytest.raises(ConfigurationError, match="must be >= 1"):
+        read_binary(p)
+
+
+BAD_GRIDS = {
+    "decreasing": [1.0, 0.5],
+    "negative": [-0.3, 0.7],
+    "infinite": [0.3, math.inf],
+    "nan": [math.nan, 0.7],
+}
+
+
+@pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+def test_readers_reject_a_malformed_observation_grid(tmp_path, jump_ens, grid):
+    new = BAD_GRIDS[grid]
+    b = tmp_path / "e.bin"
+    write_binary(jump_ens, b)
+    raw = bytearray(b.read_bytes())
+    raw[_HEADER.size:_HEADER.size + 16] = np.array(new, dtype="<f8").tobytes()
+    b.write_bytes(bytes(raw))
+    with pytest.raises(ConfigurationError, match="e.bin"):
+        read_binary(b)
+
+    c = tmp_path / "e.csv"
+    write_csv(jump_ens, c)
+    times = dict(zip((repr(float(t)) for t in jump_ens.obs_grid), map(repr, new)))
+    lines = c.read_text().splitlines()
+    for r in range(2, len(lines)):
+        cells = lines[r].split(",")
+        cells[1] = times[cells[1]]
+        lines[r] = ",".join(cells)
+    c.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match="e.csv"):
+        read_csv(c)
+
+
+@pytest.mark.parametrize("grid", sorted(BAD_GRIDS))
+def test_observed_ensemble_keeps_the_run_rule(grid):
+    with pytest.raises(ConfigurationError, match="obs_grid"):
+        ObservedEnsemble(np.array(BAD_GRIDS[grid]), np.zeros((3, 2, 1)), 0.01, "m1", 0)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 1), (3, 2, 0)])
+def test_observed_ensemble_rejects_empty_paths_and_coordinates(shape):
+    with pytest.raises(ConfigurationError):
+        ObservedEnsemble(np.array([0.3, 0.7]), np.zeros(shape), 0.01, "m1", 0)
 
 
 def test_write_binary_rejects_unknown_kind(tmp_path, jump_ens):

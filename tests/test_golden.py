@@ -1,4 +1,5 @@
-"""Pinned bytes of both engines: a silent change to any sample fails here."""
+"""Pinned bytes of both engines, the quadrature oracles and the CSV writer:
+a silent change to any sample, moment or written byte fails here."""
 
 import hashlib
 
@@ -10,9 +11,12 @@ from mhjump import (
     GaussianProposal,
     GeneratorKind,
     SmoothedDoubleWell,
+    moment_report,
     simulate_ensemble,
     simulate_langevin,
+    write_csv,
 )
+from mhjump.verify import bump_library, default_x_grid, generator_convergence_probe
 
 TARGETS = {
     "quadratic": (BoxedQuadratic(d_star=1), [1.0]),
@@ -61,3 +65,54 @@ def test_langevin_bytes_are_pinned(n_paths):
     ens = simulate_langevin(SmoothedDoubleWell(d_star=2), np.array([1.0, -1.0]),
                             [0.0, 0.05, 0.1], n_paths, 1e-2, 20240)
     assert hashlib.sha256(ens.samples.tobytes()).hexdigest() == LANGEVIN_GOLDEN[n_paths]
+
+
+# sha256 of moment_report's values (k = 1, 2, 3) followed by its sup errors
+# (k = 1, 2, 3) on the default x grid and eps 1e-1, 1e-2, 1e-3
+MOMENT_EPS = [1e-1, 1e-2, 1e-3]
+MOMENT_GOLDEN = {
+    ("quadratic", 1, "m1"): "4e28a75567ddc2fa139fc6cc1849dc655b24c64207253e343c3a28f41063f574",
+    ("doublewell", 3, "m2"): "ed86d6ff9eb9267fa08a146e5ad2df63baf3a23a7cfc2945cfa456e0f66de6f6",
+    ("quadratic", 1, "mix"): "3a7e72b966a435bc0f5044c5d948744f463d2e4726ee90b8744c38e788fa9272",
+}
+POTENTIALS = {"quadratic": BoxedQuadratic, "doublewell": SmoothedDoubleWell}
+
+
+@pytest.mark.parametrize("case", sorted(MOMENT_GOLDEN), ids=lambda c: f"{c[0]}-d{c[1]}-{c[2]}")
+def test_moment_report_bytes_are_pinned(case):
+    name, d_star, kind = case
+    rep = moment_report(KINDS[kind], POTENTIALS[name](d_star=d_star), MOMENT_EPS)
+    digest = hashlib.sha256()
+    for table in (rep.values, rep.sup_errors):
+        for k in (1, 2, 3):
+            digest.update(table[k].tobytes())
+    assert digest.hexdigest() == MOMENT_GOLDEN[case]
+
+
+def test_probe_bytes_are_pinned():
+    probe = generator_convergence_probe(KINDS["m2"], BoxedQuadratic(d_star=1), bump_library(1)[1],
+                                        default_x_grid(1), MOMENT_EPS)
+    assert hashlib.sha256(probe.sup_gaps.tobytes()).hexdigest() == (
+        "3185df9dadc5abd8a3a39825c4d6bcfa0b7587f58d11dd897ec493d1ec7d1ec2"
+    )
+
+
+# sha256 of the files write_csv makes: a d=1 jump ensemble and a d=3
+# reference ensemble
+CSV_GOLDEN = {
+    "jump": "249a59bf300350c2fc08fcc18bd088a5a50175eb1ed1820bbae830b4be2e1f9a",
+    "langevin": "46f572062100d0f6478b7a182a2666cf6b29d21c31d4cd8a530bea01d3d83134",
+}
+
+
+@pytest.mark.parametrize("which", sorted(CSV_GOLDEN))
+def test_csv_bytes_are_pinned(tmp_path, which):
+    if which == "jump":
+        ens = simulate_ensemble(KINDS["mix"], BoxedQuadratic(d_star=1), GaussianProposal(0.01),
+                                np.array([1.0]), [0.0, 0.25, 0.5, 1.0], 64, 20240)
+    else:
+        ens = simulate_langevin(SmoothedDoubleWell(d_star=3), np.array([1.0, -1.0, 0.5]),
+                                [0.0, 0.05, 0.1], 64, 1e-2, 20240)
+    path = tmp_path / "e.csv"
+    write_csv(ens, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_GOLDEN[which]

@@ -20,6 +20,7 @@ from mhjump import (
 )
 from mhjump.targets import (
     TargetPotential,
+    delta_u_line,
     gibbs_quantiles_1d,
     gibbs_table_1d,
     log_s_hat_m2,
@@ -95,6 +96,26 @@ def test_delta_u_move_broadcasts_over_rows(coupled):
         assert np.array_equal(fan, [target.delta_u_move(x[0], 1, zz) for zz in z])
         picked = target.delta_u_move(x[0], i, z)
         assert np.array_equal(picked, [target.delta_u_move(x[0], int(i[r]), z[r]) for r in range(7)])
+
+
+def test_delta_u_line_keeps_the_delta_u_move_bits(coupled):
+    # a separable line evaluates u1 once per move plus once for the start;
+    # the generic class and an override of delta_u_move are called as is
+    class Flat(SmoothedDoubleWell):
+        def delta_u_move(self, x, i, z):
+            return 0.0 * z
+
+    x, z = np.array([0.4, -1.1]), np.linspace(-0.5, 0.5, 9)
+    for target in all_targets() + [coupled, Flat(d_star=2)]:
+        line = delta_u_line(target, x, 1)
+        assert np.array_equal([line(zz) for zz in z], [target.delta_u_move(x, 1, zz) for zz in z])
+    target = make_potential("doublewell", d_star=2)
+    calls, u1 = [], target.u1
+    target.u1 = lambda v: calls.append(1) or u1(v)
+    line = delta_u_line(target, x, 1)
+    for zz in z:
+        line(zz)
+    assert len(calls) == z.size + 1
 
 
 def test_quadratic_grad_bound_holds_on_box():

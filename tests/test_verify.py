@@ -95,6 +95,52 @@ def test_generator_moment_validation():
                          tol=0.0)
 
 
+@pytest.mark.parametrize("kind", [GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5)],
+                         ids=lambda k: k.label())
+@pytest.mark.parametrize("target", [BoxedQuadratic(d_star=1), SmoothedDoubleWell(d_star=3)],
+                         ids=lambda t: t.name)
+def test_moment_report_shares_nodes_across_orders(monkeypatch, kind, target):
+    # one acceptance factor per distinct node: k = 1, 2, 3 at one (eps, x)
+    # cost at most half of what three separate generator_moment calls cost
+    import mhjump.verify as verify
+
+    calls = []
+
+    def counting(du, T, alpha):
+        calls.append(1)
+        return log_s_mix(du, T, alpha)
+
+    monkeypatch.setattr(verify, "log_s_mix", counting)
+    x = default_x_grid(target.d_star)[1]
+    eps_grid = [1e-2, 5e-3]
+    rep = moment_report(kind, target, eps_grid, x_grid=[x])
+    shared = len(calls)
+    calls.clear()
+    for a, eps in enumerate(eps_grid):
+        for k in (1, 2, 3):
+            assert generator_moment(kind, target, GaussianProposal(eps), x, 0, k) == rep.values[k][a, 0]
+    assert 0 < shared <= len(calls) / 2
+
+
+def test_oracles_use_an_overridden_delta_u_move():
+    # a class that overrides only delta_u_move keeps its dU in the oracles:
+    # a quadratic that borrows the log-cosh dU has the log-cosh moments and rate
+    well = LogCoshWell(d_star=1, c=0.4)
+
+    class Borrowed(BoxedQuadratic):
+        def delta_u_move(self, x, i, z):
+            return well.delta_u_move(x, i, z)
+
+    target, x_grid, prop = Borrowed(d_star=1), [[-0.9], [1.5]], GaussianProposal(1e-2)
+    for kind in (GeneratorKind.m1(), GeneratorKind.m2()):
+        rep = moment_report(kind, target, [1e-2, 1e-3], x_grid=x_grid)
+        ref = moment_report(kind, well, [1e-2, 1e-3], x_grid=x_grid)
+        for k in (1, 2, 3):
+            assert np.array_equal(rep.values[k], ref.values[k])
+        assert kernel_total_rate(kind, target, prop, np.array([1.5])) == \
+            kernel_total_rate(kind, well, prop, np.array([1.5]))
+
+
 def test_moment_limits_formulas():
     target = SmoothedDoubleWell(d_star=3, T=0.5)
     x = np.array([0.7, 0.1, -0.3])
