@@ -14,6 +14,11 @@ error curves can sit at zeros of the leading coefficient where the local
 decay order is faster than the uniform one. The quadratures at one
 (eps, x, coordinate) share a node memo, so the k = 1, 2, 3 moments pay for
 each distinct node's acceptance factor once.
+
+Importing this module loads numpy and scipy.special only: the KS distance
+is computed exactly on the 1/lcm(n, m) lattice with numpy, the chi-square
+tail comes from scipy.special.chdtrc, and scipy.integrate loads on the
+first quadrature call.
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
-from scipy.integrate import quad
+from scipy.special import chdtrc
 
 from .errors import ConfigurationError, QuadratureError
 from .jump import DOMAIN_SBOUND, path_stream
@@ -86,6 +90,8 @@ class _NodeFactor(dict):
 def _quad_line(factor, weight):
     """int_{|u|<=12} weight(u) s(u) phi(u) du; the integrand is smooth except
     for one kink at u = 0, handed to the adaptive rule as a breakpoint."""
+
+    from scipy.integrate import quad
 
     def integrand(u):
         s, phi = factor[u]
@@ -173,6 +179,8 @@ def folded_normal_moment(t, k, epsilon, tol=QUAD_TOL):
     Substituting z = sqrt(eps) u gives 2 eps^{k/2} int_0^inf e^{t sqrt(eps) u}
     u^k phi(u) du; the integrand peaks near u = t sqrt(eps).
     """
+    from scipy.integrate import quad
+
     if k not in (0, 1, 2, 3, 4):
         raise ConfigurationError(f"k must be in 0..4, got {k}")
     root = math.sqrt(epsilon)
@@ -397,7 +405,25 @@ def kernel_total_rate(kind, target, proposal, x):
 
 
 def ks_statistic(a, b):
-    return float(stats.ks_2samp(np.asarray(a), np.asarray(b)).statistic)
+    """Two-sample KS distance sup |F_a - F_b|, rounded once from its exact value.
+
+    n m (F_a - F_b) is an integer everywhere, so the distance is the float
+    nearest k / (n m) for the largest such gap k. For n, m <= 10000 this is
+    bit-for-bit scipy's ks_2samp statistic, which rounds to the same
+    1/lcm(n, m) lattice. NaN in either sample gives NaN, as in ks_2samp.
+    """
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    n, m = a.size, b.size
+    if n == 0 or m == 0:
+        raise ConfigurationError(f"KS distance needs two non-empty samples, got sizes {n} and {m}")
+    if np.isnan(a[-1]) or np.isnan(b[-1]):
+        return math.nan
+    both = np.concatenate([a, b])
+    gaps = np.searchsorted(a, both, side="right") * m - np.searchsorted(b, both, side="right") * n
+    k = int(np.max(np.abs(gaps)))
+    g = math.gcd(n, m)
+    return k // g / (n // g * m)
 
 
 def ks_threshold(n, m=None, coeff=1.36):
@@ -473,11 +499,12 @@ def compare_ensembles(ens, ref):
 def stationarity_chisquare(samples, target, n_bins=50):
     """Chi-square of 1-d samples against the Gibbs law on equal-mass bins."""
     samples = np.asarray(samples, dtype=float).ravel()
+    _check_binning(n_bins, samples.size)
     probs = np.arange(1, n_bins) / n_bins
     edges = gibbs_quantiles_1d(target, probs)
     counts = np.bincount(np.searchsorted(edges, samples), minlength=n_bins)
-    chi2, p = stats.chisquare(counts)
-    return float(chi2), float(p), counts
+    chi2, p = _chisquare(counts, np.mean(counts))
+    return chi2, p, counts
 
 
 def kernel_displacement_cdf(kind, target, proposal, x, i=0, half_width=None, n=200001):
@@ -503,6 +530,7 @@ def displacement_chisquare(displacements, kind, target, proposal, x, i=0,
     """
     displacements = np.asarray(displacements, dtype=float)
     n = displacements.size
+    _check_binning(n_bins, n)
     grid, cdf = kernel_displacement_cdf(kind, target, proposal, x, i)
     if binning == "equal_prob":
         probs = np.arange(1, n_bins) / n_bins
@@ -519,8 +547,24 @@ def displacement_chisquare(displacements, kind, target, proposal, x, i=0,
     else:
         raise ConfigurationError(f"unknown binning {binning!r}")
     expected = expected * counts.sum() / expected.sum()
-    chi2, p = stats.chisquare(counts, f_exp=expected)
-    return float(chi2), float(p), counts.size
+    chi2, p = _chisquare(counts, expected)
+    return chi2, p, counts.size
+
+
+def _check_binning(n_bins, n_samples):
+    if not isinstance(n_bins, (int, np.integer)) or n_bins < 2:
+        raise ConfigurationError(f"n_bins must be an integer >= 2, got {n_bins!r}")
+    if n_samples == 0:
+        raise ConfigurationError("chi-square needs at least one sample")
+
+
+def _chisquare(counts, expected):
+    """Pearson statistic and its chi-square tail on len(counts) - 1 degrees of
+    freedom; the same bits as scipy.stats.chisquare."""
+    if counts.size < 2:
+        raise ConfigurationError(f"chi-square needs at least 2 bins, {counts.size} left")
+    chi2 = float(np.sum((np.asarray(counts, dtype=float) - expected) ** 2 / expected))
+    return chi2, float(chdtrc(counts.size - 1, chi2))
 
 
 def _merge_bins(counts, expected, min_expected):

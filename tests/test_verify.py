@@ -1,6 +1,7 @@
 """Quadrature oracles, slope fits, goodness-of-fit, ensemble comparison."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -314,6 +315,39 @@ def test_ks_helpers():
     assert ks_null_sd(10_000) < ks_threshold(10_000)
 
 
+# scipy's exact mode (n, m <= 10000) rounds the distance to the 1/lcm(n, m) lattice
+@pytest.mark.parametrize("n, m", [(500, 500), (7, 13), (1000, 1500), (9999, 10000), (10000, 10000),
+                                  (1, 1), (3, 10000)])
+@pytest.mark.parametrize("ties", [False, True], ids=["continuous", "ties"])
+def test_ks_statistic_keeps_the_ks_2samp_bits(n, m, ties):
+    rng = np.random.default_rng(n + 7 * m)
+    for shift in (0.0, 0.05, 0.5):
+        a, b = rng.normal(size=n), rng.normal(shift, 1.2, size=m)
+        if ties:
+            a, b = np.round(a, 1), np.round(b, 1)
+        assert ks_statistic(a, b) == stats.ks_2samp(a, b).statistic
+        assert ks_statistic(b, a) == stats.ks_2samp(b, a).statistic
+
+
+def test_ks_statistic_is_exact_beyond_scipys_exact_mode():
+    rng = np.random.default_rng(12)
+    n = 12_000
+    a, b = rng.normal(size=n), rng.normal(0.02, 1.0, size=n)
+    both = np.concatenate([a, b])
+    gaps = (np.searchsorted(np.sort(a), both, side="right")
+            - np.searchsorted(np.sort(b), both, side="right"))
+    k = int(np.max(np.abs(gaps)))
+    assert ks_statistic(a, b) == float(Fraction(k, n))
+    assert np.isclose(ks_statistic(a, b), stats.ks_2samp(a, b).statistic, rtol=1e-14)
+
+
+def test_ks_statistic_rejects_an_empty_sample_and_propagates_nan():
+    for a, b in (([], [1.0]), ([1.0], []), ([], [])):
+        with pytest.raises(ConfigurationError):
+            ks_statistic(a, b)
+    assert math.isnan(ks_statistic([0.3, math.nan], [0.5, 1.0]))
+
+
 def test_compare_ensembles_contract():
     target = BoxedQuadratic(d_star=2)
     a = simulate_langevin(target, np.array([1.0, 0.0]), [0.5, 1.0], 400, 1e-2, 5)
@@ -395,6 +429,55 @@ def test_displacement_chisquare_rejects_untilted_draws():
     z = np.random.default_rng(3).normal(0.0, 0.1, size=100_000)
     _, p, _ = displacement_chisquare(z, GeneratorKind.m2(), target, prop, np.array([0.7]))
     assert p < 1e-4
+
+
+def test_chisquare_keeps_the_scipy_bits():
+    # both call shapes: expected = mean of the counts, and explicit expected counts
+    from mhjump.verify import _chisquare
+
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        counts = rng.poisson(rng.uniform(1.0, 100.0), size=int(rng.integers(2, 300)))
+        ref = stats.chisquare(counts)
+        assert _chisquare(counts, np.mean(counts)) == (ref.statistic, ref.pvalue)
+        expected = rng.uniform(0.5, 2.0, size=counts.size)
+        expected = expected * counts.sum() / expected.sum()
+        ref = stats.chisquare(counts.astype(float), f_exp=expected)
+        assert _chisquare(counts.astype(float), expected) == (ref.statistic, ref.pvalue)
+    target = SmoothedDoubleWell(d_star=1)
+    samples = np.random.default_rng(8).normal(0.0, 1.2, size=5000)
+    chi2, p, counts = stationarity_chisquare(samples, target, n_bins=20)
+    ref = stats.chisquare(counts)
+    assert (chi2, p) == (ref.statistic, ref.pvalue)
+
+
+@pytest.mark.parametrize("n_bins", [1, 0, -3, 2.5])
+def test_chisquare_needs_two_bins(n_bins):
+    target = SmoothedDoubleWell(d_star=1)
+    samples = np.random.default_rng(8).normal(size=1000)
+    with pytest.raises(ConfigurationError):
+        stationarity_chisquare(samples, target, n_bins=n_bins)
+    for binning in ("equal_prob", "equal_width"):
+        with pytest.raises(ConfigurationError):
+            displacement_chisquare(0.1 * samples, GeneratorKind.m2(), target, GaussianProposal(1e-2),
+                                   np.array([0.7]), n_bins=n_bins, binning=binning)
+
+
+def test_chisquare_rejects_an_empty_sample():
+    target = SmoothedDoubleWell(d_star=1)
+    with pytest.raises(ConfigurationError):
+        stationarity_chisquare([], target, n_bins=10)
+    with pytest.raises(ConfigurationError):
+        displacement_chisquare([], GeneratorKind.m2(), target, GaussianProposal(1e-2), np.array([0.7]))
+
+
+@pytest.mark.parametrize("floor", [600.0, 2000.0], ids=["one_bin", "no_bin"])
+def test_displacement_chisquare_needs_two_bins_after_merging(floor):
+    target = SmoothedDoubleWell(d_star=1)
+    z = np.random.default_rng(8).normal(0.0, 0.1, size=1000)
+    with pytest.raises(ConfigurationError):
+        displacement_chisquare(z, GeneratorKind.m2(), target, GaussianProposal(1e-2), np.array([0.7]),
+                               binning="equal_width", min_expected=floor)
 
 
 def test_displacement_chisquare_bad_binning():
