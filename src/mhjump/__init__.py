@@ -15,11 +15,7 @@ from .targets import (
     TargetPotential,
     make_potential,
 )
-from .kernels import (
-    DominatingKernel,
-    GeneratorKind,
-    build_dominating_kernel,
-)
+from .kernels import GeneratorKind
 from .jump import (
     JumpPath,
     ObservedEnsemble,

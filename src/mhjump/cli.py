@@ -93,8 +93,10 @@ _FIELD_TYPES = (
     ("an integer", _is_int,
      ("d_star", "n_paths", "seed", "threads", "n_chains", "n_states", "n_reversible", "n_pairs")),
     ("a number", _is_number, ("T", "alpha", "epsilon", "dt", "quad_tol")),
-    ("a list of numbers", _is_numbers,
-     ("epsilon_grid", "moment_epsilon_grid", "obs_grid", "t_grid", "folded_epsilon_grid", "scale_grid")),
+    ("a non-empty list of numbers", lambda v: _is_numbers(v) and len(v) > 0, ("obs_grid", "t_grid")),
+    ("a non-empty list of positive finite numbers",
+     lambda v: _is_numbers(v) and len(v) > 0 and all(0.0 < e < math.inf for e in v),
+     ("epsilon_grid", "moment_epsilon_grid", "folded_epsilon_grid", "scale_grid")),
     ("a number, a list of numbers or one such list per path",
      lambda v: _is_number(v) or _is_numbers(v) or (isinstance(v, list) and all(map(_is_numbers, v))),
      ("x0",)),
@@ -103,7 +105,9 @@ _FIELD_TYPES = (
 )
 
 # the smallest value of each count; verify-geometry needs two states to compare
-_FIELD_MINIMUMS = (("threads", 1), ("n_chains", 1), ("n_states", 2), ("n_reversible", 1))
+_FIELD_MINIMUMS = (
+    ("threads", 1), ("n_chains", 1), ("n_states", 2), ("n_reversible", 1), ("n_pairs", 1),
+)
 
 
 @dataclass(frozen=True)

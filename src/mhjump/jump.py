@@ -57,21 +57,22 @@ the last jump at or before it).
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import ConfigurationError, DomainBoxError, DominationError
 from .kernels import (
-    DominatingKernel,
     GeneratorKind,
     accept_log_from_delta,
     check_domination,
+    log_lam,
     row_kernel,
     sample_abs,
-    thinning_kernel,
 )
 from .targets import TargetPotential
 
@@ -161,33 +162,41 @@ class ObservedEnsemble:
 class _EventParams:
     """Constants of the per-event transform for one (kind, target, proposal).
 
-    dom is the box-wide kernel; tilt, mean_abs, trunc_lo, the clock rate
-    rate_total and the plain-branch probability p_plain are its constants.
-    local marks a tilted kind on a target whose slope bound depends on the
-    state: the engines then take those five from the state before each event
-    (_at), one per row.
+    They hold the dominating kernel e^{tilt |z|} phi_eps(z): the proposal
+    variance epsilon and its root sigma, the tilt, the mean and cut mass of
+    the positive component (mean_abs, trunc_lo), the clock rate rate_total
+    and the plain-branch probability p_plain. local marks a tilted kind on a
+    target whose slope bound depends on the state: the engines then take the
+    last five from the state before each event (_at), one per row.
     """
 
     kind: GeneratorKind
     target: TargetPotential
-    dom: DominatingKernel
+    epsilon: float
+    sigma: float
     alpha: float
     tilt: float
     mean_abs: float
     trunc_lo: float
     rate_total: float
     p_plain: float
-    rate_scale: float
     local: bool
 
 
-def _event_params(kind, target, proposal, rate_scale=1.0):
+def _event_params(kind, target, proposal):
+    """The box-wide event parameters. m1's rates never exceed the proposal,
+    so it thins against the untilted kernel and needs no finite Lam(eps)."""
     alpha = kind.alpha_eff
-    dom = thinning_kernel(kind, target, proposal)
-    r0 = alpha + (1.0 - alpha) * dom.lam
+    eps, sigma = proposal.epsilon, proposal.sigma
+    if alpha == 1.0:
+        theta, lam = 0.0, 1.0
+    else:
+        theta = target.grad_bound / target.T
+        lam = math.exp(log_lam(eps, theta))
+    r0 = alpha + (1.0 - alpha) * lam
     local = alpha < 1.0 and type(target).slope_bound is not TargetPotential.slope_bound
-    return _EventParams(kind, target, dom, alpha, dom.tilt, dom.mean_abs, dom.trunc_lo,
-                        r0 * rate_scale, alpha / r0, rate_scale, local)
+    return _EventParams(kind, target, eps, sigma, alpha, theta, eps * theta,
+                        float(ndtr(-theta * sigma)), r0, alpha / r0, local)
 
 
 def _at(p, x):
@@ -206,10 +215,9 @@ def _at(p, x):
         j = int(np.argmax(~(np.reshape(theta, -1) >= 0.0)))
         raise DominationError(f"slope_bound of {target.name} is negative or NaN at "
                               f"x={np.reshape(x, (-1, target.d_star))[j]!r}")
-    mean, lo, lam = row_kernel(p.dom.epsilon, theta)
+    mean, lo, lam = row_kernel(p.epsilon, theta)
     r0 = p.alpha + (1.0 - p.alpha) * lam
-    return replace(p, tilt=theta, mean_abs=mean, trunc_lo=lo, rate_total=r0 * p.rate_scale,
-                   p_plain=p.alpha / r0)
+    return replace(p, tilt=theta, mean_abs=mean, trunc_lo=lo, rate_total=r0, p_plain=p.alpha / r0)
 
 
 def _decode_tape(rows, d):
@@ -226,7 +234,7 @@ def _decode_tape(rows, d):
 def _decode_move(p, e, neg, u_mag, u_branch):
     """The rest of the event transform, under p's clock rate and kernel:
     (waiting time, z, |z|)."""
-    abs_z = sample_abs(u_mag, p.dom.sigma, p.mean_abs, p.trunc_lo, u_branch >= p.p_plain)
+    abs_z = sample_abs(u_mag, p.sigma, p.mean_abs, p.trunc_lo, u_branch >= p.p_plain)
     return e / p.rate_total, np.where(neg, -abs_z, abs_z), abs_z
 
 
@@ -288,13 +296,11 @@ def _validate_x0(target, x0):
     return x0
 
 
-def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0):
+def simulate_path(kind, target, proposal, x0, horizon, stream):
     """Reference per-event simulator; one path, full jump log.
 
     stream is a numpy Generator (use path_stream to match ensemble rows) or
     an integer master seed, which selects path 0 of the jump domain.
-    rate_scale multiplies the candidate clock rate; simulating at rate
-    R/eps over horizon h is statistically the same as rate R over h/eps.
     """
     if horizon <= 0.0:
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
@@ -302,7 +308,7 @@ def simulate_path(kind, target, proposal, x0, horizon, stream, *, rate_scale=1.0
     x = _validate_x0(target, x0).copy()
     if x.ndim != 1:
         raise ConfigurationError("simulate_path takes a single initial state")
-    p = _event_params(kind, target, proposal, rate_scale)
+    p = _event_params(kind, target, proposal)
     _check_candidates(p, horizon)
     times, states = [], []
     t = 0.0

@@ -19,8 +19,9 @@ the coordinate draw, the same for every i. The clock rate
 R(x) = alpha + (1-alpha) Lam(eps, theta(x)) then depends on the state, but it
 is constant between accepted jumps, because rejected candidates do not move
 the state, so thinning stays exact (Lewis & Shedler 1979; the local bounds of
-the Zig-Zag sampler, Bierkens, Fearnhead & Roberts 2019). row_kernel gives
-such kernels' mean, truncation and mass, one per row of states.
+the Zig-Zag sampler, Bierkens, Fearnhead & Roberts 2019). The engine's event
+parameters hold the box-wide kernel, with its mass from log_lam; row_kernel
+gives the state-dependent kernels' mean, truncation and mass, one per row.
 
 Splitting e^{theta z} phi_eps(z) = e^{eps theta^2/2} phi_eps(z - eps theta)
 turns the normalized dominating density into an equal-weight two-sided
@@ -54,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -117,54 +117,6 @@ class GeneratorKind:
         return cls(text)
 
 
-@dataclass(frozen=True)
-class DominatingKernel:
-    """Normalized displacement density e^{theta|z|} phi_eps(z) / Lam(eps).
-
-    Stored as the equal-weight two-sided mixture: |z| follows N(mean_abs, eps)
-    conditioned positive, the sign is symmetric. theta = 0 degrades to the
-    plain N(0, eps) proposal, Lam = 1.
-    """
-
-    epsilon: float
-    tilt: float
-    log_total_rate: float
-
-    def __post_init__(self):
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ConfigurationError(f"kernel epsilon must be positive and finite, got {self.epsilon}")
-        if not (self.tilt >= 0.0 and math.isfinite(self.tilt)):
-            raise ConfigurationError(f"kernel tilt must be nonnegative and finite, got {self.tilt}")
-        if not (self.log_total_rate >= -1e-12 and math.isfinite(self.log_total_rate)):
-            raise ConfigurationError("total dominating mass must be finite and >= 1")
-
-    @property
-    def lam(self) -> float:
-        return math.exp(self.log_total_rate)
-
-    @cached_property
-    def sigma(self) -> float:
-        return math.sqrt(self.epsilon)
-
-    @cached_property
-    def mean_abs(self) -> float:
-        """Mean of the shifted component on the positive side (eps * theta)."""
-        return self.epsilon * self.tilt
-
-    @cached_property
-    def trunc_lo(self) -> float:
-        """P(N(mean_abs, eps) <= 0) = Phi(-theta sqrt(eps)), the cut mass."""
-        return float(ndtr(-self.tilt * self.sigma))
-
-    def sample_abs(self, u, tilted=True):
-        return sample_abs(u, self.sigma, self.mean_abs, self.trunc_lo, tilted)
-
-    def log_density(self, z):
-        z = np.asarray(z, dtype=float)
-        base = -0.5 * z * z / self.epsilon - 0.5 * math.log(2.0 * math.pi * self.epsilon)
-        return self.tilt * np.abs(z) + base - self.log_total_rate
-
-
 def log_lam(epsilon, theta):
     """log Lam(eps) = log 2 + eps theta^2 / 2 + log Phi(theta sqrt(eps))."""
     growth = 0.5 * epsilon * theta * theta
@@ -197,23 +149,6 @@ def row_kernel(epsilon, theta):
     mean = epsilon * theta
     lo = ndtr(-theta * math.sqrt(epsilon))
     return mean, lo, np.exp(math.log(2.0) + 0.5 * mean * theta + np.log1p(-lo))
-
-
-def build_dominating_kernel(target, proposal) -> DominatingKernel:
-    theta = target.grad_bound / target.T
-    return DominatingKernel(
-        epsilon=proposal.epsilon,
-        tilt=theta,
-        log_total_rate=log_lam(proposal.epsilon, theta),
-    )
-
-
-def thinning_kernel(kind, target, proposal) -> DominatingKernel:
-    """The kernel a kind thins against: untilted for m1, whose rates never
-    exceed the proposal, so m1 needs no finite Lam(eps)."""
-    if kind.alpha_eff == 1.0:
-        return DominatingKernel(epsilon=proposal.epsilon, tilt=0.0, log_total_rate=0.0)
-    return build_dominating_kernel(target, proposal)
 
 
 def log_rate_density(kind, target, proposal, x, i, y_i):

@@ -185,6 +185,8 @@ def folded_normal_moment(t, k, epsilon, tol=QUAD_TOL):
         raise ConfigurationError(f"k must be in 0..4, got {k}")
     root = math.sqrt(epsilon)
     upper = _U_RANGE + 2.0 + t * root
+    if t * root * upper > 700.0:  # e^{t root u} would overflow on [0, upper]
+        raise ConfigurationError(f"folded moment t={t} eps={epsilon}: t sqrt(eps) is out of range")
 
     def integrand(u):
         return math.exp(t * root * u) * (u ** k) * _phi1(u)
@@ -233,6 +235,9 @@ def s_bound_check(target, n_pairs=10000, scale_grid=(1e-1, 1e-2, 1e-3), master_s
     c1 fitted as 1.5x the empirical max of |g|/z^2 (g the first-order Taylor
     remainder) over a separate pair sample.
     """
+    scales = np.asarray(scale_grid, dtype=float)
+    if not (n_pairs >= 1 and scales.size and np.all((scales > 0.0) & (scales < np.inf))):
+        raise ConfigurationError("s_bound_check needs n_pairs >= 1 and positive finite scales")
     rng = path_stream(master_seed, DOMAIN_SBOUND, 0)
     lo = -3.0 if target.box is None else -min(3.0, target.box - 1.0)
     theta = target.grad_bound / target.T
@@ -245,11 +250,10 @@ def s_bound_check(target, n_pairs=10000, scale_grid=(1e-1, 1e-2, 1e-3), master_s
         return target.delta_u_move(x, i, z), gi, z
 
     # fit c1 from the Taylor remainder at the largest probed scale
-    du, gi, z = draw_moves(float(max(scale_grid)))
+    du, gi, z = draw_moves(float(scales.max()))
     g = taylor_gap(du, gi, z, target.T)
     c1 = 1.5 * float(np.max(np.abs(g) / (z * z)))
 
-    scales = np.asarray(scale_grid, dtype=float)
     max_ratio = np.empty(scales.size)
     violations = 0
     for a, scale in enumerate(scales):

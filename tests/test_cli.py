@@ -132,6 +132,42 @@ def test_verify_geometry_rejects_degenerate_sizes(tmp_path, capsys, monkeypatch,
     assert f"config field {next(iter(bad))!r} must be >=" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("verify-limit", {"moment_epsilon_grid": []}),
+    ("verify-limit", {"epsilon_grid": []}),
+    ("verify-limit", {"obs_grid": []}),
+    ("sbound", {"scale_grid": []}),
+    ("sbound", {"scale_grid": [0.0]}),
+    ("sbound", {"n_pairs": 0}),
+    ("sbound", {"n_pairs": -3}),
+    ("moments", {"folded_epsilon_grid": []}),
+    ("moments", {"folded_epsilon_grid": [-1e-5, 1e-6]}),
+    ("moments", {"folded_epsilon_grid": [1e-5, float("inf")]}),
+    ("moments", {"t_grid": []}),
+    ("moments", {"t_grid": [1e9]}),
+])
+def test_exit_code_2_on_degenerate_grids(tmp_path, capsys, monkeypatch, command, bad):
+    # each of these ran into a traceback, or passed on a nan
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, **{"seed": 0, **bad})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("potential,params", [
+    ("quadratic", {"box": "x"}),
+    ("logcosh", {"c": "x"}),
+    ("doublewell", {"a": "x"}),
+    ("doublewell", {"grad_bound": "x"}),
+])
+def test_exit_code_2_on_non_numeric_potential_params(tmp_path, capsys, monkeypatch, potential,
+                                                      params):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, potential=potential, potential_params=params, n_pairs=10, seed=0)
+    assert main(["sbound", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "bad parameters" in capsys.readouterr().err
+
+
 @pytest.mark.slow
 def test_verify_limit_reduced(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("MHJUMP_SEED", raising=False)

@@ -363,32 +363,6 @@ def test_lying_slope_bound_raises_in_both_engines(kind):
         simulate_ensemble(kind, target, prop, np.array([1.5]), [0.5, 1.0], 16, 4)
 
 
-@pytest.mark.slow
-def test_clock_equivalence_three_sigma():
-    # rate r over horizon h has the law of rate 1 over horizon r h
-    target = LogCoshWell(d_star=1)
-    kind = GeneratorKind.m2()
-    prop = GaussianProposal(0.25)
-    n = 1500
-    fast = np.empty(n)
-    slow = np.empty(n)
-    for q in range(n):
-        pf = simulate_path(kind, target, prop, np.array([2.0]), 5.0,
-                           path_stream(11, DOMAIN_JUMP, q), rate_scale=4.0)
-        ps = simulate_path(kind, target, prop, np.array([2.0]), 20.0,
-                           path_stream(12, DOMAIN_JUMP, q))
-        fast[q] = pf.state_at(5.0)[0]
-        slow[q] = ps.state_at(20.0)[0]
-    se_mean = math.sqrt(fast.var(ddof=1) / n + slow.var(ddof=1) / n)
-    assert abs(fast.mean() - slow.mean()) <= 3.0 * se_mean
-    va, vb = fast.var(ddof=1), slow.var(ddof=1)
-    se_var = math.sqrt(
-        (np.mean((fast - fast.mean()) ** 4) - va * va) / n
-        + (np.mean((slow - slow.mean()) ** 4) - vb * vb) / n
-    )
-    assert abs(va - vb) <= 3.0 * se_var
-
-
 def test_box_abort():
     # a tight declared box on a globally bounded potential isolates the abort
     target = LogCoshWell(d_star=1)

@@ -1,4 +1,9 @@
-"""Generator kinds, the tilted dominating kernel, and the thinning algebra."""
+"""Generator kinds, the tilted dominating kernel, and the thinning algebra.
+
+The engine holds the box-wide kernel in its event parameters
+(jump._event_params) and draws |z| with kernels.sample_abs; the kernel's
+density is checked against the oracle kernel_log_density below.
+"""
 
 import math
 
@@ -17,19 +22,32 @@ from mhjump import (
     GeneratorKind,
     LogCoshWell,
     SmoothedDoubleWell,
-    build_dominating_kernel,
 )
 from mhjump.jump import _event_params, path_stream
 from mhjump.kernels import (
-    DominatingKernel,
     accept_log_from_delta,
     check_domination,
     log_lam,
     log_rate_density,
     rate_density,
+    sample_abs,
 )
 
 KINDS = [GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5), GeneratorKind.mix(0.25)]
+
+
+def kernel_log_density(theta, prop, z):
+    """Oracle: log of the normalized kernel e^{theta|z|} phi_eps(z) / Lam(eps)."""
+    return theta * np.abs(z) + prop.logpdf(z) - log_lam(prop.epsilon, theta)
+
+
+def tilted(target, prop):
+    """The box-wide event parameters of a tilted kind."""
+    return _event_params(GeneratorKind.m2(), target, prop)
+
+
+def draw_abs(p, u, mask=True):
+    return sample_abs(u, p.sigma, p.mean_abs, p.trunc_lo, mask)
 
 
 # --- kind parsing ---
@@ -96,66 +114,69 @@ def test_log_lam_overflow_guard():
 def test_kernel_untilted_degrades_to_proposal():
     from scipy.special import ndtri
 
-    from mhjump.kernels import DominatingKernel
-
-    dom = DominatingKernel(epsilon=0.04, tilt=0.0, log_total_rate=log_lam(0.04, 0.0))
-    assert dom.tilt == 0.0
-    assert dom.lam == 1.0
+    prop = GaussianProposal(0.04)
+    p = _event_params(GeneratorKind.m1(), SmoothedDoubleWell(d_star=1), prop)
+    assert p.tilt == 0.0
+    assert p.rate_total == 1.0
     u = np.linspace(0.01, 0.99, 11)
-    assert np.allclose(dom.sample_abs(u), 0.2 * ndtri(0.5 + 0.5 * u), rtol=1e-12)
+    assert np.allclose(draw_abs(p, u), 0.2 * ndtri(0.5 + 0.5 * u), rtol=1e-12)
     z = np.array([-0.4, 0.0, 0.3])
     ref = -0.5 * z * z / 0.04 - 0.5 * math.log(2.0 * math.pi * 0.04)
-    assert np.allclose(dom.log_density(z), ref, rtol=1e-12)
+    assert np.allclose(kernel_log_density(p.tilt, prop, z), ref, rtol=1e-12)
 
 
 def test_kernel_tilted_mask_selects_the_component_per_row():
-    from mhjump.kernels import DominatingKernel
-
     target = SmoothedDoubleWell(d_star=1)
     prop = GaussianProposal(0.04)
-    dom = build_dominating_kernel(target, prop)
-    plain = DominatingKernel(epsilon=0.04, tilt=0.0, log_total_rate=0.0)
+    p = tilted(target, prop)
+    plain = _event_params(GeneratorKind.m1(), target, prop)
     u = np.linspace(0.01, 0.99, 12)
     mask = np.arange(12) % 3 == 0
-    out = dom.sample_abs(u, mask)
-    assert np.array_equal(out[mask], dom.sample_abs(u[mask]))
-    assert np.array_equal(out[~mask], plain.sample_abs(u[~mask]))
-    assert np.array_equal(dom.sample_abs(u, False), plain.sample_abs(u))
+    out = draw_abs(p, u, mask)
+    assert np.array_equal(out[mask], draw_abs(p, u[mask]))
+    assert np.array_equal(out[~mask], draw_abs(plain, u[~mask]))
+    assert np.array_equal(draw_abs(p, u, False), draw_abs(plain, u))
 
 
 def test_kernel_density_normalizes_to_one():
     target = SmoothedDoubleWell(d_star=1)
     for eps in (1e-1, 1e-3):
-        dom = build_dominating_kernel(target, GaussianProposal(eps))
-        hw = dom.mean_abs + 14.0 * math.sqrt(eps)
-        val, _ = quad(lambda z: math.exp(float(dom.log_density(z))), -hw, hw,
+        prop = GaussianProposal(eps)
+        p = tilted(target, prop)
+        hw = p.mean_abs + 14.0 * math.sqrt(eps)
+        val, _ = quad(lambda z: math.exp(float(kernel_log_density(p.tilt, prop, z))), -hw, hw,
                       points=[0.0], limit=400)
         assert abs(val - 1.0) < 1e-9
 
 
 def test_kernel_structure():
     target = SmoothedDoubleWell(d_star=1, T=0.5)
-    dom = build_dominating_kernel(target, GaussianProposal(0.01))
-    assert dom.tilt == 5.0  # grad_bound / T
-    assert dom.epsilon == 0.01
-    assert dom.mean_abs == 0.01 * 5.0
+    prop = GaussianProposal(0.01)
+    p = tilted(target, prop)
+    assert p.tilt == 5.0  # grad_bound / T
+    assert p.epsilon == 0.01
+    assert p.sigma == 0.1
+    assert p.mean_abs == 0.01 * 5.0
+    assert p.rate_total == math.exp(log_lam(0.01, 5.0))
     # an equal-weight two-sided mixture with components at -mean_abs, +mean_abs
     z = np.linspace(0.0, 0.5, 5001)
-    assert np.array_equal(dom.log_density(z), dom.log_density(-z))
-    assert np.isclose(z[np.argmax(dom.log_density(z))], dom.mean_abs, atol=1e-4)
+    dens = kernel_log_density(p.tilt, prop, z)
+    assert np.array_equal(dens, kernel_log_density(p.tilt, prop, -z))
+    assert np.isclose(z[np.argmax(dens)], p.mean_abs, atol=1e-4)
 
 
 def test_kernel_sampler_matches_density():
     # inverse-cdf draws against the numerically integrated cdf of the density
     target = SmoothedDoubleWell(d_star=1)
     eps = 0.01
-    dom = build_dominating_kernel(target, GaussianProposal(eps))
+    prop = GaussianProposal(eps)
+    p = tilted(target, prop)
     rng = path_stream(42, 7, 0)
     n = 40000
     u_sign = rng.random(n)
-    z = np.where(u_sign < 0.5, -1.0, 1.0) * dom.sample_abs(rng.random(n))
+    z = np.where(u_sign < 0.5, -1.0, 1.0) * draw_abs(p, rng.random(n))
     grid = np.linspace(-12.0 * math.sqrt(eps), 12.0 * math.sqrt(eps), 100001)
-    dens = np.exp(dom.log_density(grid))
+    dens = np.exp(kernel_log_density(p.tilt, prop, grid))
     cdf = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
     cdf /= cdf[-1]
     stat = kstest(z, lambda v: np.interp(v, grid, cdf)).statistic
@@ -170,10 +191,10 @@ def total_rate(kind, target, prop):
     return _event_params(kind, target, prop).rate_total
 
 
-def log_accept(kind, target, dom, x, i, z):
+def log_accept(kind, target, theta, x, i, z):
     """The engine's log a(z): one dU, then the thinning formula."""
     return accept_log_from_delta(target.delta_u_move(x, i, z), np.abs(z), kind.alpha_eff,
-                                 dom.tilt, target.T)
+                                 theta, target.T)
 
 
 def test_total_rate_bound_values():
@@ -257,14 +278,14 @@ def test_rate_density_sum_identity():
 )
 def test_acceptance_is_a_probability_on_kernel_draws(kind, target):
     prop = GaussianProposal(0.04)
-    dom = build_dominating_kernel(target, prop)
+    p = tilted(target, prop)
     rng = path_stream(3, 7, 1)
     lo = 3.0 if target.box is None else target.box - 1.0
     x = rng.uniform(-lo, lo, size=(2000, 2))
     u_sign = rng.random(2000)
-    z = np.where(u_sign < 0.5, -1.0, 1.0) * dom.sample_abs(rng.random(2000))
+    z = np.where(u_sign < 0.5, -1.0, 1.0) * draw_abs(p, rng.random(2000))
     for i in (0, 1):
-        la = log_accept(kind, target, dom, x, i, z)
+        la = log_accept(kind, target, p.tilt, x, i, z)
         check_domination(la, kind, target, lambda k: f"row {k}")
         assert np.all(la <= 0.0)
         assert np.any(la < 0.0)
@@ -296,13 +317,13 @@ def test_accepted_rate_equals_kind_rate():
     target = SmoothedDoubleWell(d_star=1, T=0.5)
     prop = GaussianProposal(0.04)
     kind = GeneratorKind.mix(0.3)
-    dom = build_dominating_kernel(target, prop)
-    r_total = total_rate(kind, target, prop)
+    p = _event_params(kind, target, prop)
+    r_total = p.rate_total
     x = np.array([0.8])
     for z in (-0.5, -0.05, 0.02, 0.4):
-        la = float(log_accept(kind, target, dom, x, 0, z))
+        la = float(log_accept(kind, target, p.tilt, x, 0, z))
         q = 0.3 * math.exp(float(prop.logpdf(z))) + 0.7 * math.exp(
-            float(dom.log_density(z)) + dom.log_total_rate
+            float(kernel_log_density(p.tilt, prop, z)) + log_lam(prop.epsilon, p.tilt)
         )
         accepted = r_total * (q / r_total) * math.exp(la)
         want = float(rate_density(kind, target, prop, x, 0, x[0] + z))
@@ -313,25 +334,37 @@ def test_domination_violation_is_a_hard_error():
     # declared bound 0.5 is far below the true slope ~2.3 near the well wall
     target = SmoothedDoubleWell(d_star=1, grad_bound=0.5)
     kind = GeneratorKind.m2()
-    dom = build_dominating_kernel(target, GaussianProposal(0.04))
-    la = log_accept(kind, target, dom, np.array([0.7]), 0, 0.5)
+    p = _event_params(kind, target, GaussianProposal(0.04))
+    la = log_accept(kind, target, p.tilt, np.array([0.7]), 0, 0.5)
     with pytest.raises(DominationError, match="grad_bound"):
         check_domination(la, kind, target, lambda k: "x=0.7, i=0, z=0.5")
 
 
 @pytest.mark.parametrize("kw", [
-    {"epsilon": -0.1},
+    {"epsilon": -0.1},  # GaussianProposal
     {"epsilon": 0.0},
     {"epsilon": math.inf},
-    {"tilt": -1.0},
-    {"tilt": math.nan},
-    {"tilt": math.inf},
-    {"log_total_rate": -0.5},
-    {"log_total_rate": math.nan},
+    {"grad_bound": -1.0},  # TargetPotential: the tilt grad_bound / T
+    {"grad_bound": math.nan},
+    {"grad_bound": math.inf},
+    {"T": 0.0},
+    {"epsilon": 1.0, "grad_bound": 50.0},  # log_lam: eps theta^2 / 2 = 1250 overflows
 ])
 def test_kernel_rejects_bad_parameters(kw):
+    kw = {"epsilon": 0.1, "grad_bound": 1.0, "T": 1.0, **kw}
     with pytest.raises(ConfigurationError):
-        DominatingKernel(**{"epsilon": 0.1, "tilt": 1.0, "log_total_rate": 0.0, **kw})
+        tilted(SmoothedDoubleWell(d_star=1, T=kw["T"], grad_bound=kw["grad_bound"]),
+               GaussianProposal(kw["epsilon"]))
+
+
+@given(eps=st.floats(1e-12, 10.0), theta=st.floats(0.0, 1e3))
+def test_dominating_mass_is_at_least_one(eps, theta):
+    # Lam = E e^{theta|Z|} >= 1 for theta >= 0, so no kernel is lighter than
+    # the proposal; past the overflow guard there is no kernel at all
+    try:
+        assert log_lam(eps, theta) >= 0.0
+    except ConfigurationError:
+        assert 0.5 * eps * theta * theta > 700.0
 
 
 def test_accept_log_reduces_at_endpoints():

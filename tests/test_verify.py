@@ -203,6 +203,8 @@ def test_folded_moment_closed_forms_at_zero_tilt():
         gaussian_abs_moment(5, 0.01)
     with pytest.raises(ConfigurationError):
         folded_normal_moment(0.0, 5, 0.01)
+    with pytest.raises(ConfigurationError, match="out of range"):  # e^{t sqrt(eps) u} overflows
+        folded_normal_moment(1e9, 3, 1e-5)
 
 
 def test_folded_moment_orders_small_scale():
@@ -230,6 +232,20 @@ def test_s_bound_holds(target):
     assert rep.c1 > 0.0
     assert np.all(rep.max_ratio <= rep.c1)
     assert rep.scales.shape == rep.max_ratio.shape
+
+
+@pytest.mark.parametrize("kw", [
+    {"scale_grid": [0.0]},
+    {"scale_grid": [1e-2, -1e-3]},
+    {"scale_grid": [math.nan]},
+    {"scale_grid": [math.inf]},
+    {"scale_grid": []},
+    {"n_pairs": 0},
+])
+def test_s_bound_rejects_a_degenerate_sample(kw):
+    # a zero scale divided 0 by 0 and passed with c1 = nan
+    with pytest.raises(ConfigurationError, match="s_bound_check"):
+        s_bound_check(LogCoshWell(d_star=1), **{"n_pairs": 100, **kw})
 
 
 # --- bump test functions and the generator probe ---
