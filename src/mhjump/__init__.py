@@ -3,9 +3,9 @@ classical and accelerated dynamics and their mixtures, a reference
 integrator for the common diffusion limit, the finite-state minimal-distance
 geometry of the generator family, and the numerical verification harness."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
-from .errors import ConfigurationError, DomainBoxError, DominationError, QuadratureError
+from .errors import ConfigurationError, DominationError, QuadratureError
 from .targets import (
     BoxedQuadratic,
     GaussianProposal,

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .errors import ConfigurationError, DomainBoxError, DominationError, QuadratureError
+from .errors import ConfigurationError, DominationError, QuadratureError
 from .ensembles import atomic_open, write_binary, write_csv
 from .finite import (
     d_mu,
@@ -96,7 +96,10 @@ _FIELD_TYPES = (
     ("a non-empty list of numbers", lambda v: _is_numbers(v) and len(v) > 0, ("obs_grid", "t_grid")),
     ("a non-empty list of positive finite numbers",
      lambda v: _is_numbers(v) and len(v) > 0 and all(0.0 < e < math.inf for e in v),
-     ("epsilon_grid", "moment_epsilon_grid", "folded_epsilon_grid", "scale_grid")),
+     ("epsilon_grid", "scale_grid")),
+    ("a list of positive finite numbers with two distinct entries, to fit a slope to",
+     lambda v: _is_numbers(v) and len(set(v)) > 1 and all(0.0 < e < math.inf for e in v),
+     ("moment_epsilon_grid", "folded_epsilon_grid")),
     ("a number, a list of numbers or one such list per path",
      lambda v: _is_number(v) or _is_numbers(v) or (isinstance(v, list) and all(map(_is_numbers, v))),
      ("x0",)),
@@ -494,7 +497,7 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (DominationError, DomainBoxError, QuadratureError) as exc:
+    except (DominationError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -9,12 +9,8 @@ class ConfigurationError(ValueError):
     """Invalid configuration value, unresolvable name, or contract misuse."""
 
 
-class DomainBoxError(RuntimeError):
-    """A simulated state left the potential's declared domain box."""
-
-
 class DominationError(RuntimeError):
-    """Thinning acceptance probability exceeded 1: declared grad_bound is wrong."""
+    """Thinning acceptance probability exceeded 1: the declared bound is wrong."""
 
 
 class QuadratureError(RuntimeError):

@@ -34,10 +34,10 @@ chunks of TAPE_CHUNK events; a path that ends mid-chunk ignores the unused
 rows, and because the stream is counter-based a path's rows, and so its
 values, do not depend on the chunk size either.
 
-A run whose expected candidate events per path, clock rate times horizon,
-exceed MAX_CANDIDATES is refused with a ConfigurationError before it starts.
-The rate checked is the box-wide one, from grad_bound: the worst case over
-the domain, which the per-event clock's R(x) never exceeds.
+At the top of each tape chunk, both engines stop a path with a
+ConfigurationError if its rate in its current state times its remaining
+horizon exceeds MAX_CANDIDATES: a constant-rate run before its first event,
+a per-event-clock run within TAPE_CHUNK events of its R(x) running away.
 
 The block engine advances a block of paths in lock step, one candidate event
 per iteration across the whole block. Only the paths still inside the
@@ -65,7 +65,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigurationError, DomainBoxError, DominationError
+from .errors import ConfigurationError, DominationError
 from .kernels import (
     GeneratorKind,
     accept_log_from_delta,
@@ -81,7 +81,7 @@ COL_EXP, COL_COORD, COL_BRANCH, COL_SIGN, COL_MAG, COL_ACC = range(TAPE_COLS)
 TAPE_CHUNK = 256
 BLOCK_PATHS = 512
 FIRST_JUMP_BATCH = 1 << 18
-MAX_CANDIDATES = 1e9  # expected candidate events per path a run may start
+MAX_CANDIDATES = 1e9  # expected candidate events per path a run may go on to
 
 # The stream registry: every random draw of the package comes from one of
 # these domains, so no two engines or oracles ever share a stream.
@@ -184,17 +184,18 @@ class _EventParams:
 
 
 def _event_params(kind, target, proposal):
-    """The box-wide event parameters. m1's rates never exceed the proposal,
-    so it thins against the untilted kernel and needs no finite Lam(eps)."""
+    """The stateless event parameters. m1's rates never exceed the proposal,
+    so it thins against the untilted kernel and needs no finite Lam(eps); a
+    local p holds it too, until _at tilts it by the state."""
     alpha = kind.alpha_eff
     eps, sigma = proposal.epsilon, proposal.sigma
-    if alpha == 1.0:
+    local = alpha < 1.0 and target.grad_bound is None
+    if alpha == 1.0 or local:
         theta, lam = 0.0, 1.0
     else:
         theta = target.grad_bound / target.T
         lam = math.exp(log_lam(eps, theta))
     r0 = alpha + (1.0 - alpha) * lam
-    local = alpha < 1.0 and type(target).slope_bound is not TargetPotential.slope_bound
     return _EventParams(kind, target, eps, sigma, alpha, theta, eps * theta,
                         float(ndtr(-theta * sigma)), r0, alpha / r0, local)
 
@@ -202,15 +203,14 @@ def _event_params(kind, target, proposal):
 def _at(p, x):
     """The event transform at state x, one state or a block of rows.
 
-    For a local p the kernel is tilted by
-    theta(x) = min(max_i slope_bound(x)_i, grad_bound) / T, which sets the
-    clock rate R(x) and the plain-branch probability alpha / R(x); the cap
-    keeps R(x) at or below the box-wide rate. Otherwise p itself.
+    For a local p the kernel is tilted by theta(x) = max_i slope_bound(x)_i / T,
+    which sets the clock rate R(x) and the plain-branch probability
+    alpha / R(x). Otherwise p itself.
     """
     if not p.local:
         return p
     target = p.target
-    theta = np.minimum(np.max(target.slope_bound(x), axis=-1), target.grad_bound) / target.T
+    theta = np.max(target.slope_bound(x), axis=-1) / target.T
     if not np.min(theta) >= 0.0:
         j = int(np.argmax(~(np.reshape(theta, -1) >= 0.0)))
         raise DominationError(f"slope_bound of {target.name} is negative or NaN at "
@@ -277,13 +277,18 @@ def run_spans(run_span, n_paths, block, threads):
             list(pool.map(lambda span: run_span(*span), spans))
 
 
-def _check_candidates(p, horizon):
-    """Refuse a run whose expected candidate events per path exceed MAX_CANDIDATES."""
-    expected = p.rate_total * horizon
-    if not expected <= MAX_CANDIDATES:
+def _check_candidates(q, remaining):
+    """Refuse to go on when a path's rate times its remaining horizon, one
+    or one per row of either, exceeds MAX_CANDIDATES."""
+    remaining = np.asarray(remaining)
+    rate = np.broadcast_to(q.rate_total, remaining.shape)
+    expected = rate * remaining
+    j = np.argmax(expected)  # the largest row, or the first NaN
+    if not expected.flat[j] <= MAX_CANDIDATES:
         raise ConfigurationError(
-            f"{expected:.3g} expected candidate events per path (rate {p.rate_total:.3g} over "
-            f"horizon {horizon:.3g}) exceed {MAX_CANDIDATES:g}; use a smaller epsilon or horizon"
+            f"{expected.flat[j]:.3g} expected candidate events per path (rate "
+            f"{rate.flat[j]:.3g} over horizon {remaining.flat[j]:.3g}) exceed "
+            f"{MAX_CANDIDATES:g}; use a smaller epsilon or horizon"
         )
 
 
@@ -291,8 +296,8 @@ def _validate_x0(target, x0):
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[-1] != target.d_star:
         raise ConfigurationError(f"x0 must have {target.d_star} coordinates, got shape {x0.shape}")
-    if target.box is not None and np.any(np.abs(x0) > target.box):
-        raise ConfigurationError(f"x0 outside the declared domain box +-{target.box}")
+    if not np.all(np.isfinite(x0)):
+        raise ConfigurationError("x0 must be finite")
     return x0
 
 
@@ -309,11 +314,11 @@ def simulate_path(kind, target, proposal, x0, horizon, stream):
     if x.ndim != 1:
         raise ConfigurationError("simulate_path takes a single initial state")
     p = _event_params(kind, target, proposal)
-    _check_candidates(p, horizon)
     times, states = [], []
     t = 0.0
     q = _at(p, x)
     while True:
+        _check_candidates(q, horizon - t)
         rows = rng.random((TAPE_CHUNK, TAPE_COLS))
         e, coords, neg, u_mag, u_branch, log_us = _decode_tape(rows, target.d_star)
         for k in range(TAPE_CHUNK):
@@ -329,10 +334,6 @@ def simulate_path(kind, target, proposal, x0, horizon, stream):
             i, z = int(coords[k]), float(z)
             if _thin(q, x, i, z, abs_z, log_us[k], lambda _: f"x={x!r}, i={i}, z={z!r}"):
                 x[i] += z
-                if target.box is not None and abs(x[i]) > target.box:
-                    raise DomainBoxError(
-                        f"state left the domain box +-{target.box} at t={t:.6g}: x={x!r}"
-                    )
                 times.append(t)
                 states.append(x.copy())
                 q = _at(p, x)
@@ -374,12 +375,7 @@ def _move(q, x, flat, i, z, abs_z, log_u, live, describe):
     acc = _thin(q, x, i, z, abs_z, log_u, where, live)
     x_flat = x.reshape(-1)  # a view: x is always a fresh C-ordered array
     xi = x_flat[flat]
-    moved = np.where(acc, xi + z, xi)
-    x_flat[flat] = moved
-    box = q.target.box
-    if box is not None and np.abs(moved).max() > box:
-        j = int(np.argmax(np.abs(moved) > box))
-        raise DomainBoxError(f"{describe(j)} left the domain box +-{box}: x={x[j]!r}")
+    x_flat[flat] = np.where(acc, xi + z, xi)
     return acc
 
 
@@ -468,6 +464,7 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
         return f"path {path_offset + int(live[j])}"
 
     while live.size:
+        _check_candidates(_at(p, x), horizon - t)
         for r, q in enumerate(live):
             streams[q].random(out=tape[r])
         rows = np.ascontiguousarray(tape[:live.size].swapaxes(0, 1))
@@ -510,7 +507,6 @@ def simulate_ensemble(
     obs_proc = obs / scale
     horizon = float(obs_proc[-1])
     p = _event_params(kind, target, proposal)
-    _check_candidates(p, horizon)
     samples = np.empty((n_paths, obs.size, target.d_star))
     counts = np.zeros(n_paths, dtype=np.int64)
 

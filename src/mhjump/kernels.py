@@ -13,15 +13,15 @@ displacement density with total mass
     Lam(eps) = E exp(theta |Z|) = 2 exp(eps theta^2 / 2) Phi(theta sqrt(eps)).
 
 A target whose slope bound depends on the state (TargetPotential.slope_bound)
-gives the tighter state-dependent tilt theta(x) = max_i slope_bound(x)_i / T,
-capped by the box-wide one; the max over coordinates keeps the kernel, and so
-the coordinate draw, the same for every i. The clock rate
-R(x) = alpha + (1-alpha) Lam(eps, theta(x)) then depends on the state, but it
-is constant between accepted jumps, because rejected candidates do not move
-the state, so thinning stays exact (Lewis & Shedler 1979; the local bounds of
-the Zig-Zag sampler, Bierkens, Fearnhead & Roberts 2019). The engine's event
-parameters hold the box-wide kernel, with its mass from log_lam; row_kernel
-gives the state-dependent kernels' mean, truncation and mass, one per row.
+gives the state-dependent tilt theta(x) = max_i slope_bound(x)_i / T instead;
+the max over coordinates keeps the kernel, and so the coordinate draw, the
+same for every i. The clock rate R(x) = alpha + (1-alpha) Lam(eps, theta(x))
+then depends on the state, but it is constant between accepted jumps,
+because rejected candidates do not move the state, so thinning stays exact
+(Lewis & Shedler 1979; the local bounds of the Zig-Zag sampler, Bierkens,
+Fearnhead & Roberts 2019). The engine's event parameters hold a constant
+bound's kernel, with its mass from log_lam; row_kernel gives the
+state-dependent kernels' mean, truncation and mass, one per row.
 
 Splitting e^{theta z} phi_eps(z) = e^{eps theta^2/2} phi_eps(z - eps theta)
 turns the normalized dominating density into an equal-weight two-sided
@@ -117,13 +117,17 @@ class GeneratorKind:
         return cls(text)
 
 
+def _checked_growth(growth):
+    """eps theta^2 / 2, one or one per row; above 700 the mass would overflow."""
+    if np.max(growth) > 700.0:
+        raise ConfigurationError(f"dominating mass overflows: eps*theta^2/2 = "
+                                 f"{np.max(growth):.3g}; reduce eps or the declared bound")
+    return growth
+
+
 def log_lam(epsilon, theta):
     """log Lam(eps) = log 2 + eps theta^2 / 2 + log Phi(theta sqrt(eps))."""
-    growth = 0.5 * epsilon * theta * theta
-    if growth > 700.0:
-        raise ConfigurationError(
-            f"dominating mass overflows: eps*theta^2/2 = {growth:.3g}; reduce eps or grad_bound"
-        )
+    growth = _checked_growth(0.5 * epsilon * theta * theta)
     return math.log(2.0) + growth + math.log(ndtr(theta * math.sqrt(epsilon)))
 
 
@@ -142,13 +146,14 @@ def sample_abs(u, sigma, mean_abs, trunc_lo, tilted=True):
 def row_kernel(epsilon, theta):
     """(mean_abs, trunc_lo, Lam) of the kernels tilted by theta, one per row.
 
-    The engine caps the tilts by the box-wide one, whose mass log_lam has
-    checked, so no row overflows. numpy evaluates one row and a block of rows alike, so
-    the scalar and block engines get the same bits.
+    A row whose mass would overflow is refused as in log_lam. numpy
+    evaluates one row and a block of rows alike, so the scalar and block
+    engines get the same bits.
     """
     mean = epsilon * theta
+    growth = _checked_growth(0.5 * mean * theta)
     lo = ndtr(-theta * math.sqrt(epsilon))
-    return mean, lo, np.exp(math.log(2.0) + 0.5 * mean * theta + np.log1p(-lo))
+    return mean, lo, np.exp(math.log(2.0) + growth + np.log1p(-lo))
 
 
 def log_rate_density(kind, target, proposal, x, i, y_i):
@@ -192,8 +197,10 @@ def check_domination(la, kind, target, where):
     """
     if (la > _ACCEPT_SLACK).any():
         k = int(np.argmax(la))
+        bound = ("slope_bound at this state" if target.grad_bound is None
+                 else f"grad_bound {target.grad_bound}")
         raise DominationError(
             f"acceptance log-probability {float(np.max(la)):.3e} > 0 for kind "
-            f"{kind.label()} at {where(k)}: declared grad_bound {target.grad_bound} "
-            "or slope_bound is not a true bound along this move"
+            f"{kind.label()} at {where(k)}: the declared {bound} is not a true bound along "
+            "this move; declare a true grad_bound or slope_bound"
         )

@@ -13,13 +13,12 @@ to s2 is second order in z. Everything downstream carries log s, not s;
 exponentiation happens at the last moment so that the eps -> 0 regime does
 not lose the tiny dU to rounding.
 
-Potentials declare a per-coordinate gradient bound (grad_bound), valid for
-every state of their domain, and may declare a tighter per-state slope
+A potential declares its bound on U's descent once, for all of R^d: either
+a constant per-coordinate gradient bound (grad_bound), or a per-state slope
 bound (slope_bound) with U(x) - U(x + z e_i) <= slope_bound(x)_i |z| for
-every z. The jump engine's dominating kernel is tilted by the per-state
-bound; the box-wide grad_bound caps it and sizes the run's worst case. The
-quadratic's per-state bound |x_i| is exact on all of R; its domain box only
-guards the state, which must stay inside it.
+every z. The jump engine's dominating kernel is tilted by that bound at the
+current state. The quadratic declares the per-state bound |x_i|, exact on
+all of R, and no constant.
 """
 
 from __future__ import annotations
@@ -63,25 +62,26 @@ class TargetPotential:
     """Gibbs target exp(-U/T): potential values, gradient, declared bounds.
 
     Subclasses implement u(x) and grad(x) vectorized over leading axes of x
-    with shape (..., d_star). grad_bound is a true bound on sup_x |dU_i(x)|,
-    valid on the whole space or, when box is not None, on the centered cube
-    of half-width box. slope_bound may tighten it state by state.
+    with shape (..., d_star), and declare one bound: a finite grad_bound, a
+    true bound on sup_x |dU_i(x)| over the whole space, or an override of
+    slope_bound with grad_bound None.
     """
 
     name = "target"
 
-    def __init__(self, d_star, T, grad_bound, box=None, params=None):
+    def __init__(self, d_star, T, grad_bound=None):
         if d_star < 1 or int(d_star) != d_star:
             raise ConfigurationError(f"d_star must be a positive integer, got {d_star}")
         if not (T > 0.0 and math.isfinite(T)):
             raise ConfigurationError(f"temperature must be positive, got {T}")
-        if not (grad_bound >= 0.0 and math.isfinite(grad_bound)):
-            raise ConfigurationError(f"grad_bound must be finite, got {grad_bound}")
+        local = type(self).slope_bound is not TargetPotential.slope_bound
+        if not (grad_bound is None if local
+                else grad_bound is not None and 0.0 <= grad_bound < math.inf):
+            raise ConfigurationError(f"{self.name} must declare exactly one of a finite grad_bound "
+                                     f"and a slope_bound override, got grad_bound {grad_bound}")
         self.d_star = int(d_star)
         self.T = float(T)
-        self.grad_bound = float(grad_bound)
-        self.box = None if box is None else float(box)
-        self.params = dict(params or {})
+        self.grad_bound = None if local else float(grad_bound)
 
     def u(self, x):
         raise NotImplementedError
@@ -107,8 +107,8 @@ class TargetPotential:
         """A bound b(x) on the descent of U along any single-coordinate move:
         U(x) - U(x + z e_i) <= b(x)_i |z| for every z.
 
-        The default is the constant grad_bound. A subclass may return a
-        tighter array of x's shape; the jump engine then thins the tilted
+        The default is the constant grad_bound. A subclass with no grad_bound
+        returns an array of x's shape; the jump engine then thins the tilted
         kinds against the state-dependent tilt max_i b(x)_i / T.
         """
         return self.grad_bound
@@ -166,21 +166,17 @@ def delta_u_line(target, x, i):
 
 
 class BoxedQuadratic(SeparableTargetPotential):
-    """U(x) = |x|^2 / 2 on a declared box.
+    """U(x) = |x|^2 / 2, with the per-state slope bound |x_i| and no constant one.
 
     slope_bound(x) = |x_i| is exact on all of R: u1(v) - u1(v + z)
     = -v z - z^2 / 2 <= |v| |z|, with the gap vanishing as z -> 0 against
-    the sign of v, so domination needs no box. The box guards the state:
-    inside it the half-width grad_bound bounds slope_bound, so the run-size
-    cap computed from grad_bound is a worst case.
+    the sign of v.
     """
 
     name = "quadratic"
 
-    def __init__(self, d_star=1, T=1.0, box=10.0):
-        if not (box > 0.0):
-            raise ConfigurationError("quadratic needs a positive domain box")
-        super().__init__(d_star, T, grad_bound=box, box=box, params={"box": box})
+    def __init__(self, d_star=1, T=1.0):
+        super().__init__(d_star, T)
 
     def u1(self, v):
         v = np.asarray(v, dtype=float)
@@ -199,7 +195,7 @@ class LogCoshWell(SeparableTargetPotential):
     name = "logcosh"
 
     def __init__(self, d_star=1, T=1.0, c=0.0):
-        super().__init__(d_star, T, grad_bound=1.0 + abs(float(c)), params={"c": float(c)})
+        super().__init__(d_star, T, grad_bound=1.0 + abs(float(c)))
         self.c = float(c)
 
     def u1(self, v):
@@ -226,12 +222,7 @@ class SmoothedDoubleWell(SeparableTargetPotential):
     def __init__(self, d_star=1, T=1.0, a=1.5, b=1.0, sigma=0.9, grad_bound=2.5):
         if not (sigma > 0.0):
             raise ConfigurationError("doublewell sigma must be positive")
-        super().__init__(
-            d_star,
-            T,
-            grad_bound=float(grad_bound),
-            params={"a": float(a), "b": float(b), "sigma": float(sigma)},
-        )
+        super().__init__(d_star, T, grad_bound=float(grad_bound))
         self.a = float(a)
         self.b = float(b)
         self.sigma = float(sigma)

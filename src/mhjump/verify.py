@@ -61,9 +61,10 @@ def default_x_grid(d_star, values=DEFAULT_X_VALUES):
 
 
 def fit_loglog_slope(x, y):
-    x = np.log(np.asarray(x, dtype=float))
-    y = np.log(np.asarray(y, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    x = np.asarray(x, dtype=float)
+    if np.unique(x).size < 2:
+        raise ConfigurationError(f"a log-log slope needs two distinct points, got {x.tolist()}")
+    return float(np.polyfit(np.log(x), np.log(np.asarray(y, dtype=float)), 1)[0])
 
 
 def _phi1(u):
@@ -185,7 +186,7 @@ def folded_normal_moment(t, k, epsilon, tol=QUAD_TOL):
         raise ConfigurationError(f"k must be in 0..4, got {k}")
     root = math.sqrt(epsilon)
     upper = _U_RANGE + 2.0 + t * root
-    if t * root * upper > 700.0:  # e^{t root u} would overflow on [0, upper]
+    if upper <= 0.0 or t * root * upper > 700.0:  # an empty [0, upper], or e^{t root u} overflows
         raise ConfigurationError(f"folded moment t={t} eps={epsilon}: t sqrt(eps) is out of range")
 
     def integrand(u):
@@ -231,33 +232,33 @@ def s_bound_check(target, n_pairs=10000, scale_grid=(1e-1, 1e-2, 1e-3), master_s
     """Second-order bound on the linearized acceptance factor.
 
     Checks |s2 - s2_hat| <= c1 e^{(M/T)|z|} z^2 over random single-coordinate
-    moves at each displacement scale, with M the declared gradient bound and
-    c1 fitted as 1.5x the empirical max of |g|/z^2 (g the first-order Taylor
-    remainder) over a separate pair sample.
+    moves from x in [-3, 3]^d at each displacement scale, with M the declared
+    bound slope_bound(x)_i of the move and c1 fitted as 1.5x the empirical max
+    of |g|/z^2 (g the first-order Taylor remainder) over a separate pair
+    sample.
     """
     scales = np.asarray(scale_grid, dtype=float)
     if not (n_pairs >= 1 and scales.size and np.all((scales > 0.0) & (scales < np.inf))):
         raise ConfigurationError("s_bound_check needs n_pairs >= 1 and positive finite scales")
     rng = path_stream(master_seed, DOMAIN_SBOUND, 0)
-    lo = -3.0 if target.box is None else -min(3.0, target.box - 1.0)
-    theta = target.grad_bound / target.T
 
     def draw_moves(scale):
-        x = rng.uniform(lo, -lo, size=(n_pairs, target.d_star))
+        x = rng.uniform(-3.0, 3.0, size=(n_pairs, target.d_star))
         i = rng.integers(0, target.d_star, size=n_pairs)
         z = scale * np.where(rng.random(n_pairs) < 0.5, -1.0, 1.0)
         gi = np.asarray(target.grad(x))[np.arange(n_pairs), i]
-        return target.delta_u_move(x, i, z), gi, z
+        theta = np.broadcast_to(target.slope_bound(x), x.shape)[np.arange(n_pairs), i] / target.T
+        return target.delta_u_move(x, i, z), gi, z, theta
 
     # fit c1 from the Taylor remainder at the largest probed scale
-    du, gi, z = draw_moves(float(scales.max()))
+    du, gi, z, _ = draw_moves(float(scales.max()))
     g = taylor_gap(du, gi, z, target.T)
     c1 = 1.5 * float(np.max(np.abs(g) / (z * z)))
 
     max_ratio = np.empty(scales.size)
     violations = 0
     for a, scale in enumerate(scales):
-        du, gi, z = draw_moves(scale)
+        du, gi, z, theta = draw_moves(scale)
         gap = np.abs(np.exp(log_s_m2(du, target.T)) - np.exp(log_s_hat_m2(gi, z, target.T)))
         bound = np.exp(theta * np.abs(z)) * z * z
         ratio = gap / bound

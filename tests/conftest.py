@@ -22,13 +22,15 @@ settings.load_profile("mhjump")
 
 
 class CoupledQuadratic(TargetPotential):
-    """U(x) = |x|^2 / 2 + c x_0 x_1 on a box, d* = 2: a non-separable target,
-    so every dU goes through the generic two-evaluation path."""
+    """U(x) = |x|^2 / 2 + c x_0 x_1, d* = 2: a non-separable target, so every
+    dU goes through the generic two-evaluation path. Its grad_bound holds for
+    |x_i| <= 6, far beyond where the tests' paths go; a path past it would
+    raise DominationError."""
 
     name = "coupled"
 
-    def __init__(self, c=0.3, box=6.0):
-        super().__init__(2, 1.0, grad_bound=box * (1.0 + abs(c)), box=box, params={"c": c})
+    def __init__(self, c=0.3):
+        super().__init__(2, 1.0, grad_bound=6.0 * (1.0 + abs(c)))
         self.c = c
 
     def u(self, x):

@@ -1,6 +1,8 @@
 """The public API: a new export or keyword option is an explicit edit here."""
 
 import inspect
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +17,7 @@ KEYWORD_ONLY = {
 }
 
 EXPORTS = (
-    "BoxedQuadratic", "ConfigurationError", "DomainBoxError", "DominationError", "FiniteChain",
+    "BoxedQuadratic", "ConfigurationError", "DominationError", "FiniteChain",
     "GaussianProposal", "GeneratorKind", "JumpPath", "LogCoshWell", "ObservedEnsemble",
     "QuadratureError", "SeparableTargetPotential", "SmoothedDoubleWell", "TargetPotential",
     "compare_ensembles", "d_mu", "em_step", "first_jump_displacements", "folded_normal_moment",
@@ -37,3 +39,12 @@ def test_public_exports_are_pinned():
     # submodules are attributes of the package too, but not exports
     public = {n for n, v in vars(mhjump).items() if not n.startswith("_") and not inspect.ismodule(v)}
     assert public == set(EXPORTS)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_package_and_project_versions_agree():
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == mhjump.__version__

@@ -145,6 +145,11 @@ def test_verify_geometry_rejects_degenerate_sizes(tmp_path, capsys, monkeypatch,
     ("moments", {"folded_epsilon_grid": [1e-5, float("inf")]}),
     ("moments", {"t_grid": []}),
     ("moments", {"t_grid": [1e9]}),
+    ("moments", {"folded_epsilon_grid": [1e-5]}),
+    ("moments", {"folded_epsilon_grid": [1e-5, 1e-5]}),
+    ("verify-limit", {"moment_epsilon_grid": [1e-3]}),
+    ("verify-limit", {"moment_epsilon_grid": [1e-3, 1e-3]}),
+    ("moments", {"t_grid": [-1e4]}),
 ])
 def test_exit_code_2_on_degenerate_grids(tmp_path, capsys, monkeypatch, command, bad):
     # each of these ran into a traceback, or passed on a nan
@@ -261,14 +266,12 @@ def test_exit_code_3_on_blocked_output(tmp_path, capsys, monkeypatch):
     assert "i/o error" in capsys.readouterr().err
 
 
-def test_exit_code_1_on_escaping_paths(tmp_path, capsys, monkeypatch):
+def test_exit_code_1_on_numerical_failure(tmp_path, capsys, monkeypatch):
+    # no quadrature meets an error estimate of 1e-300
     monkeypatch.delenv("MHJUMP_SEED", raising=False)
-    cfg = write_config(
-        tmp_path, potential="quadratic", potential_params={"box": 2.0},
-        epsilon=0.5, x0=1.9, obs_grid=[5.0], n_paths=20, seed=0,
-    )
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert "numerical failure" in capsys.readouterr().err
+    cfg = write_config(tmp_path, quad_tol=1e-300, seed=0)
+    assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "numerical failure: folded moment" in capsys.readouterr().err
 
 
 def test_unknown_command_exits_via_argparse(capsys):

@@ -7,11 +7,11 @@ import pytest
 
 from mhjump import (
     ConfigurationError,
-    DomainBoxError,
     DominationError,
     GaussianProposal,
     GeneratorKind,
     LogCoshWell,
+    SeparableTargetPotential,
     SmoothedDoubleWell,
     BoxedQuadratic,
     first_jump_displacements,
@@ -153,17 +153,19 @@ def test_engines_agree_on_a_non_separable_target(monkeypatch, coupled):
 
 
 def test_m1_needs_no_dominating_mass():
-    # eps theta^2 / 2 = 5000 overflows Lam(eps); m1 thins the plain proposal
-    # and never needs it, the tilted kinds cannot run
-    target = BoxedQuadratic(d_star=1, box=100.0)
+    # from x = 100 the quadratic's tilt is 100, and eps theta^2 / 2 = 5000
+    # overflows Lam(eps); m1 thins the plain proposal and never needs it, the
+    # tilted kinds cannot run
+    target = BoxedQuadratic(d_star=1)
     prop = GaussianProposal(1.0)
-    ens = simulate_ensemble(GeneratorKind.m1(), target, prop, np.zeros(1), [0.5, 1.0], 4, 2)
+    far = np.full(1, 100.0)
+    ens = simulate_ensemble(GeneratorKind.m1(), target, prop, far, [0.5, 1.0], 4, 2)
     assert np.all(np.isfinite(ens.samples))
-    path = simulate_path(GeneratorKind.m1(), target, prop, np.zeros(1), 5.0, 2)
+    path = simulate_path(GeneratorKind.m1(), target, prop, far, 5.0, 2)
     assert path.jump_times.size > 0
     for kind in (GeneratorKind.m2(), MIX):
         with pytest.raises(ConfigurationError):
-            simulate_ensemble(kind, target, prop, np.zeros(1), [0.5, 1.0], 4, 2)
+            simulate_ensemble(kind, target, prop, far, [0.5, 1.0], 4, 2)
 
 
 def assert_invariant_to_blocks_and_threads(monkeypatch, kind, target):
@@ -363,18 +365,6 @@ def test_lying_slope_bound_raises_in_both_engines(kind):
         simulate_ensemble(kind, target, prop, np.array([1.5]), [0.5, 1.0], 16, 4)
 
 
-def test_box_abort():
-    # a tight declared box on a globally bounded potential isolates the abort
-    target = LogCoshWell(d_star=1)
-    target.box = 0.9
-    prop = GaussianProposal(0.36)
-    with pytest.raises(DomainBoxError, match="path"):
-        simulate_ensemble(GeneratorKind.m2(), target, prop, np.zeros(1), [4.0], 8, 3,
-                          rescaled=False)
-    with pytest.raises(DomainBoxError):
-        simulate_path(GeneratorKind.m2(), target, prop, np.zeros(1), 4.0, 3)
-
-
 def test_first_jump_displacements_contract(monkeypatch):
     target = SmoothedDoubleWell(d_star=3)
     prop = GaussianProposal(0.01)
@@ -402,15 +392,17 @@ def test_validation_errors():
         simulate_ensemble(MIX, DW, prop, np.zeros(2), [0.5], 0, 0)
     with pytest.raises(ConfigurationError):
         simulate_ensemble(MIX, DW, prop, np.zeros((3, 2)), [0.5], 4, 0)
-    boxed = BoxedQuadratic(d_star=1, box=2.0)
-    with pytest.raises(ConfigurationError):
-        simulate_path(GeneratorKind.m1(), boxed, prop, np.array([2.5]), 1.0, 0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        simulate_path(GeneratorKind.m1(), QUAD1, prop, np.array([np.inf]), 1.0, 0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        simulate_ensemble(MIX, DW, prop, np.array([0.0, np.nan]), [0.5], 4, 0)
 
 
 def test_runaway_runs_are_refused_before_they_start():
-    # m2 on the box-10 quadratic at eps=0.5: Lam ~ 1.44e11 candidates per unit
-    # time, ~2.9e11 per path over the process horizon 2; it would never return
-    target = BoxedQuadratic(d_star=1)
+    # m2 against the constant tilt 10 at eps=0.5: Lam ~ 1.44e11 candidates per
+    # unit time, ~2.9e11 per path over the process horizon 2; it would never
+    # return
+    target = SmoothedDoubleWell(d_star=1, grad_bound=10.0)
     prop = GaussianProposal(0.5)
     with pytest.raises(ConfigurationError, match="expected candidate events"):
         simulate_ensemble(GeneratorKind.m2(), target, prop, np.zeros(1), [1.0], 4, 0)
@@ -419,6 +411,74 @@ def test_runaway_runs_are_refused_before_they_start():
     # the cap is on rate x horizon: m1 at the same eps runs
     path = simulate_path(GeneratorKind.m1(), target, prop, np.zeros(1), 2.0, 0)
     assert path.horizon == 2.0
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+def test_quadratic_runs_what_a_worst_case_rate_refused(kind):
+    # against the worst case over |x| <= 10 these runs were refused as 2.9e11
+    # (eps 0.5, process horizon 2) and 4.36e9 (eps 0.3, horizon 667) expected
+    # candidates per path; the rate of the state a path is in is far smaller
+    assert_engines_agree(kind, QUAD1, GaussianProposal(0.5), np.zeros(1), [1.0, 2.0], 16, 0)
+    prop = GaussianProposal(0.3)
+    ens, counts = simulate_ensemble(kind, QUAD1, prop, np.zeros(1), [200.0], 256, 0,
+                                    return_counts=True)
+    assert counts.mean() > 500 and np.abs(ens.samples).max() < 10.0
+    path = simulate_path(kind, QUAD1, prop, np.zeros(1), 200.0 / 0.3,
+                         path_stream(0, DOMAIN_JUMP, 9))
+    assert path.jump_times.size == counts[9]
+    assert np.array_equal(path.state_at(path.horizon), ens.samples[9, -1])
+
+
+class Quartic(SeparableTargetPotential):
+    """U(x) = sum_i x_i^4 / 4 with its exact per-state slope bound |x_i|^3:
+    u1 is convex, so u1(v) - u1(v + z) <= -u1'(v) z <= |v|^3 |z|."""
+
+    name = "quartic"
+
+    def __init__(self, d_star=1):
+        super().__init__(d_star, 1.0)
+
+    def u1(self, v):
+        return 0.25 * np.asarray(v, dtype=float) ** 4
+
+    def du1(self, v):
+        return np.asarray(v, dtype=float) ** 3
+
+    def slope_bound(self, x):
+        return np.abs(np.asarray(x, dtype=float)) ** 3
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+@pytest.mark.parametrize("x0,match", [(5.0, "expected candidate events"),
+                                      (20.0, "dominating mass overflows")])
+def test_runaway_local_rate_is_stopped_in_both_engines(kind, x0, match):
+    # from x0 = 5 the tilt is 125 and R(x) ~ 1e34, refused by the per-chunk
+    # check; from x0 = 20, eps theta^2 / 2 = 3.2e5 overflows the row's mass.
+    # The block engine names the largest row's rate, the far start's.
+    prop = GaussianProposal(0.01)
+    with pytest.raises(ConfigurationError, match=match) as scalar:
+        simulate_path(kind, Quartic(), prop, np.array([x0]), 100.0, 0)
+    starts = np.array([[0.5], [x0], [0.5]])
+    with pytest.raises(ConfigurationError, match=match) as block:
+        simulate_ensemble(kind, Quartic(), prop, starts, [1.0], 3, 0)
+    assert str(block.value) == str(scalar.value)
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_rate_check_stops_both_engines_at_the_same_chunk(monkeypatch, kind, seed):
+    # R(0) = 1, so the cap passes the start; R(x) grows to 3-9 as |x| does, and
+    # the check at a later chunk boundary stops the path in the same state,
+    # clock and remaining horizon in both engines
+    monkeypatch.setattr(jump, "TAPE_CHUNK", 8)
+    monkeypatch.setattr(jump, "MAX_CANDIDATES", 1500.0)
+    prop, horizon = GaussianProposal(0.3), 600.0
+    with pytest.raises(ConfigurationError, match="expected candidate events") as scalar:
+        simulate_path(kind, QUAD1, prop, np.zeros(1), horizon, path_stream(seed, DOMAIN_JUMP, 0))
+    with pytest.raises(ConfigurationError, match="expected candidate events") as block:
+        simulate_ensemble(kind, QUAD1, prop, np.zeros(1), [horizon], 1, seed, rescaled=False)
+    assert str(block.value) == str(scalar.value)
+    assert f"over horizon {horizon:.3g})" not in str(scalar.value)  # stopped after it started
 
 
 def test_observed_ensemble_accessors():

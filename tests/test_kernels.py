@@ -1,7 +1,8 @@
 """Generator kinds, the tilted dominating kernel, and the thinning algebra.
 
-The engine holds the box-wide kernel in its event parameters
-(jump._event_params) and draws |z| with kernels.sample_abs; the kernel's
+The engine holds a constant bound's kernel in its event parameters
+(jump._event_params), a state-dependent one per row (jump._at), and draws |z|
+with kernels.sample_abs; the kernel's
 density is checked against the oracle kernel_log_density below.
 """
 
@@ -23,7 +24,7 @@ from mhjump import (
     LogCoshWell,
     SmoothedDoubleWell,
 )
-from mhjump.jump import _event_params, path_stream
+from mhjump.jump import _at, _event_params, path_stream
 from mhjump.kernels import (
     accept_log_from_delta,
     check_domination,
@@ -42,7 +43,7 @@ def kernel_log_density(theta, prop, z):
 
 
 def tilted(target, prop):
-    """The box-wide event parameters of a tilted kind."""
+    """The event parameters of a tilted kind at no particular state."""
     return _event_params(GeneratorKind.m2(), target, prop)
 
 
@@ -277,11 +278,12 @@ def test_rate_density_sum_identity():
     ids=lambda t: t.name,
 )
 def test_acceptance_is_a_probability_on_kernel_draws(kind, target):
+    # the quadratic's tilt comes from each row's state, out to |x_i| = 9
     prop = GaussianProposal(0.04)
-    p = tilted(target, prop)
     rng = path_stream(3, 7, 1)
-    lo = 3.0 if target.box is None else target.box - 1.0
+    lo = 3.0 if target.grad_bound is not None else 9.0
     x = rng.uniform(-lo, lo, size=(2000, 2))
+    p = _at(tilted(target, prop), x)
     u_sign = rng.random(2000)
     z = np.where(u_sign < 0.5, -1.0, 1.0) * draw_abs(p, rng.random(2000))
     for i in (0, 1):

@@ -118,11 +118,31 @@ def test_delta_u_line_keeps_the_delta_u_move_bits(coupled):
     assert len(calls) == z.size + 1
 
 
-def test_quadratic_grad_bound_holds_on_box():
-    t = BoxedQuadratic(d_star=1, box=10.0)
-    assert t.grad_bound == 10.0 and t.box == 10.0
-    v = np.linspace(-10.0, 10.0, 4001)
-    assert np.max(np.abs(t.du1(v))) <= t.grad_bound
+def test_quadratic_declares_only_its_slope_bound():
+    t = BoxedQuadratic(d_star=1)
+    assert t.grad_bound is None
+    v = np.linspace(-1e3, 1e3, 4001)
+    assert np.array_equal(np.abs(t.du1(v)), t.slope_bound(v))
+
+
+class _Flat(TargetPotential):
+    name = "flat"
+
+
+class _FlatWithSlope(TargetPotential):
+    name = "flat"
+
+    def slope_bound(self, x):
+        return np.zeros_like(x)
+
+
+def test_a_target_declares_exactly_one_bound():
+    assert _Flat(1, 1.0, grad_bound=0.0).grad_bound == 0.0
+    assert _FlatWithSlope(1, 1.0).grad_bound is None
+    with pytest.raises(ConfigurationError, match="exactly one"):
+        _Flat(1, 1.0)
+    with pytest.raises(ConfigurationError, match="exactly one"):
+        _FlatWithSlope(1, 1.0, grad_bound=1.0)
 
 
 def test_logcosh_grad_bound_is_global():
@@ -154,14 +174,16 @@ def test_doublewell_shape():
 
 
 def test_in_box():
-    # a start state must lie in the declared box; a free potential has none
-    t = BoxedQuadratic(d_star=2, box=3.0)
+    # no potential declares a domain box: any finite start state runs
+    t = BoxedQuadratic(d_star=2)
     prop = GaussianProposal(0.01)
     simulate_path(GeneratorKind.m1(), t, prop, np.array([2.9, -2.9]), 1e-3, 0)
-    with pytest.raises(ConfigurationError, match="box"):
-        simulate_path(GeneratorKind.m1(), t, prop, np.array([3.1, 0.0]), 1e-3, 0)
+    simulate_path(GeneratorKind.m1(), t, prop, np.array([1e6, -1e6]), 1e-3, 0)
+    simulate_path(GeneratorKind.m2(), t, prop, np.array([30.0, -3.1]), 1e-3, 0)
+    with pytest.raises(ConfigurationError, match="finite"):
+        simulate_path(GeneratorKind.m1(), t, prop, np.array([np.inf, 0.0]), 1e-3, 0)
     free = LogCoshWell(d_star=2)
-    assert free.box is None
+    assert not hasattr(free, "box") and not hasattr(t, "box")
     simulate_path(GeneratorKind.m1(), free, prop, np.array([1e6, -1e6]), 1e-3, 0)
 
 

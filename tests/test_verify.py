@@ -50,6 +50,9 @@ def test_fit_loglog_slope_recovers_exponent():
     x = np.array([1e-1, 1e-2, 1e-3, 1e-4])
     assert abs(fit_loglog_slope(x, 3.7 * x ** 0.5) - 0.5) < 1e-12
     assert abs(fit_loglog_slope(x, 0.2 * x ** 2.0) - 2.0) < 1e-12
+    for degenerate in ([0.1], [0.1, 0.1]):
+        with pytest.raises(ConfigurationError, match="two distinct"):
+            fit_loglog_slope(degenerate, [1.0] * len(degenerate))
 
 
 def test_default_x_grid_layout():
@@ -205,6 +208,9 @@ def test_folded_moment_closed_forms_at_zero_tilt():
         folded_normal_moment(0.0, 5, 0.01)
     with pytest.raises(ConfigurationError, match="out of range"):  # e^{t sqrt(eps) u} overflows
         folded_normal_moment(1e9, 3, 1e-5)
+    with pytest.raises(ConfigurationError, match="out of range"):  # [0, 14 + t sqrt(eps)] is empty
+        folded_normal_moment(-1e4, 3, 1e-5)
+    assert folded_normal_moment(-1.0, 3, 1e-5) > 0.0
 
 
 def test_folded_moment_orders_small_scale():
