@@ -28,16 +28,28 @@ and the vectorized block engine therefore consume identical per-path tapes,
 share one event transform and one thinning step, and produce bit-identical
 paths. A path's values depend only on
 (master_seed, domain, path index): no randomness is shared across paths, so
-neither the number of paths, nor the block of BLOCK_PATHS paths a path runs
-in, nor the thread that runs the block can change them. Rows are drawn in
-chunks of TAPE_CHUNK events; a path that ends mid-chunk ignores the unused
-rows, and because the stream is counter-based a path's rows, and so its
-values, do not depend on the chunk size either.
+neither the number of paths, nor the block a path runs in, nor the thread
+that runs the block can change them. Rows are drawn in chunks; a path that
+ends mid-chunk ignores the unused rows, and because the stream is
+counter-based a path's rows, and so its values, do not depend on the chunk
+length either.
 
-At the top of each tape chunk, both engines stop a path with a
-ConfigurationError if its rate in its current state times its remaining
-horizon exceeds MAX_CANDIDATES: a constant-rate run before its first event,
-a per-event-clock run within TAPE_CHUNK events of its R(x) running away.
+Blocks and chunks. The scalar engine draws TAPE_CHUNK rows at a time. A
+block holds min(n_paths, BLOCK_PATHS) paths, and its tape at most TAPE_ROWS
+rows: each path of a block of b paths draws the largest chunk c that
+divides TAPE_CHUNK with b c <= TAPE_ROWS (256 paths draw 256 rows, 1024
+paths 128, 2048 paths 64). A wide block spreads the fixed cost of each
+event's numpy calls over more paths, and the budget keeps its tape, and so
+peak memory, at the 512 x 256 rows of a narrow one.
+
+The run-size check. Each time a path has drawn a multiple of TAPE_CHUNK
+rows, both engines stop it with a ConfigurationError if its rate in its
+current state times its remaining horizon exceeds MAX_CANDIDATES: a
+constant-rate run before its first event, a per-event-clock run within
+TAPE_CHUNK events of its R(x) running away. Every live path of a block has
+drawn the same number of rows, so a block checks at the same boundaries as
+the scalar engine, whatever its chunk, and whether a run is refused depends
+on the path alone.
 
 The block engine advances a block of paths in lock step, one candidate event
 per iteration across the whole block. Only the paths still inside the
@@ -58,8 +70,9 @@ the last jump at or before it).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,8 +91,9 @@ from .targets import TargetPotential
 
 TAPE_COLS = 6
 COL_EXP, COL_COORD, COL_BRANCH, COL_SIGN, COL_MAG, COL_ACC = range(TAPE_COLS)
-TAPE_CHUNK = 256
-BLOCK_PATHS = 512
+TAPE_CHUNK = 256  # rows the scalar engine draws at a time; the run-size check's cadence
+BLOCK_PATHS = 2048
+TAPE_ROWS = 1 << 17  # the most tape rows a block draws at a time
 FIRST_JUMP_BATCH = 1 << 18
 MAX_CANDIDATES = 1e9  # expected candidate events per path a run may go on to
 
@@ -88,13 +102,21 @@ MAX_CANDIDATES = 1e9  # expected candidate events per path a run may go on to
 DOMAIN_JUMP, DOMAIN_LANGEVIN, DOMAIN_DIRECT, DOMAIN_SBOUND, DOMAIN_GEOMETRY = range(5)
 
 
+def _integer(name, value, least):
+    """value as an int: a Python or numpy integer, not a bool, >= least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def path_stream(master_seed, domain, index):
     """Counter-based stream keyed by (master_seed, domain, index).
 
     Philox is counter-based, so a stream's values depend on its key only,
     never on which other streams exist or in which order they are drawn.
     """
-    ss = np.random.SeedSequence(int(master_seed), spawn_key=(int(domain), int(index)))
+    seed = _integer("master_seed", master_seed, 0)
+    ss = np.random.SeedSequence(seed, spawn_key=(int(domain), int(index)))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -167,7 +189,7 @@ class _EventParams:
     the positive component (mean_abs, trunc_lo), the clock rate rate_total
     and the plain-branch probability p_plain. local marks a tilted kind on a
     target whose slope bound depends on the state: the engines then take the
-    last five from the state before each event (_at), one per row.
+    kernel from the state before each event (_at), one per row.
     """
 
     kind: GeneratorKind
@@ -181,6 +203,10 @@ class _EventParams:
     rate_total: float
     p_plain: float
     local: bool
+
+
+# The kernel fields of _EventParams at one state or one per row of states.
+_Kernel = namedtuple("_Kernel", "sigma tilt mean_abs trunc_lo rate_total p_plain")
 
 
 def _event_params(kind, target, proposal):
@@ -201,11 +227,12 @@ def _event_params(kind, target, proposal):
 
 
 def _at(p, x):
-    """The event transform at state x, one state or a block of rows.
+    """The kernel at state x, one state or a block of rows: p itself, whose
+    kernel serves every state, unless p is local.
 
     For a local p the kernel is tilted by theta(x) = max_i slope_bound(x)_i / T,
     which sets the clock rate R(x) and the plain-branch probability
-    alpha / R(x). Otherwise p itself.
+    alpha / R(x).
     """
     if not p.local:
         return p
@@ -217,7 +244,7 @@ def _at(p, x):
                               f"x={np.reshape(x, (-1, target.d_star))[j]!r}")
     mean, lo, lam = row_kernel(p.epsilon, theta)
     r0 = p.alpha + (1.0 - p.alpha) * lam
-    return replace(p, tilt=theta, mean_abs=mean, trunc_lo=lo, rate_total=r0, p_plain=p.alpha / r0)
+    return _Kernel(p.sigma, theta, mean, lo, r0, p.alpha / r0)
 
 
 def _decode_tape(rows, d):
@@ -231,30 +258,31 @@ def _decode_tape(rows, d):
     return e, i, rows[..., COL_SIGN] < 0.5, rows[..., COL_MAG], rows[..., COL_BRANCH], log_u
 
 
-def _decode_move(p, e, neg, u_mag, u_branch):
-    """The rest of the event transform, under p's clock rate and kernel:
+def _decode_move(q, e, neg, u_mag, u_branch):
+    """The rest of the event transform, under kernel q and its clock rate:
     (waiting time, z, |z|)."""
-    abs_z = sample_abs(u_mag, p.sigma, p.mean_abs, p.trunc_lo, u_branch >= p.p_plain)
-    return e / p.rate_total, np.where(neg, -abs_z, abs_z), abs_z
+    abs_z = sample_abs(u_mag, q.sigma, q.mean_abs, q.trunc_lo, u_branch >= q.p_plain)
+    return e / q.rate_total, np.where(neg, -abs_z, abs_z), abs_z
 
 
-def _thin(p, x, i, z, abs_z, log_u, where, live=None):
-    """The thinning step: accept each candidate move with probability a(z).
+def _thin(p, tilt, x, i, z, abs_z, log_u, where, live=None):
+    """The thinning step: accept each candidate move, drawn from the kernel
+    tilted by tilt, with probability a(z).
 
     where(k) describes candidate k if the declared gradient bound fails;
     live, if given, masks candidates out of the check and of the accepts.
     """
-    la = accept_log_from_delta(p.target.delta_u_move(x, i, z), abs_z, p.alpha, p.tilt, p.target.T)
+    la = accept_log_from_delta(p.target.delta_u_move(x, i, z), abs_z, p.alpha, tilt, p.target.T)
     if live is not None:
         la = np.where(live, la, -np.inf)
     check_domination(la, p.kind, p.target, where)
     return log_u < la
 
 
-def check_run(obs_grid, n_paths):
+def check_run(obs_grid, n_paths, threads=1):
     """Validate an ensemble request; returns the observation grid as an array."""
-    if n_paths < 1:
-        raise ConfigurationError("n_paths must be >= 1")
+    _integer("n_paths", n_paths, 1)
+    _integer("threads", threads, 1)
     obs = np.asarray(obs_grid, dtype=float)
     if (obs.ndim != 1 or obs.size == 0 or not np.all(np.isfinite(obs)) or np.any(obs < 0.0)
             or np.any(np.diff(obs) <= 0.0)):
@@ -332,7 +360,7 @@ def simulate_path(kind, target, proposal, x0, horizon, stream):
                     horizon=float(horizon),
                 )
             i, z = int(coords[k]), float(z)
-            if _thin(q, x, i, z, abs_z, log_us[k], lambda _: f"x={x!r}, i={i}, z={z!r}"):
+            if _thin(p, q.tilt, x, i, z, abs_z, log_us[k], lambda _: f"x={x!r}, i={i}, z={z!r}"):
                 x[i] += z
                 times.append(t)
                 states.append(x.copy())
@@ -362,7 +390,7 @@ def _crossings(passed, inside):
     return np.searchsorted(ks, np.arange(inside.shape[0] + 1)).tolist(), cols, obs_idx
 
 
-def _move(q, x, flat, i, z, abs_z, log_u, live, describe):
+def _move(p, tilt, x, flat, i, z, abs_z, log_u, live, describe):
     """Thin one candidate per row of the block state x and apply the accepted
     moves in place; returns the accepts.
 
@@ -372,7 +400,7 @@ def _move(q, x, flat, i, z, abs_z, log_u, live, describe):
     def where(j):
         return f"{describe(j)}, x={x[j]!r}, i={int(i[j])}, z={float(z[j])!r}"
 
-    acc = _thin(q, x, i, z, abs_z, log_u, where, live)
+    acc = _thin(p, tilt, x, i, z, abs_z, log_u, where, live)
     x_flat = x.reshape(-1)  # a view: x is always a fresh C-ordered array
     xi = x_flat[flat]
     x_flat[flat] = np.where(acc, xi + z, xi)
@@ -400,7 +428,7 @@ def _chunk_clock(p, rows, x, t, horizon, obs_proc, record, describe):
         lo, hi = bounds[k], bounds[k + 1]
         if lo < hi:
             record(rec_cols[lo:hi], rec_obs[lo:hi])
-        count += _move(p, x, flat[k], i[k], z[k], abs_z[k], log_u[k],
+        count += _move(p, p.tilt, x, flat[k], i[k], z[k], abs_z[k], log_u[k],
                        None if k < all_inside else inside[k], describe)
     done = np.flatnonzero(~inside[-1])  # a finished path holds its state to the end of the grid
     rec, obs_idx = _spans(passed[n_in[done], done], obs_proc.size)
@@ -441,8 +469,15 @@ def _event_clock(p, rows, x, t, horizon, obs_proc, record, describe):
                 break
             if inside.all():
                 inside = None
-        count += _move(q, x, flat[k], i[k], z, abs_z, log_u[k], inside, describe)
+        count += _move(p, q.tilt, x, flat[k], i[k], z, abs_z, log_u[k], inside, describe)
     return t, count
+
+
+def _tape_chunk(b):
+    """Rows each path of a block of b paths draws at a time: the largest
+    divisor of TAPE_CHUNK whose b rows per path fit in TAPE_ROWS, at least 1."""
+    return max((c for c in range(1, TAPE_CHUNK + 1) if TAPE_CHUNK % c == 0 and b * c <= TAPE_ROWS),
+               default=1)
 
 
 def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
@@ -450,12 +485,14 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
     b, d = x0_block.shape
     samples = np.empty((b, obs_proc.size, d))
     n_acc = np.zeros(b, dtype=np.int64)
-    tape = np.empty((b, TAPE_CHUNK, TAPE_COLS))
+    chunk = _tape_chunk(b)
+    tape = np.empty((b, chunk, TAPE_COLS))
     run_chunk = _event_clock if p.local else _chunk_clock
     # the unfinished paths: block rows, states, clocks
     live = np.arange(b)
     x = x0_block.copy()
     t = np.zeros(b)
+    drawn = 0  # tape rows each live path has drawn
 
     def record(cols, obs_idx):  # the current states of live columns at observation indices
         samples[live[cols], obs_idx] = x[cols]
@@ -464,9 +501,11 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
         return f"path {path_offset + int(live[j])}"
 
     while live.size:
-        _check_candidates(_at(p, x), horizon - t)
+        if drawn % TAPE_CHUNK == 0:  # the scalar engine's chunk boundaries
+            _check_candidates(_at(p, x), horizon - t)
         for r, q in enumerate(live):
             streams[q].random(out=tape[r])
+        drawn += chunk
         rows = np.ascontiguousarray(tape[:live.size].swapaxes(0, 1))
         t, count = run_chunk(p, rows, x, t, horizon, obs_proc, record, describe)
         n_acc[live] += count
@@ -493,9 +532,12 @@ def simulate_ensemble(
     With rescaled=True (the default) obs_grid is macroscopic time and each
     path runs to process time max(obs_grid)/epsilon; with rescaled=False the
     grid is raw process time (diagnostic runs). Paths run in blocks of
-    BLOCK_PATHS, on `threads` threads; neither changes any path's values.
+    min(n_paths, BLOCK_PATHS), each drawing its tape in chunks that keep it
+    within TAPE_ROWS rows, on `threads` threads; none of these changes any
+    path's values. n_paths, master_seed and threads are integers (numpy's
+    too): n_paths and threads at least 1, master_seed at least 0.
     """
-    obs = check_run(obs_grid, n_paths)
+    obs = check_run(obs_grid, n_paths, threads)
     x0 = _validate_x0(target, x0)
     if x0.ndim == 1:
         starts = np.broadcast_to(x0, (n_paths, target.d_star))
@@ -542,15 +584,18 @@ def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed):
     x = _validate_x0(target, x)
     if x.ndim != 1:
         raise ConfigurationError("first_jump_displacements takes a single state")
+    n_samples = _integer("n_samples", n_samples, 1)
     rng = path_stream(master_seed, DOMAIN_DIRECT, 0)
-    p = _at(_event_params(kind, target, proposal), x)
+    p = _event_params(kind, target, proposal)
+    q = _at(p, x)
     out_z = np.empty(n_samples)
     out_i = np.empty(n_samples, dtype=np.int64)
 
     def accepted(rows):  # (z, i) of the accepted rows; the batch's arrays die here
         e, i, neg, u_mag, u_branch, log_u = _decode_tape(rows, target.d_star)
-        _, z, abs_z = _decode_move(p, e, neg, u_mag, u_branch)
-        acc = _thin(p, x, i, z, abs_z, log_u, lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
+        _, z, abs_z = _decode_move(q, e, neg, u_mag, u_branch)
+        acc = _thin(p, q.tilt, x, i, z, abs_z, log_u,
+                    lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
         return z[acc], i[acc]
 
     filled = 0

@@ -61,7 +61,7 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
     """Euler-Maruyama ensemble on obs_grid, a grid of whole steps of dt."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    obs = check_run(obs_grid, n_paths)
+    obs = check_run(obs_grid, n_paths, threads)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (target.d_star,):
         raise ConfigurationError(f"x0 must have {target.d_star} coordinates")

@@ -258,6 +258,48 @@ def test_per_event_clock_invariant_to_tape_chunk(monkeypatch, chunk):
     assert_invariant_to_tape_chunk(monkeypatch, chunk, LOCAL, QUAD)
 
 
+@pytest.mark.parametrize("n,block,chunk", [(1, 1, 256), (256, 256, 256), (512, 512, 256),
+                                            (600, 600, 128), (1024, 1024, 128),
+                                            (2000, 2000, 64), (10000, 2048, 64)])
+def test_blocks_share_one_tape_budget(monkeypatch, n, block, chunk):
+    # every block draws the largest chunk dividing TAPE_CHUNK that keeps its
+    # tape within TAPE_ROWS; the first block is the widest
+    shapes = []
+    tape_chunk = jump._tape_chunk
+
+    def spy(b):
+        shapes.append((b, tape_chunk(b)))
+        return shapes[-1][1]
+
+    monkeypatch.setattr(jump, "_tape_chunk", spy)
+    simulate_ensemble(GeneratorKind.m1(), WELL, GaussianProposal(0.3), np.array([0.4]), [0.01],
+                      n, 0)
+    assert shapes[0] == (block, chunk)
+    assert sum(b for b, _ in shapes) == n
+    assert all(b <= block and b * c <= jump.TAPE_ROWS and jump.TAPE_CHUNK % c == 0
+               for b, c in shapes)
+
+
+@pytest.mark.parametrize("rows", [1, 24 * 3, 24 * 100])
+def test_both_clocks_invariant_to_the_tape_budget(monkeypatch, rows):
+    # one block of 24 paths draws 1, 2 or 64 rows at a time instead of 256;
+    # about 250-300 candidates per path, so the default chunk is crossed too
+    prop = GaussianProposal(0.004)
+    obs = [0.0, 0.3, 0.6, 1.0]
+    cells = [(kind, DW) for kind in KINDS] + [(kind, QUAD) for kind in LOCAL]
+
+    def runs():
+        return [simulate_ensemble(kind, target, prop, np.array([1.0, -1.0]), obs, 24, 31,
+                                  return_counts=True) for kind, target in cells]
+
+    base = runs()
+    monkeypatch.setattr(jump, "TAPE_ROWS", rows)
+    assert jump._tape_chunk(24) < jump.TAPE_CHUNK
+    for (ens, counts), (other, other_counts) in zip(base, runs()):
+        assert np.array_equal(ens.samples, other.samples)
+        assert np.array_equal(counts, other_counts)
+
+
 def test_observation_at_time_zero_is_the_start():
     ens = assert_engines_agree(MIX, WELL, GaussianProposal(0.3), np.array([0.4]), [0.0, 2.0], 6, 2)
     assert np.all(ens.samples[:, 0, 0] == 0.4)
@@ -479,6 +521,104 @@ def test_rate_check_stops_both_engines_at_the_same_chunk(monkeypatch, kind, seed
         simulate_ensemble(kind, QUAD1, prop, np.zeros(1), [horizon], 1, seed, rescaled=False)
     assert str(block.value) == str(scalar.value)
     assert f"over horizon {horizon:.3g})" not in str(scalar.value)  # stopped after it started
+
+
+def rate_checks(monkeypatch, run):
+    """The largest expected candidate count of every run-size check of run(),
+    and the message of the ConfigurationError that stopped it, or None."""
+    seen = []
+    check = jump._check_candidates
+
+    def spy(q, remaining):
+        seen.append(float(np.max(q.rate_total * np.asarray(remaining))))
+        check(q, remaining)
+
+    monkeypatch.setattr(jump, "_check_candidates", spy)
+    try:
+        run()
+    except ConfigurationError as err:
+        return seen, str(err)
+    finally:
+        monkeypatch.setattr(jump, "_check_candidates", check)
+    return seen, None
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+@pytest.mark.parametrize("seed", [7, 8, 9])
+def test_rate_check_keeps_its_cadence_in_a_short_chunk(monkeypatch, kind, seed):
+    # a block of one path drawing TAPE_CHUNK / 4 rows at a time checks only
+    # after every TAPE_CHUNK rows, so it makes the scalar engine's checks and
+    # is refused at the same event with the same message
+    monkeypatch.setattr(jump, "TAPE_CHUNK", 8)
+    monkeypatch.setattr(jump, "TAPE_ROWS", 2)
+    monkeypatch.setattr(jump, "MAX_CANDIDATES", 1500.0)
+    assert jump._tape_chunk(1) == jump.TAPE_CHUNK // 4
+    prop, horizon = GaussianProposal(0.3), 600.0
+    scalar = rate_checks(monkeypatch, lambda: simulate_path(
+        kind, QUAD1, prop, np.zeros(1), horizon, path_stream(seed, DOMAIN_JUMP, 0)))
+    block = rate_checks(monkeypatch, lambda: simulate_ensemble(
+        kind, QUAD1, prop, np.zeros(1), [horizon], 1, seed, rescaled=False))
+    assert "expected candidate events" in scalar[1]
+    assert len(scalar[0]) > 1 and block == scalar
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+@pytest.mark.parametrize("seed", [10, 11, 12])
+def test_rate_crossing_the_cap_between_checks_is_not_refused(monkeypatch, kind, seed):
+    # R(x) times the remaining horizon rises above the cap at an event that
+    # is not a multiple of TAPE_CHUNK, and is below it at every check; the run
+    # passes in both engines at the default chunk and at TAPE_CHUNK / 4
+    prop, horizon, x0 = GaussianProposal(0.3), 300.0, np.zeros(1)
+    monkeypatch.setattr(jump, "TAPE_CHUNK", 1)  # a check before every event
+    seen, _ = rate_checks(monkeypatch, lambda: simulate_path(
+        kind, QUAD1, prop, x0, horizon, path_stream(seed, DOMAIN_JUMP, 0)))
+    at_checks, between = max(seen[::8]), max(seen[::2])
+    assert between > at_checks
+    monkeypatch.setattr(jump, "TAPE_CHUNK", 8)
+    monkeypatch.setattr(jump, "MAX_CANDIDATES", math.sqrt(at_checks * between))
+    for rows in (jump.TAPE_ROWS, 2):
+        monkeypatch.setattr(jump, "TAPE_ROWS", rows)
+        assert_engines_agree(kind, QUAD1, prop, x0, [horizon], 1, seed)
+
+
+MALFORMED = [("n_paths", 2.5), ("n_paths", 0), ("n_paths", "4"), ("n_paths", True),
+             ("master_seed", -1), ("master_seed", 1.5), ("master_seed", "7"),
+             ("threads", 0), ("threads", -2), ("threads", 2.5)]
+
+
+@pytest.mark.parametrize("field,value", MALFORMED)
+def test_simulate_ensemble_refuses_malformed_sizes_and_seeds(field, value):
+    args = {"n_paths": 4, "master_seed": 0, "threads": 1, field: value}
+    with pytest.raises(ConfigurationError, match=field):
+        simulate_ensemble(MIX, DW, GaussianProposal(0.04), np.zeros(2), [0.5], **args)
+
+
+def test_sizes_and_seeds_may_be_numpy_integers():
+    prop = GaussianProposal(0.04)
+    ens = simulate_ensemble(MIX, DW, prop, np.zeros(2), [0.5], 4, 3)
+    other = simulate_ensemble(MIX, DW, prop, np.zeros(2), [0.5], np.int64(4), np.uint32(3),
+                              threads=np.int8(2))
+    assert np.array_equal(ens.samples, other.samples) and other.seed == 3
+    z, i = first_jump_displacements(MIX, DW, prop, np.zeros(2), 50, 3)
+    z2, i2 = first_jump_displacements(MIX, DW, prop, np.zeros(2), np.int32(50), np.int64(3))
+    assert np.array_equal(z, z2) and np.array_equal(i, i2)
+
+
+@pytest.mark.parametrize("field,value", [("n_samples", -1), ("n_samples", 0),
+                                         ("n_samples", 2.5), ("master_seed", -1),
+                                         ("master_seed", 1.5)])
+def test_first_jump_displacements_refuses_malformed_sizes_and_seeds(field, value):
+    args = {"n_samples": 10, "master_seed": 0, field: value}
+    with pytest.raises(ConfigurationError, match=field):
+        first_jump_displacements(MIX, DW, GaussianProposal(0.04), np.zeros(2), **args)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "7", None, False])
+def test_path_stream_refuses_malformed_seeds(seed):
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        path_stream(seed, DOMAIN_JUMP, 0)
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        simulate_path(MIX, DW, GaussianProposal(0.04), np.zeros(2), 1.0, seed)
 
 
 def test_observed_ensemble_accessors():

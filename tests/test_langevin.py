@@ -131,3 +131,12 @@ def test_langevin_validation():
         simulate_langevin(target, np.zeros(2), [0.1], 0, 1e-2, 0)
     with pytest.raises(ConfigurationError):
         simulate_langevin(target, np.zeros(2), [0.1], 5, -1e-2, 0)
+
+
+@pytest.mark.parametrize("field,value", [("n_paths", 2.5), ("n_paths", 0), ("n_paths", True),
+                                         ("master_seed", -1), ("master_seed", 1.5),
+                                         ("threads", 0), ("threads", -2)])
+def test_langevin_refuses_malformed_sizes_and_seeds(field, value):
+    args = {"n_paths": 5, "master_seed": 0, "threads": 1, field: value}
+    with pytest.raises(ConfigurationError, match=field):
+        simulate_langevin(BoxedQuadratic(d_star=2), np.zeros(2), [0.1], dt=1e-2, **args)
