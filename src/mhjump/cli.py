@@ -477,7 +477,8 @@ def build_parser():
     parser.add_argument("--config", help="JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="fallback seed (config and MHJUMP_SEED win)")
     parser.add_argument("--out", default="mhjump-out", help="output directory")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default from config)")
+    parser.add_argument("--threads", type=int, default=None,
+                        help="worker threads, at most the usable cores (default from config)")
     parser.add_argument("--quiet", action="store_true")
     return parser
 

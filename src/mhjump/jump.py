@@ -9,9 +9,9 @@ kernel is tilted by theta(x) and the rate is R(x), both fixed by the state
 before each candidate; R(x) changes only at accepted jumps, so the waiting
 time to candidate k is E_k / R(x) with E_k the tape's exponential variate,
 and each event advances its path's clock by it (the per-event clock). Every
-other run has one rate for the whole path and keeps the chunk clock below.
-The time rescaling t -> t/eps is applied to the observation horizon, never
-to the rates, so the rate code is identical across eps.
+other run has one rate for the whole path, so a whole chunk of waiting times
+decodes at once. The time rescaling t -> t/eps is applied to the observation
+horizon, never to the rates, so the rate code is identical across eps.
 
 Determinism. Path p draws from a Philox stream keyed by
 (master_seed, domain, p). Every candidate event consumes exactly one row of
@@ -40,7 +40,9 @@ rows: each path of a block of b paths draws the largest chunk c that
 divides TAPE_CHUNK with b c <= TAPE_ROWS (256 paths draw 256 rows, 1024
 paths 128, 2048 paths 64). A wide block spreads the fixed cost of each
 event's numpy calls over more paths, and the budget keeps its tape, and so
-peak memory, at the 512 x 256 rows of a narrow one.
+peak memory, at the 512 x 256 rows of a narrow one. The same budget bounds
+the block's `before` buffer, the state each event of a chunk meets: c x b x
+d floats, at most TAPE_ROWS x d.
 
 The run-size check. Each time a path has drawn a multiple of TAPE_CHUNK
 rows, both engines stop it with a ConfigurationError if its rate in its
@@ -52,24 +54,27 @@ the scalar engine, whatever its chunk, and whether a run is refused depends
 on the path alone.
 
 The block engine advances a block of paths in lock step, one candidate event
-per iteration across the whole block. Only the paths still inside the
-horizon draw a chunk, into one preallocated buffer. Under the chunk clock it
-does the rest of its per-tape work once per chunk: the chunk is decoded by
-one call of the event transform into event-major arrays; the event times
-are one cumulative sum from each path's clock; and one searchsorted of the
-times against the observation grid finds every observation crossing of the
-chunk, so states are recorded only at the events where some path crosses.
-Under the per-event clock each event is decoded at the block's current
-states, and one compare of the new clocks against each path's next
-observation finds the crossings. Only candidates inside the horizon are
-thinned, as in the scalar engine. States are right-continuously recorded on
-the observation grid (the value at an observation time is the state after
-the last jump at or before it).
+per iteration across the whole block, and runs every chunk through one
+runner. Only the paths still inside the horizon draw a chunk, into one
+preallocated buffer. The runner's clock holds, for each path, its time
+before the chunk and after each event. Under one rate for every event the
+chunk is decoded by one call of the event transform into event-major arrays
+and the clock is one cumulative sum; under the per-event clock each event is
+decoded at the block's current states and adds its waiting time to the
+clock. Each event stores the states it meets in `before`, and only
+candidates inside the horizon are thinned, as in the scalar engine; the
+loop stops once no path is inside. Then one searchsorted of the clock
+against the observation grid finds every observation crossing of the chunk,
+and each crossed observation is recorded once, from the state its event
+met. A path's first event past the horizon so records the rest of the grid.
+States are right-continuously recorded on the observation grid (the value
+at an observation time is the state after the last jump at or before it).
 """
 
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -290,18 +295,29 @@ def check_run(obs_grid, n_paths, threads=1):
     return obs
 
 
+def _usable_cores():
+    """The cores this process may run on, or the machine's where the OS does
+    not say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def run_spans(run_span, n_paths, block, threads):
     """Call run_span(b, lo, hi) for each block b of `block` consecutive paths.
 
-    Blocks run in order, or on a pool of threads when threads > 1; run_span
-    writes its own rows of the output, so the schedule cannot change them.
+    Blocks run in order, or on a pool of min(threads, usable cores) threads
+    when that is more than one; run_span writes its own rows of the output,
+    so the schedule cannot change them.
     """
     spans = [(b, lo, min(lo + block, n_paths)) for b, lo in enumerate(range(0, n_paths, block))]
-    if threads <= 1:
+    workers = min(int(threads), _usable_cores())
+    if workers <= 1:
         for span in spans:
             run_span(*span)
     else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(lambda span: run_span(*span), spans))
 
 
@@ -374,22 +390,6 @@ def _spans(lo, hi):
     return np.repeat(np.arange(n.size), n), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
-def _crossings(passed, inside):
-    """The observation records of one chunk, grouped by event.
-
-    passed[k, c] is the number of observation points before column c's clock
-    ahead of event k, and passed[k + 1, c] after it. An event inside the
-    horizon records the column's pre-event state at the observation indices
-    [passed[k, c], passed[k + 1, c]). Returns per-event bounds into the
-    records (those of event k are [bounds[k], bounds[k + 1])) and each
-    record's column and observation index.
-    """
-    ks, cols = np.nonzero((passed[1:] > passed[:-1]) & inside)
-    rec, obs_idx = _spans(passed[ks, cols], passed[ks + 1, cols])
-    ks, cols = ks[rec], cols[rec]
-    return np.searchsorted(ks, np.arange(inside.shape[0] + 1)).tolist(), cols, obs_idx
-
-
 def _move(p, tilt, x, flat, i, z, abs_z, log_u, live, describe):
     """Thin one candidate per row of the block state x and apply the accepted
     moves in place; returns the accepts.
@@ -407,70 +407,46 @@ def _move(p, tilt, x, flat, i, z, abs_z, log_u, live, describe):
     return acc
 
 
-def _chunk_clock(p, rows, x, t, horizon, obs_proc, record, describe):
-    """Run one chunk of event-major tape rows with one rate for every event.
+def _run_chunk(p, rows, x, t, horizon, obs_proc, describe):
+    """Run one chunk of event-major tape rows from the clocks t.
 
-    Moves x in place and returns the clocks after the chunk and the accepted
-    events of each row; record(cols, obs_idx) stores rows' current states.
+    Moves x in place. Returns the clocks after the chunk, the accepted events
+    of each row, and the chunk's observation records: each record's row,
+    observation index and state. Event k of a row records the state it
+    meets at every observation point in [the row's clock before it, its
+    time), so the row's first event past the horizon records the rest of
+    the grid.
     """
     n, d = x.shape
     e, i, neg, u_mag, u_branch, log_u = _decode_tape(rows, d)
-    dt, z, abs_z = _decode_move(p, e, neg, u_mag, u_branch)
-    clock = np.cumsum(np.vstack([t, dt]), axis=0)  # clock[k + 1] is the time of event k
-    inside = clock[1:] <= horizon
-    n_in = inside.sum(axis=0)  # in-horizon events of each path
-    passed = np.searchsorted(obs_proc, clock)
-    bounds, rec_cols, rec_obs = _crossings(passed, inside)
-    flat = i + d * np.arange(n)
-    count = np.zeros(n, dtype=np.int64)
-    all_inside = int(n_in.min())
-    for k in range(int(n_in.max())):
-        lo, hi = bounds[k], bounds[k + 1]
-        if lo < hi:
-            record(rec_cols[lo:hi], rec_obs[lo:hi])
-        count += _move(p, p.tilt, x, flat[k], i[k], z[k], abs_z[k], log_u[k],
-                       None if k < all_inside else inside[k], describe)
-    done = np.flatnonzero(~inside[-1])  # a finished path holds its state to the end of the grid
-    rec, obs_idx = _spans(passed[n_in[done], done], obs_proc.size)
-    record(done[rec], obs_idx)
-    return clock[-1], count
-
-
-def _event_clock(p, rows, x, t, horizon, obs_proc, record, describe):
-    """Run one chunk of event-major tape rows under the per-event clock.
-
-    Each event is decoded at the rows' current states and advances each
-    clock by E_k / R(x); a row whose clock passes its next observation time
-    records its pre-event state up to the new clock. Same contract as
-    _chunk_clock.
-    """
-    n, d = x.shape
-    passed = np.searchsorted(obs_proc, t)  # observation points before each clock
-    upcoming = np.append(obs_proc, np.inf)
-    next_obs = upcoming[passed]
-    e, i, neg, u_mag, u_branch, log_u = _decode_tape(rows, d)
+    if p.local:  # each event's rate and move come from the state it meets
+        clock = np.empty((rows.shape[0] + 1, n))
+        clock[0] = t
+    else:  # one kernel for every event: the chunk decodes at once
+        dt, z, abs_z = _decode_move(p, e, neg, u_mag, u_branch)
+        clock = np.cumsum(np.vstack([t, dt]), axis=0)  # clock[k + 1] is the time of event k
+    before = np.empty((rows.shape[0], n, d))  # before[k] is the state event k meets
     flat = i + d * np.arange(n)
     count = np.zeros(n, dtype=np.int64)
     inside = None  # every row is inside the horizon
     for k in range(rows.shape[0]):
-        q = _at(p, x)
-        dt, z, abs_z = _decode_move(q, e[k], neg[k], u_mag[k], u_branch[k])
-        t = t + dt
-        cross = np.flatnonzero(next_obs < t)
-        if cross.size:
-            now = np.searchsorted(obs_proc, t[cross])
-            rec, obs_idx = _spans(passed[cross], now)
-            record(cross[rec], obs_idx)
-            passed[cross] = now
-            next_obs[cross] = upcoming[now]
-            # the horizon is the last observation, so only a crossing can pass it
-            inside = t <= horizon
+        if p.local:
+            q = _at(p, x)
+            dt, zk, abs_zk = _decode_move(q, e[k], neg[k], u_mag[k], u_branch[k])
+            clock[k + 1] = clock[k] + dt
+        else:
+            q, zk, abs_zk = p, z[k], abs_z[k]
+        before[k] = x
+        if clock[k + 1].max() > horizon:
+            inside = clock[k + 1] <= horizon
             if not inside.any():
                 break
-            if inside.all():
-                inside = None
-        count += _move(p, q.tilt, x, flat[k], i[k], z, abs_z, log_u[k], inside, describe)
-    return t, count
+        count += _move(p, q.tilt, x, flat[k], i[k], zk, abs_zk, log_u[k], inside, describe)
+    passed = np.searchsorted(obs_proc, clock[:k + 2])  # observation points before each clock
+    ks, cols = np.nonzero(passed[1:] > passed[:-1])
+    rec, obs_idx = _spans(passed[ks, cols], passed[ks + 1, cols])
+    ks, cols = ks[rec], cols[rec]
+    return clock[k + 1], count, cols, obs_idx, before[ks, cols]
 
 
 def _tape_chunk(b):
@@ -487,15 +463,11 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
     n_acc = np.zeros(b, dtype=np.int64)
     chunk = _tape_chunk(b)
     tape = np.empty((b, chunk, TAPE_COLS))
-    run_chunk = _event_clock if p.local else _chunk_clock
     # the unfinished paths: block rows, states, clocks
     live = np.arange(b)
     x = x0_block.copy()
     t = np.zeros(b)
     drawn = 0  # tape rows each live path has drawn
-
-    def record(cols, obs_idx):  # the current states of live columns at observation indices
-        samples[live[cols], obs_idx] = x[cols]
 
     def describe(j):
         return f"path {path_offset + int(live[j])}"
@@ -507,7 +479,8 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
             streams[q].random(out=tape[r])
         drawn += chunk
         rows = np.ascontiguousarray(tape[:live.size].swapaxes(0, 1))
-        t, count = run_chunk(p, rows, x, t, horizon, obs_proc, record, describe)
+        t, count, cols, obs_idx, states = _run_chunk(p, rows, x, t, horizon, obs_proc, describe)
+        samples[live[cols], obs_idx] = states
         n_acc[live] += count
         keep = t <= horizon
         live, x, t = live[keep], x[keep], t[keep]
@@ -533,9 +506,10 @@ def simulate_ensemble(
     path runs to process time max(obs_grid)/epsilon; with rescaled=False the
     grid is raw process time (diagnostic runs). Paths run in blocks of
     min(n_paths, BLOCK_PATHS), each drawing its tape in chunks that keep it
-    within TAPE_ROWS rows, on `threads` threads; none of these changes any
-    path's values. n_paths, master_seed and threads are integers (numpy's
-    too): n_paths and threads at least 1, master_seed at least 0.
+    within TAPE_ROWS rows, on `threads` threads or the usable cores, whichever
+    is fewer; none of these changes any path's values. n_paths, master_seed
+    and threads are integers (numpy's too): n_paths and threads at least 1,
+    master_seed at least 0.
     """
     obs = check_run(obs_grid, n_paths, threads)
     x0 = _validate_x0(target, x0)

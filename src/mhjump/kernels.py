@@ -109,7 +109,11 @@ class GeneratorKind:
     def from_string(cls, text, alpha=None):
         text = text.strip().lower()
         if text.startswith("mix:"):
-            return cls.mix(float(text.split(":", 1)[1]))
+            weight = text.split(":", 1)[1]
+            try:
+                return cls.mix(float(weight))
+            except ValueError:
+                raise ConfigurationError(f"mix weight must be a number, got {weight!r}") from None
         if text == "mix":
             if alpha is None:
                 raise ConfigurationError("kind 'mix' needs alpha")

@@ -213,6 +213,16 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys, monkeypatch):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["mix:abc", "mix:", "mix:nan", "mix:1.5"])
+def test_exit_code_2_on_a_bad_mix_weight(tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, kind=kind, n_paths=5, obs_grid=[0.1], epsilon=0.1)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    with pytest.raises(ConfigurationError, match="mix"):
+        GeneratorKind.from_string(kind)
+
+
 @pytest.mark.parametrize("bad", [
     {"n_paths": "abc"},
     {"epsilon": "0.01"},

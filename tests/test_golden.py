@@ -51,6 +51,27 @@ def test_ensemble_bytes_are_pinned(case):
     assert hashlib.sha256(ens.samples.tobytes() + counts.tobytes()).hexdigest() == GOLDEN[case]
 
 
+# sha256 of the sample bytes followed by the accepted-event counts on a
+# 97-point raw process-time grid, about four observations per candidate: the
+# d=3 quadratic with m2 runs the per-event clock, the d=2 double well with m1
+# the chunk clock
+DENSE_GRID = np.linspace(0.0, 24.0, 97)
+DENSE_GOLDEN = {
+    "quadratic-d3-m2": (BoxedQuadratic(d_star=3), [1.0, -1.0, 0.5], "m2",
+                        "8bbf33b0de40bc54549f5ac02020b704fb2659fce706e0e5a91dd6347f6785fc"),
+    "doublewell-d2-m1": (SmoothedDoubleWell(d_star=2), [1.0, -1.0], "m1",
+                         "24fdc3717d891b747fbe79d238489ca436eba792adf1cded91b5615971233490"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DENSE_GOLDEN))
+def test_dense_grid_bytes_are_pinned(case):
+    target, x0, kind, digest = DENSE_GOLDEN[case]
+    ens, counts = simulate_ensemble(KINDS[kind], target, GaussianProposal(0.1), np.array(x0),
+                                    DENSE_GRID, 64, 20240, rescaled=False, return_counts=True)
+    assert hashlib.sha256(ens.samples.tobytes() + counts.tobytes()).hexdigest() == digest
+
+
 # sha256 of the sample bytes of a double-well reference ensemble (dt 1e-2,
 # 10 steps): 1024 paths are one full noise group, and 300 paths read the
 # first 300 columns of the same group's draws.

@@ -31,6 +31,9 @@ WELL = LogCoshWell(d_star=1, c=0.2)
 QUAD = BoxedQuadratic(d_star=2)
 QUAD1 = BoxedQuadratic(d_star=1)
 LOCAL = (GeneratorKind.m2(), MIX)
+# both clocks' cells: every kind at one rate on the double well, and the tilted
+# kinds under the per-event clock on the quadratic
+CELLS = [(kind, DW) for kind in KINDS] + [(kind, QUAD) for kind in LOCAL]
 
 
 def candidate_times(seed, q, n):
@@ -108,28 +111,18 @@ def test_simulate_path_invariants():
 def test_scalar_and_block_engines_agree_exactly():
     # the same per-path tape must give bit-identical states on the obs grid
     eps = 0.04
-    prop = GaussianProposal(eps)
+    prop, x0 = GaussianProposal(eps), np.array([1.0, -1.0])
     obs = np.array([0.3, 0.7, 1.1])
-    ens, counts = simulate_ensemble(
-        MIX, DW, prop, np.array([1.0, -1.0]), obs, 6, 2024, return_counts=True
-    )
     obs_proc = obs / eps
-    for q in range(6):
-        path = simulate_path(
-            MIX, DW, prop, np.array([1.0, -1.0]), float(obs_proc[-1]),
-            path_stream(2024, DOMAIN_JUMP, q),
-        )
-        assert counts[q] == path.jump_times.size
-        for k, tp in enumerate(obs_proc):
-            assert np.array_equal(ens.samples[q, k], path.state_at(tp))
-
-
-@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
-def test_scalar_and_block_engines_agree_under_the_per_event_clock(kind):
-    prop = GaussianProposal(0.04)
-    obs = np.array([0.3, 0.7, 1.1]) / prop.epsilon
-    ens = assert_engines_agree(kind, QUAD, prop, np.array([1.0, -1.0]), obs, 6, 2024)
-    assert not np.array_equal(ens.samples[:, -1], ens.samples[:, 0])
+    for kind, target in CELLS:
+        ens, counts = simulate_ensemble(kind, target, prop, x0, obs, 6, 2024, return_counts=True)
+        for q in range(6):
+            path = simulate_path(kind, target, prop, x0, float(obs_proc[-1]),
+                                 path_stream(2024, DOMAIN_JUMP, q))
+            assert counts[q] == path.jump_times.size
+            for k, tp in enumerate(obs_proc):
+                assert np.array_equal(ens.samples[q, k], path.state_at(tp))
+        assert not np.array_equal(ens.samples[:, -1], ens.samples[:, 0])
 
 
 def test_engines_agree_on_a_non_separable_target(monkeypatch, coupled):
@@ -168,27 +161,48 @@ def test_m1_needs_no_dominating_mass():
             simulate_ensemble(kind, target, prop, far, [0.5, 1.0], 4, 2)
 
 
-def assert_invariant_to_blocks_and_threads(monkeypatch, kind, target):
+def test_ensemble_invariant_to_blocks_and_threads(monkeypatch):
     prop = GaussianProposal(0.09)
     obs = [0.25, 0.5]
-    monkeypatch.setattr(jump, "BLOCK_PATHS", 512)
-    base = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
-    for block in (3, 17):
-        monkeypatch.setattr(jump, "BLOCK_PATHS", block)
-        other = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
-        assert np.array_equal(base.samples, other.samples)
+    for kind, target in CELLS:
+        monkeypatch.setattr(jump, "BLOCK_PATHS", 512)
+        base = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
+        for block in (3, 17):
+            monkeypatch.setattr(jump, "BLOCK_PATHS", block)
+            other = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
+            assert np.array_equal(base.samples, other.samples)
+        monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
+        threaded = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5, threads=4)
+        assert np.array_equal(base.samples, threaded.samples)
+
+
+def test_threads_are_capped_at_the_usable_cores(monkeypatch):
+    # a run starts no more threads than the process may run on, and with one
+    # usable core it starts no pool at all; no byte changes
+    pools = []
+    real_pool = jump.ThreadPoolExecutor
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    def run(threads):
+        return simulate_ensemble(MIX, DW, GaussianProposal(0.09), np.zeros(2), [0.25, 0.5], 40, 5,
+                                 threads=threads).samples
+
+    monkeypatch.setattr(jump, "ThreadPoolExecutor", spy)
     monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
-    threaded = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5, threads=4)
-    assert np.array_equal(base.samples, threaded.samples)
-
-
-def test_ensemble_invariant_to_blocks_and_threads(monkeypatch):
-    assert_invariant_to_blocks_and_threads(monkeypatch, MIX, DW)
-
-
-@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
-def test_per_event_clock_invariant_to_blocks_and_threads(monkeypatch, kind):
-    assert_invariant_to_blocks_and_threads(monkeypatch, kind, QUAD)
+    base = run(1)
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert np.array_equal(run(4), base) and pools == []
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert np.array_equal(run(4), base) and pools == [2]
+    # without affinity the machine's cores count, and an unknown count is one
+    monkeypatch.delattr(jump.os, "sched_getaffinity")
+    monkeypatch.setattr(jump.os, "cpu_count", lambda: None)
+    assert np.array_equal(run(4), base) and pools == [2]
+    monkeypatch.setattr(jump.os, "cpu_count", lambda: 3)
+    assert np.array_equal(run(2), base) and np.array_equal(run(8), base) and pools == [2, 2, 3]
 
 
 def assert_paths_do_not_depend_on_n_paths(kind, target, threads):
@@ -286,11 +300,10 @@ def test_both_clocks_invariant_to_the_tape_budget(monkeypatch, rows):
     # about 250-300 candidates per path, so the default chunk is crossed too
     prop = GaussianProposal(0.004)
     obs = [0.0, 0.3, 0.6, 1.0]
-    cells = [(kind, DW) for kind in KINDS] + [(kind, QUAD) for kind in LOCAL]
 
     def runs():
         return [simulate_ensemble(kind, target, prop, np.array([1.0, -1.0]), obs, 24, 31,
-                                  return_counts=True) for kind, target in cells]
+                                  return_counts=True) for kind, target in CELLS]
 
     base = runs()
     monkeypatch.setattr(jump, "TAPE_ROWS", rows)
@@ -332,12 +345,16 @@ def test_per_event_clock_several_observations_between_two_candidates(kind):
 
 def test_observation_crossing_on_the_first_row_of_a_chunk(monkeypatch):
     # with 4 rows per chunk, the crossings of the first two observations are
-    # found at candidates 4 and 8, the first rows of chunks two and three;
-    # the last observation is the horizon and falls on candidate 10
+    # found at candidates 4 and 8, the first rows of chunks two and three,
+    # from each chunk's starting clock; the last observation is the horizon
+    # and falls on candidate 10
     monkeypatch.setattr(jump, "TAPE_CHUNK", 4)
-    t = candidate_times(8, 0, 12)
-    obs = [0.5 * (t[3] + t[4]), 0.5 * (t[7] + t[8]), t[10]]
-    assert_engines_agree(GeneratorKind.m1(), WELL, GaussianProposal(0.3), np.array([0.4]), obs, 3, 8)
+    prop, x0 = GaussianProposal(0.3), np.array([0.4])
+    for kind, target in [(GeneratorKind.m1(), WELL)] + [(kind, QUAD1) for kind in LOCAL]:
+        t = replayed_candidate_times(kind, target, prop, x0, 8, 0, 12, 100.0)
+        assert t.size == 12
+        obs = [0.5 * (t[3] + t[4]), 0.5 * (t[7] + t[8]), t[10]]
+        assert_engines_agree(kind, target, prop, x0, obs, 3, 8)
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
