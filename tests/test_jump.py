@@ -33,7 +33,8 @@ QUAD1 = BoxedQuadratic(d_star=1)
 LOCAL = (GeneratorKind.m2(), MIX)
 # both clocks' cells: every kind at one rate on the double well, and the tilted
 # kinds under the per-event clock on the quadratic
-CELLS = [(kind, DW) for kind in KINDS] + [(kind, QUAD) for kind in LOCAL]
+ONE_RATE_CELLS = [(kind, DW) for kind in KINDS]
+CELLS = ONE_RATE_CELLS + [(kind, QUAD) for kind in LOCAL]
 
 
 def candidate_times(seed, q, n):
@@ -108,21 +109,30 @@ def test_simulate_path_invariants():
     assert path.states.shape == (t.size, 2)
 
 
-def test_scalar_and_block_engines_agree_exactly():
+def assert_engines_agree_on_the_grid(kind, target):
     # the same per-path tape must give bit-identical states on the obs grid
     eps = 0.04
     prop, x0 = GaussianProposal(eps), np.array([1.0, -1.0])
     obs = np.array([0.3, 0.7, 1.1])
     obs_proc = obs / eps
-    for kind, target in CELLS:
-        ens, counts = simulate_ensemble(kind, target, prop, x0, obs, 6, 2024, return_counts=True)
-        for q in range(6):
-            path = simulate_path(kind, target, prop, x0, float(obs_proc[-1]),
-                                 path_stream(2024, DOMAIN_JUMP, q))
-            assert counts[q] == path.jump_times.size
-            for k, tp in enumerate(obs_proc):
-                assert np.array_equal(ens.samples[q, k], path.state_at(tp))
-        assert not np.array_equal(ens.samples[:, -1], ens.samples[:, 0])
+    ens, counts = simulate_ensemble(kind, target, prop, x0, obs, 6, 2024, return_counts=True)
+    for q in range(6):
+        path = simulate_path(kind, target, prop, x0, float(obs_proc[-1]),
+                             path_stream(2024, DOMAIN_JUMP, q))
+        assert counts[q] == path.jump_times.size
+        for k, tp in enumerate(obs_proc):
+            assert np.array_equal(ens.samples[q, k], path.state_at(tp))
+    assert not np.array_equal(ens.samples[:, -1], ens.samples[:, 0])
+
+
+def test_scalar_and_block_engines_agree_exactly():
+    for kind, target in ONE_RATE_CELLS:
+        assert_engines_agree_on_the_grid(kind, target)
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+def test_scalar_and_block_engines_agree_under_the_per_event_clock(kind):
+    assert_engines_agree_on_the_grid(kind, QUAD)
 
 
 def test_engines_agree_on_a_non_separable_target(monkeypatch, coupled):
@@ -161,19 +171,28 @@ def test_m1_needs_no_dominating_mass():
             simulate_ensemble(kind, target, prop, far, [0.5, 1.0], 4, 2)
 
 
-def test_ensemble_invariant_to_blocks_and_threads(monkeypatch):
+def assert_invariant_to_blocks_and_threads(monkeypatch, kind, target):
     prop = GaussianProposal(0.09)
     obs = [0.25, 0.5]
-    for kind, target in CELLS:
-        monkeypatch.setattr(jump, "BLOCK_PATHS", 512)
-        base = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
-        for block in (3, 17):
-            monkeypatch.setattr(jump, "BLOCK_PATHS", block)
-            other = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
-            assert np.array_equal(base.samples, other.samples)
-        monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
-        threaded = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5, threads=4)
-        assert np.array_equal(base.samples, threaded.samples)
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 512)
+    base = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
+    for block in (3, 17):
+        monkeypatch.setattr(jump, "BLOCK_PATHS", block)
+        other = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
+        assert np.array_equal(base.samples, other.samples)
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
+    threaded = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5, threads=4)
+    assert np.array_equal(base.samples, threaded.samples)
+
+
+def test_ensemble_invariant_to_blocks_and_threads(monkeypatch):
+    for kind, target in ONE_RATE_CELLS:
+        assert_invariant_to_blocks_and_threads(monkeypatch, kind, target)
+
+
+@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
+def test_per_event_clock_invariant_to_blocks_and_threads(monkeypatch, kind):
+    assert_invariant_to_blocks_and_threads(monkeypatch, kind, QUAD)
 
 
 def test_threads_are_capped_at_the_usable_cores(monkeypatch):
