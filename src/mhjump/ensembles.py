@@ -27,6 +27,7 @@ import contextlib
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 
@@ -76,9 +77,9 @@ def write_csv(ens, path):
     with atomic_open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(f"{_meta_line(ens)}\n{_csv_header(ens.d_star)}\n")
         for p, states in enumerate(ens.samples):  # one path's rows in memory at a time
-            fh.write("".join(
-                f"{p},{t},{','.join(map(repr, x))}\n" for t, x in zip(times, states.tolist())
-            ))
+            values = map(repr, states.reshape(-1).tolist())
+            cols = map(",".join, zip(*[values] * ens.d_star))  # each row's d values
+            fh.write("".join([f"{p},{t},{x}\n" for t, x in zip(times, cols)]))
 
 
 def _check_counts(path, n_paths, n_grid, d):
@@ -122,9 +123,17 @@ def _read_meta(path, meta):
     return kind, alpha, epsilon, seed, n_paths, n_grid, d
 
 
+def _ends_with_newline(path):
+    with open(path, "rb") as fh:
+        fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+        return fh.read(1) == b"\n"
+
+
 def read_csv(path):
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(path, "r", encoding="ascii") as fh, warnings.catch_warnings():
+            # a file with no data row is refused below, by its body shape
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             meta, header = fh.readline().strip(), fh.readline().strip()
             body = np.loadtxt(fh, delimiter=",", ndmin=2)
     except ValueError as exc:  # non-numeric cells, ragged rows, non-ASCII bytes
@@ -132,6 +141,8 @@ def read_csv(path):
     kind, alpha, epsilon, seed, n_paths, n_grid, d = _read_meta(path, meta)
     if header != _csv_header(d):
         raise ConfigurationError(f"{path}: header {header!r} is not {_csv_header(d)!r}")
+    if not _ends_with_newline(path):  # write_csv ends every row; a cut one still parses
+        raise ConfigurationError(f"{path}: truncated: the last row does not end with a newline")
     if body.shape != (n_paths * n_grid, 2 + d):
         raise ConfigurationError(f"{path}: body shape {body.shape} does not match metadata")
     grid = body[:n_grid, 1].copy()

@@ -25,8 +25,11 @@ per-event clock the rate, the branch split and the tilt of a row come from
 the state the row meets, through one function (_at) evaluated by numpy for a
 single state and for a block of rows alike. The scalar reference simulator
 and the vectorized block engine therefore consume identical per-path tapes,
-share one event transform and one thinning step, and produce bit-identical
-paths. A path's values depend only on
+share one event transform and one thinning step, which takes each
+candidate's dU from its caller, and produce bit-identical paths. The scalar
+engine asks the target's delta_u_move for every dU, so it stays the
+independent reference for the block engine's kept u1 terms (below). A
+path's values depend only on
 (master_seed, domain, path index): no randomness is shared across paths, so
 neither the number of paths, nor the block a path runs in, nor the thread
 that runs the block can change them. Rows are drawn in chunks; a path that
@@ -42,7 +45,9 @@ paths 128, 2048 paths 64). A wide block spreads the fixed cost of each
 event's numpy calls over more paths, and the budget keeps its tape, and so
 peak memory, at the 512 x 256 rows of a narrow one. The same budget bounds
 the block's `before` buffer, the state each event of a chunk meets: c x b x
-d floats, at most TAPE_ROWS x d.
+d floats, at most TAPE_ROWS x d. When a target's dU is the separable
+u1(x_i + z) - u1(x_i), the block also keeps ux = u1(x), its paths' b x d
+potential terms, beside their states.
 
 The run-size check. Each time a path has drawn a multiple of TAPE_CHUNK
 rows, both engines stop it with a ConfigurationError if its rate in its
@@ -63,7 +68,12 @@ and the clock is one cumulative sum; under the per-event clock each event is
 decoded at the block's current states and adds its waiting time to the
 clock. Each event stores the states it meets in `before`, and only
 candidates inside the horizon are thinned, as in the scalar engine; the
-loop stops once no path is inside. Then one searchsorted of the clock
+loop stops once no path is inside. An event gathers each path's moved
+coordinate x_i once from the flat view of the states. With ux kept, it
+evaluates u1 once, at x_i + z, takes dU against the kept u1(x_i) (the same
+bits as evaluating both), and writes back the new state and its u1 term
+where the candidate is accepted; any other target gives dU through its
+delta_u_move. Then one searchsorted of the clock
 against the observation grid finds every observation crossing of the chunk,
 and each crossed observation is recorded once, from the state its event
 met. A path's first event past the horizon so records the rest of the grid.
@@ -92,7 +102,7 @@ from .kernels import (
     row_kernel,
     sample_abs,
 )
-from .targets import TargetPotential
+from .targets import TargetPotential, delta_u_from_u1
 
 TAPE_COLS = 6
 COL_EXP, COL_COORD, COL_BRANCH, COL_SIGN, COL_MAG, COL_ACC = range(TAPE_COLS)
@@ -270,14 +280,14 @@ def _decode_move(q, e, neg, u_mag, u_branch):
     return e / q.rate_total, np.where(neg, -abs_z, abs_z), abs_z
 
 
-def _thin(p, tilt, x, i, z, abs_z, log_u, where, live=None):
+def _thin(p, tilt, du, abs_z, log_u, where, live=None):
     """The thinning step: accept each candidate move, drawn from the kernel
-    tilted by tilt, with probability a(z).
+    tilted by tilt and changing the potential by du, with probability a(z).
 
     where(k) describes candidate k if the declared gradient bound fails;
     live, if given, masks candidates out of the check and of the accepts.
     """
-    la = accept_log_from_delta(p.target.delta_u_move(x, i, z), abs_z, p.alpha, tilt, p.target.T)
+    la = accept_log_from_delta(du, abs_z, p.alpha, tilt, p.target.T)
     if live is not None:
         la = np.where(live, la, -np.inf)
     check_domination(la, p.kind, p.target, where)
@@ -376,7 +386,8 @@ def simulate_path(kind, target, proposal, x0, horizon, stream):
                     horizon=float(horizon),
                 )
             i, z = int(coords[k]), float(z)
-            if _thin(p, q.tilt, x, i, z, abs_z, log_us[k], lambda _: f"x={x!r}, i={i}, z={z!r}"):
+            if _thin(p, q.tilt, target.delta_u_move(x, i, z), abs_z, log_us[k],
+                     lambda _: f"x={x!r}, i={i}, z={z!r}"):
                 x[i] += z
                 times.append(t)
                 states.append(x.copy())
@@ -390,29 +401,14 @@ def _spans(lo, hi):
     return np.repeat(np.arange(n.size), n), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
-def _move(p, tilt, x, flat, i, z, abs_z, log_u, live, describe):
-    """Thin one candidate per row of the block state x and apply the accepted
-    moves in place; returns the accepts.
-
-    flat indexes the moved entries of x's flat view; live, if given, masks
-    rows out; describe(j) names row j's path in error messages.
-    """
-    def where(j):
-        return f"{describe(j)}, x={x[j]!r}, i={int(i[j])}, z={float(z[j])!r}"
-
-    acc = _thin(p, tilt, x, i, z, abs_z, log_u, where, live)
-    x_flat = x.reshape(-1)  # a view: x is always a fresh C-ordered array
-    xi = x_flat[flat]
-    x_flat[flat] = np.where(acc, xi + z, xi)
-    return acc
-
-
-def _run_chunk(p, rows, x, t, horizon, obs_proc, describe):
+def _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe):
     """Run one chunk of event-major tape rows from the clocks t.
 
-    Moves x in place. Returns the clocks after the chunk, the accepted events
-    of each row, and the chunk's observation records: each record's row,
-    observation index and state. Event k of a row records the state it
+    Moves x in place, and ux, the u1 terms of x or None, with it; without
+    them each dU is the target's delta_u_move. describe(j) names row j's
+    path in error messages. Returns the clocks after the chunk, the accepted
+    events of each row, and the chunk's observation records: each record's
+    row, observation index and state. Event k of a row records the state it
     meets at every observation point in [the row's clock before it, its
     time), so the row's first event past the horizon records the rest of
     the grid.
@@ -426,9 +422,15 @@ def _run_chunk(p, rows, x, t, horizon, obs_proc, describe):
         dt, z, abs_z = _decode_move(p, e, neg, u_mag, u_branch)
         clock = np.cumsum(np.vstack([t, dt]), axis=0)  # clock[k + 1] is the time of event k
     before = np.empty((rows.shape[0], n, d))  # before[k] is the state event k meets
-    flat = i + d * np.arange(n)
+    flat = i + d * np.arange(n)  # each event's moved entry in the flat views
+    x_flat = x.reshape(-1)  # views: x and ux are always fresh C-ordered arrays
+    u_flat = None if ux is None else ux.reshape(-1)
     count = np.zeros(n, dtype=np.int64)
     inside = None  # every row is inside the horizon
+
+    def where(j):
+        return f"{describe(j)}, x={x[j]!r}, i={int(i[k, j])}, z={float(zk[j])!r}"
+
     for k in range(rows.shape[0]):
         if p.local:
             q = _at(p, x)
@@ -441,7 +443,19 @@ def _run_chunk(p, rows, x, t, horizon, obs_proc, describe):
             inside = clock[k + 1] <= horizon
             if not inside.any():
                 break
-        count += _move(p, q.tilt, x, flat[k], i[k], zk, abs_zk, log_u[k], inside, describe)
+        fk = flat[k]
+        xi = x_flat[fk]
+        y = xi + zk
+        if u_flat is None:
+            du = p.target.delta_u_move(x, i[k], zk)
+        else:
+            u_old, uy = u_flat[fk], p.target.u1(y)
+            du = uy - u_old
+        acc = _thin(p, q.tilt, du, abs_zk, log_u[k], where, inside)
+        x_flat[fk] = np.where(acc, y, xi)
+        if u_flat is not None:
+            u_flat[fk] = np.where(acc, uy, u_old)
+        count += acc
     passed = np.searchsorted(obs_proc, clock[:k + 2])  # observation points before each clock
     ks, cols = np.nonzero(passed[1:] > passed[:-1])
     rec, obs_idx = _spans(passed[ks, cols], passed[ks + 1, cols])
@@ -466,6 +480,8 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
     # the unfinished paths: block rows, states, clocks
     live = np.arange(b)
     x = x0_block.copy()
+    # u1(x) beside x when dU comes from u1: one u1 call per event, not two
+    ux = np.array(p.target.u1(x)) if delta_u_from_u1(p.target) else None
     t = np.zeros(b)
     drawn = 0  # tape rows each live path has drawn
 
@@ -479,11 +495,13 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
             streams[q].random(out=tape[r])
         drawn += chunk
         rows = np.ascontiguousarray(tape[:live.size].swapaxes(0, 1))
-        t, count, cols, obs_idx, states = _run_chunk(p, rows, x, t, horizon, obs_proc, describe)
+        t, count, cols, obs_idx, states = _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe)
         samples[live[cols], obs_idx] = states
         n_acc[live] += count
         keep = t <= horizon
         live, x, t = live[keep], x[keep], t[keep]
+        if ux is not None:
+            ux = ux[keep]
     return samples, n_acc
 
 
@@ -568,7 +586,7 @@ def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed):
     def accepted(rows):  # (z, i) of the accepted rows; the batch's arrays die here
         e, i, neg, u_mag, u_branch, log_u = _decode_tape(rows, target.d_star)
         _, z, abs_z = _decode_move(q, e, neg, u_mag, u_branch)
-        acc = _thin(p, q.tilt, x, i, z, abs_z, log_u,
+        acc = _thin(p, q.tilt, target.delta_u_move(x, i, z), abs_z, log_u,
                     lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
         return z[acc], i[acc]
 

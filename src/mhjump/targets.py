@@ -150,14 +150,20 @@ class SeparableTargetPotential(TargetPotential):
         return self.u1(xi + z) - self.u1(xi)
 
 
+def delta_u_from_u1(target):
+    """Whether target's dU is the separable u1(x_i + z) - u1(x_i), so a caller
+    may keep u1(x_i) and evaluate u1 once per move, with the same bits. False
+    for any other class, and for any override of delta_u_move."""
+    return type(target).delta_u_move is SeparableTargetPotential.delta_u_move
+
+
 def delta_u_line(target, x, i):
     """z -> target.delta_u_move(x, i, z) at one fixed start (x, i).
 
-    A separable class that keeps its own dU computes u1(x_i) once, for every
-    z, with the same bits; any other class, and any override of delta_u_move,
-    is called as is.
+    A target whose dU comes from u1 computes u1(x_i) once, for every z; any
+    other is called as is.
     """
-    if type(target).delta_u_move is not SeparableTargetPotential.delta_u_move:
+    if not delta_u_from_u1(target):
         return lambda z: target.delta_u_move(x, i, z)
     x = np.asarray(x, dtype=float)
     xi = x[_move_index(x, i)]

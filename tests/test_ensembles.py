@@ -1,6 +1,7 @@
 """Ensemble file formats: text round trips, binary layout, error paths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -290,3 +291,23 @@ def test_a_failed_write_leaves_no_file(tmp_path, monkeypatch, jump_ens, writer):
     with pytest.raises(OSError, match="disk full"):
         write(tmp_path)
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_read_csv_refuses_every_truncation(tmp_path, d):
+    # a cut inside the last row leaves a shorter number that still parses, so
+    # the reader must see that the row lost its newline
+    ens = simulate_ensemble(GeneratorKind.m2(), BoxedQuadratic(d_star=d), GaussianProposal(0.04),
+                            np.linspace(1.0, -0.5, d), [0.3, 0.7], 3, master_seed=99)
+    whole = tmp_path / "e.csv"
+    write_csv(ens, whole)
+    data = whole.read_bytes()
+    assert np.array_equal(read_csv(whole).samples, ens.samples)
+    cut = tmp_path / "cut.csv"
+    for n in range(len(data)):
+        cut.write_bytes(data[:n])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ConfigurationError):
+                read_csv(cut)
+        assert not caught, (n, [str(w.message) for w in caught])

@@ -10,6 +10,7 @@ from mhjump import (
     BoxedQuadratic,
     GaussianProposal,
     GeneratorKind,
+    LogCoshWell,
     SmoothedDoubleWell,
     moment_report,
     simulate_ensemble,
@@ -21,11 +22,13 @@ from mhjump.verify import bump_library, default_x_grid, generator_convergence_pr
 TARGETS = {
     "quadratic": (BoxedQuadratic(d_star=1), [1.0]),
     "doublewell": (SmoothedDoubleWell(d_star=2), [1.0, -1.0]),
+    "logcosh": (LogCoshWell(d_star=2, c=0.2), [1.0, -1.0]),
 }
 KINDS = {"m1": GeneratorKind.m1(), "m2": GeneratorKind.m2(), "mix": GeneratorKind.mix(0.5)}
 
 # sha256 of the sample bytes followed by the accepted-event counts; the
-# quadratic's m2 and mix cases run the per-event clock of its per-state bound
+# quadratic's m2 and mix cases run the per-event clock of its per-state bound;
+# the tilted logcosh well evaluates exp and log1p in every dU
 GOLDEN = {
     ("quadratic", "m1", 0.1): "e0957731566d8f94732d22ad1587a215b4399ecff67a94a0a603a54c36ea4a1c",
     ("quadratic", "m1", 0.01): "d565d96c461fcb31a67c9f42286a39eafd6549edc267d14f080a494b74aaf675",
@@ -39,6 +42,9 @@ GOLDEN = {
     ("doublewell", "m2", 0.01): "abab0bada52f021a77a9cfa827b6d6d0d40f1bb6bf0e151b12cf4dcded8e098b",
     ("doublewell", "mix", 0.1): "5d470e1abf5daa2cfde2ab3efce430530812a36e3656d2bec8bab3fa753a38bd",
     ("doublewell", "mix", 0.01): "fd32a8b3fd8add083e1ed674a9428ac88472f8e3aa59bdcf44cc68921ce186a9",
+    ("logcosh", "m1", 0.1): "3a426c7aa1aa5cb4e039dbc104cb7c24f48199bd639ad96f12e5f9635a6335bc",
+    ("logcosh", "m2", 0.1): "78adb4d526e3724cdeac55c418c18f310760127a3c186b1fe707e7d2537edb4c",
+    ("logcosh", "mix", 0.1): "327c570e314b65c53dd7c214e8ba883a409701391d94bbc5fbd442d753865693",
 }
 
 

@@ -26,6 +26,7 @@ DW = SmoothedDoubleWell(d_star=2)
 MIX = GeneratorKind.mix(0.5)
 KINDS = (GeneratorKind.m1(), GeneratorKind.m2(), MIX)
 WELL = LogCoshWell(d_star=1, c=0.2)
+WELL2 = LogCoshWell(d_star=2, c=0.2)
 # the quadratic declares a per-state slope bound, so its tilted kinds run the
 # per-event clock
 QUAD = BoxedQuadratic(d_star=2)
@@ -126,7 +127,9 @@ def assert_engines_agree_on_the_grid(kind, target):
 
 
 def test_scalar_and_block_engines_agree_exactly():
-    for kind, target in ONE_RATE_CELLS:
+    # the logcosh well's exp and log1p are evaluated on whole blocks and on
+    # gathered coordinates by the block engine, and on scalars by the other
+    for kind, target in ONE_RATE_CELLS + [(kind, WELL2) for kind in KINDS]:
         assert_engines_agree_on_the_grid(kind, target)
 
 
@@ -153,6 +156,45 @@ def test_engines_agree_on_a_non_separable_target(monkeypatch, coupled):
     z, i = first_jump_displacements(GeneratorKind.m2(), coupled, prop, x0, 2000, 3)
     assert z.shape == i.shape == (2000,)
     assert set(np.unique(i)) == {0, 1}
+
+
+class OwnDeltaQuadratic(BoxedQuadratic):
+    """Overrides delta_u_move with the quadratic's own dU."""
+
+    def delta_u_move(self, x, i, z):
+        return super().delta_u_move(x, i, z)
+
+
+def spy(monkeypatch, target, name):
+    """Record every call of target.name, shadowed on the instance only."""
+    calls, inner = [], getattr(target, name)
+
+    def wrapped(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(target, name, wrapped)
+    return calls
+
+
+def test_only_the_separable_delta_u_comes_from_kept_u1_terms(monkeypatch, coupled):
+    # a non-separable target and an override of delta_u_move give every dU of
+    # the block engine through delta_u_move, and u1 is never called beside it
+    prop, x0, obs = GaussianProposal(0.04), np.array([0.5, -0.8]), [5.0, 20.0]
+    for target in (coupled, OwnDeltaQuadratic(d_star=2)):
+        delta = spy(monkeypatch, target, "delta_u_move")
+        u1 = spy(monkeypatch, target, "u1") if hasattr(target, "u1") else None
+        simulate_ensemble(MIX, target, prop, x0, obs, 5, 77, rescaled=False)
+        assert delta and all(np.ndim(x) == 2 for x, _, _ in delta)
+        if u1 is not None:  # two per delta_u_move, none for a kept term
+            assert len(u1) == 2 * len(delta)
+        assert_engines_agree(MIX, target, prop, x0, obs, 5, 77)
+    # a built-in separable target never asks delta_u_move in the block engine
+    target = SmoothedDoubleWell(d_star=2)
+    delta = spy(monkeypatch, target, "delta_u_move")
+    u1 = spy(monkeypatch, target, "u1")
+    simulate_ensemble(MIX, target, prop, x0, obs, 5, 77, rescaled=False)
+    assert not delta and len(u1) > 1
 
 
 def test_m1_needs_no_dominating_mass():
@@ -402,8 +444,13 @@ def test_lying_grad_bound_raises_in_both_engines():
     prop = GaussianProposal(0.04)
     with pytest.raises(DominationError, match="grad_bound"):
         simulate_path(GeneratorKind.m2(), target, prop, np.array([0.7]), 50.0, 4)
-    with pytest.raises(DominationError, match="path"):
+    with pytest.raises(DominationError) as block:
         simulate_ensemble(GeneratorKind.m2(), target, prop, np.array([0.7]), [0.5, 1.0], 16, 4)
+    assert str(block.value) == (
+        "acceptance log-probability 2.478e-01 > 0 for kind m2 at path 6, x=array([0.7]), i=0, "
+        "z=0.591760793622353: the declared grad_bound 0.1 is not a true bound along this move; "
+        "declare a true grad_bound or slope_bound"
+    )
     # candidates past the horizon are never thinned, so neither engine checks them
     ens = assert_engines_agree(GeneratorKind.m2(), target, prop, np.array([0.7]), [1e-4], 16, 4)
     assert np.all(ens.samples == 0.7)
