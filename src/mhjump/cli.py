@@ -81,7 +81,8 @@ def _is_int(v):
 
 
 def _is_number(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    """A float, or an int a float can hold: JSON's integers have no bound."""
+    return isinstance(v, float) or (_is_int(v) and abs(v) <= sys.float_info.max)
 
 
 def _is_numbers(v):
@@ -100,8 +101,9 @@ _FIELD_TYPES = (
     ("a list of positive finite numbers with two distinct entries, to fit a slope to",
      lambda v: _is_numbers(v) and len(set(v)) > 1 and all(0.0 < e < math.inf for e in v),
      ("moment_epsilon_grid", "folded_epsilon_grid")),
-    ("a number, a list of numbers or one such list per path",
-     lambda v: _is_number(v) or _is_numbers(v) or (isinstance(v, list) and all(map(_is_numbers, v))),
+    ("a number, a list of numbers or one such list per path, all of one length",
+     lambda v: _is_number(v) or _is_numbers(v)
+     or (isinstance(v, list) and all(map(_is_numbers, v)) and len(set(map(len, v))) == 1),
      ("x0",)),
     ("a string", lambda v: isinstance(v, str), ("potential", "kind")),
     ("an object", lambda v: isinstance(v, dict), ("potential_params",)),
@@ -153,6 +155,10 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"config field {name!r} must be >= {least}, got {getattr(self, name)}"
                 )
+        repeated = sorted({"d_star", "T"} & set(self.potential_params))
+        if repeated:
+            raise ConfigurationError(f"potential_params may not set {repeated}: they are "
+                                     "config fields of their own")
 
     @classmethod
     def from_dict(cls, data):

@@ -156,6 +156,8 @@ def load_chain(path):
         vals = np.array([float(t) for t in tokens[1:]], dtype=float)
     except ValueError as exc:
         raise ConfigurationError(f"bad chain file {path}: {exc}") from None
+    if n < 1:
+        raise ConfigurationError(f"chain file {path} should start with a state count >= 1, got {n}")
     if vals.size != n + n * n:
         raise ConfigurationError(
             f"chain file {path} should hold n + n*n = {n + n * n} numbers, got {vals.size}"

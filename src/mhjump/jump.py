@@ -10,8 +10,11 @@ before each candidate; R(x) changes only at accepted jumps, so the waiting
 time to candidate k is E_k / R(x) with E_k the tape's exponential variate,
 and each event advances its path's clock by it (the per-event clock). Every
 other run has one rate for the whole path, so a whole chunk of waiting times
-decodes at once. The time rescaling t -> t/eps is applied to the observation
-horizon, never to the rates, so the rate code is identical across eps.
+decodes at once. One record (_Kernel) holds a kernel with its rate and branch
+split: the event parameters hold the one every state shares, or none, and _at
+builds one from each state. The time rescaling t -> t/eps is applied to the
+observation horizon, never to the rates, so the rate code is identical across
+eps.
 
 Determinism. Path p draws from a Philox stream keyed by
 (master_seed, domain, p). Every candidate event consumes exactly one row of
@@ -195,71 +198,64 @@ class ObservedEnsemble:
         return self.samples[:, k, coord]
 
 
+# The dominating kernel e^{tilt |z|} phi_eps(z) at one state or one per row:
+# the proposal's root variance, the tilt, the positive component's mean and
+# cut mass, the clock rate and the plain-branch probability.
+_Kernel = namedtuple("_Kernel", "sigma tilt mean_abs trunc_lo rate_total p_plain")
+
+
+def _kernel(alpha, sigma, theta, mean, lo, lam):
+    """The kernel tilted by theta, of mean, cut mass and mass Lam, under the
+    rate R = alpha + (1-alpha) Lam and the plain-branch probability alpha/R."""
+    rate = alpha + (1.0 - alpha) * lam
+    return _Kernel(sigma, theta, mean, lo, rate, alpha / rate)
+
+
 @dataclass(frozen=True)
 class _EventParams:
     """Constants of the per-event transform for one (kind, target, proposal).
 
-    They hold the dominating kernel e^{tilt |z|} phi_eps(z): the proposal
-    variance epsilon and its root sigma, the tilt, the mean and cut mass of
-    the positive component (mean_abs, trunc_lo), the clock rate rate_total
-    and the plain-branch probability p_plain. local marks a tilted kind on a
-    target whose slope bound depends on the state: the engines then take the
-    kernel from the state before each event (_at), one per row.
+    kernel is the dominating kernel every state shares, or None when a
+    tilted kind runs on a target whose slope bound depends on the state: the
+    engines then take the kernel from the state before each event (_at).
     """
 
     kind: GeneratorKind
     target: TargetPotential
     epsilon: float
-    sigma: float
     alpha: float
-    tilt: float
-    mean_abs: float
-    trunc_lo: float
-    rate_total: float
-    p_plain: float
-    local: bool
-
-
-# The kernel fields of _EventParams at one state or one per row of states.
-_Kernel = namedtuple("_Kernel", "sigma tilt mean_abs trunc_lo rate_total p_plain")
+    kernel: Optional[_Kernel]
 
 
 def _event_params(kind, target, proposal):
     """The stateless event parameters. m1's rates never exceed the proposal,
-    so it thins against the untilted kernel and needs no finite Lam(eps); a
-    local p holds it too, until _at tilts it by the state."""
-    alpha = kind.alpha_eff
-    eps, sigma = proposal.epsilon, proposal.sigma
-    local = alpha < 1.0 and target.grad_bound is None
-    if alpha == 1.0 or local:
-        theta, lam = 0.0, 1.0
-    else:
+    so it thins against the untilted kernel and needs no finite Lam(eps)."""
+    alpha, eps, sigma = kind.alpha_eff, proposal.epsilon, proposal.sigma
+    kernel = None  # a tilted kind under a state-dependent slope bound
+    if alpha == 1.0:  # the proposal: mean 0, half the mass cut, mass 1
+        kernel = _kernel(alpha, sigma, 0.0, 0.0, 0.5, 1.0)
+    elif target.grad_bound is not None:
         theta = target.grad_bound / target.T
-        lam = math.exp(log_lam(eps, theta))
-    r0 = alpha + (1.0 - alpha) * lam
-    return _EventParams(kind, target, eps, sigma, alpha, theta, eps * theta,
-                        float(ndtr(-theta * sigma)), r0, alpha / r0, local)
+        kernel = _kernel(alpha, sigma, theta, eps * theta, float(ndtr(-theta * sigma)),
+                         math.exp(log_lam(eps, theta)))
+    return _EventParams(kind, target, eps, alpha, kernel)
 
 
 def _at(p, x):
-    """The kernel at state x, one state or a block of rows: p itself, whose
-    kernel serves every state, unless p is local.
-
-    For a local p the kernel is tilted by theta(x) = max_i slope_bound(x)_i / T,
+    """The kernel at state x, one state or a block of rows: p's shared
+    kernel, or else the kernel tilted by theta(x) = max_i slope_bound(x)_i / T,
     which sets the clock rate R(x) and the plain-branch probability
     alpha / R(x).
     """
-    if not p.local:
-        return p
+    if p.kernel is not None:
+        return p.kernel
     target = p.target
     theta = np.max(target.slope_bound(x), axis=-1) / target.T
     if not np.min(theta) >= 0.0:
         j = int(np.argmax(~(np.reshape(theta, -1) >= 0.0)))
         raise DominationError(f"slope_bound of {target.name} is negative or NaN at "
                               f"x={np.reshape(x, (-1, target.d_star))[j]!r}")
-    mean, lo, lam = row_kernel(p.epsilon, theta)
-    r0 = p.alpha + (1.0 - p.alpha) * lam
-    return _Kernel(p.sigma, theta, mean, lo, r0, p.alpha / r0)
+    return _kernel(p.alpha, math.sqrt(p.epsilon), theta, *row_kernel(p.epsilon, theta))
 
 
 def _decode_tape(rows, d):
@@ -317,12 +313,12 @@ def _usable_cores():
 def run_spans(run_span, n_paths, block, threads):
     """Call run_span(b, lo, hi) for each block b of `block` consecutive paths.
 
-    Blocks run in order, or on a pool of min(threads, usable cores) threads
-    when that is more than one; run_span writes its own rows of the output,
-    so the schedule cannot change them.
+    Blocks run in order, or on a pool of min(threads, usable cores, blocks)
+    threads when that is more than one; run_span writes its own rows of the
+    output, so the schedule cannot change them.
     """
     spans = [(b, lo, min(lo + block, n_paths)) for b, lo in enumerate(range(0, n_paths, block))]
-    workers = min(int(threads), _usable_cores())
+    workers = min(int(threads), _usable_cores(), len(spans))
     if workers <= 1:
         for span in spans:
             run_span(*span)
@@ -415,11 +411,12 @@ def _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe):
     """
     n, d = x.shape
     e, i, neg, u_mag, u_branch, log_u = _decode_tape(rows, d)
-    if p.local:  # each event's rate and move come from the state it meets
+    q = p.kernel
+    if q is None:  # each event's rate and move come from the state it meets
         clock = np.empty((rows.shape[0] + 1, n))
         clock[0] = t
     else:  # one kernel for every event: the chunk decodes at once
-        dt, z, abs_z = _decode_move(p, e, neg, u_mag, u_branch)
+        dt, z, abs_z = _decode_move(q, e, neg, u_mag, u_branch)
         clock = np.cumsum(np.vstack([t, dt]), axis=0)  # clock[k + 1] is the time of event k
     before = np.empty((rows.shape[0], n, d))  # before[k] is the state event k meets
     flat = i + d * np.arange(n)  # each event's moved entry in the flat views
@@ -432,12 +429,12 @@ def _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe):
         return f"{describe(j)}, x={x[j]!r}, i={int(i[k, j])}, z={float(zk[j])!r}"
 
     for k in range(rows.shape[0]):
-        if p.local:
+        if p.kernel is None:
             q = _at(p, x)
             dt, zk, abs_zk = _decode_move(q, e[k], neg[k], u_mag[k], u_branch[k])
             clock[k + 1] = clock[k] + dt
         else:
-            q, zk, abs_zk = p, z[k], abs_z[k]
+            zk, abs_zk = z[k], abs_z[k]
         before[k] = x
         if clock[k + 1].max() > horizon:
             inside = clock[k + 1] <= horizon

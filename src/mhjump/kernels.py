@@ -19,9 +19,10 @@ same for every i. The clock rate R(x) = alpha + (1-alpha) Lam(eps, theta(x))
 then depends on the state, but it is constant between accepted jumps,
 because rejected candidates do not move the state, so thinning stays exact
 (Lewis & Shedler 1979; the local bounds of the Zig-Zag sampler, Bierkens,
-Fearnhead & Roberts 2019). The engine's event parameters hold a constant
-bound's kernel, with its mass from log_lam; row_kernel gives the
-state-dependent kernels' mean, truncation and mass, one per row.
+Fearnhead & Roberts 2019). The engine has one kernel record for both: a
+constant bound gives one kernel that every state shares, with its mass from
+log_lam, and row_kernel gives a state-dependent kernel's mean, truncation
+and mass, one per row.
 
 Splitting e^{theta z} phi_eps(z) = e^{eps theta^2/2} phi_eps(z - eps theta)
 turns the normalized dominating density into an equal-weight two-sided
@@ -109,6 +110,8 @@ class GeneratorKind:
     def from_string(cls, text, alpha=None):
         text = text.strip().lower()
         if text.startswith("mix:"):
+            if alpha is not None:
+                raise ConfigurationError(f"kind {text!r} takes no alpha")
             weight = text.split(":", 1)[1]
             try:
                 return cls.mix(float(weight))
@@ -118,7 +121,7 @@ class GeneratorKind:
             if alpha is None:
                 raise ConfigurationError("kind 'mix' needs alpha")
             return cls.mix(alpha)
-        return cls(text)
+        return cls(text, alpha)
 
 
 def _checked_growth(growth):

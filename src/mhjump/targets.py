@@ -280,7 +280,7 @@ def make_potential(name, d_star=1, T=1.0, **params):
         raise ConfigurationError(f"unknown potential {name!r}; known: {potential_names()}") from None
     try:
         return cls(d_star=d_star, T=T, **params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"bad parameters for potential {name!r}: {exc}") from None
 
 

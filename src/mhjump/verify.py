@@ -512,10 +512,9 @@ def stationarity_chisquare(samples, target, n_bins=50):
     return chi2, p, counts
 
 
-def kernel_displacement_cdf(kind, target, proposal, x, i=0, half_width=None, n=200001):
+def kernel_displacement_cdf(kind, target, proposal, x, i=0, n=200001):
     """Dense-grid cdf of the normalized displacement law M(x, x + z e_i)."""
-    eps = proposal.epsilon
-    hw = (_U_RANGE if half_width is None else half_width) * math.sqrt(eps)
+    hw = _U_RANGE * math.sqrt(proposal.epsilon)
     z = np.linspace(-hw, hw, n)
     x = np.asarray(x, dtype=float)
     du = target.delta_u_move(x, i, z)
@@ -526,31 +525,19 @@ def kernel_displacement_cdf(kind, target, proposal, x, i=0, half_width=None, n=2
 
 
 def displacement_chisquare(displacements, kind, target, proposal, x, i=0,
-                           n_bins=200, binning="equal_prob", min_expected=5.0):
-    """Chi-square of sampled displacements against the quadrature kernel law.
-
-    equal_prob bins come from the kernel cdf quantiles; equal_width bins tile
-    [x_i - 6 sqrt(eps), x_i + 6 sqrt(eps)] per the kernel contract, with
-    low-expectation tail bins merged before the test.
-    """
+                           n_bins=200, binning="equal_prob"):
+    """Chi-square of sampled displacements against the quadrature kernel law,
+    on n_bins bins of equal kernel probability from the cdf's quantiles
+    ("equal_prob", the only binning)."""
+    if binning != "equal_prob":
+        raise ConfigurationError(f"unknown binning {binning!r}")
     displacements = np.asarray(displacements, dtype=float)
     n = displacements.size
     _check_binning(n_bins, n)
     grid, cdf = kernel_displacement_cdf(kind, target, proposal, x, i)
-    if binning == "equal_prob":
-        probs = np.arange(1, n_bins) / n_bins
-        edges = np.interp(probs, cdf, grid)
-        counts = np.bincount(np.searchsorted(edges, displacements), minlength=n_bins)
-        expected = np.full(n_bins, n / n_bins)
-    elif binning == "equal_width":
-        hw = 6.0 * math.sqrt(proposal.epsilon)
-        edges = np.linspace(-hw, hw, n_bins + 1)[1:-1]
-        counts = np.bincount(np.searchsorted(edges, displacements), minlength=n_bins)
-        cum = np.interp(edges, grid, cdf)
-        expected = np.diff(np.concatenate([[0.0], cum, [1.0]])) * n
-        counts, expected = _merge_bins(counts, expected, min_expected)
-    else:
-        raise ConfigurationError(f"unknown binning {binning!r}")
+    edges = np.interp(np.arange(1, n_bins) / n_bins, cdf, grid)
+    counts = np.bincount(np.searchsorted(edges, displacements), minlength=n_bins)
+    expected = np.full(n_bins, n / n_bins)
     expected = expected * counts.sum() / expected.sum()
     chi2, p = _chisquare(counts, expected)
     return chi2, p, counts.size
@@ -566,24 +553,5 @@ def _check_binning(n_bins, n_samples):
 def _chisquare(counts, expected):
     """Pearson statistic and its chi-square tail on len(counts) - 1 degrees of
     freedom; the same bits as scipy.stats.chisquare."""
-    if counts.size < 2:
-        raise ConfigurationError(f"chi-square needs at least 2 bins, {counts.size} left")
     chi2 = float(np.sum((np.asarray(counts, dtype=float) - expected) ** 2 / expected))
     return chi2, float(chdtrc(counts.size - 1, chi2))
-
-
-def _merge_bins(counts, expected, min_expected):
-    """Greedy left-to-right merge until every bin expects at least the floor."""
-    out_c, out_e = [], []
-    acc_c, acc_e = 0.0, 0.0
-    for c, e in zip(counts, expected):
-        acc_c += c
-        acc_e += e
-        if acc_e >= min_expected:
-            out_c.append(acc_c)
-            out_e.append(acc_e)
-            acc_c, acc_e = 0.0, 0.0
-    if acc_e > 0.0 and out_e:
-        out_c[-1] += acc_c
-        out_e[-1] += acc_e
-    return np.asarray(out_c), np.asarray(out_e)

@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mhjump import ConfigurationError, GeneratorKind, simulate_ensemble, simulate_langevin
 from mhjump.cli import ExperimentConfig, load_config, main, resolve_seed, write_manifest
@@ -244,6 +246,76 @@ def test_exit_code_2_on_mistyped_config_fields(tmp_path, capsys, monkeypatch, ba
     assert "configuration error" in capsys.readouterr().err
     with pytest.raises(ConfigurationError):
         ExperimentConfig(**bad)
+
+
+@pytest.mark.parametrize("bad", [
+    {"x0": [[1.0], [2.0, 3.0]], "n_paths": 2},  # numpy's inhomogeneous-shape ValueError
+    {"potential_params": {"d_star": 2}},  # make_potential's TypeError: d_star given twice
+    {"potential_params": {"T": 2.0}},
+    {"x0": 10 ** 400},  # JSON integers beyond a float: OverflowError
+    {"T": 10 ** 400},
+    {"potential": "doublewell", "potential_params": {"a": 10 ** 400}},
+], ids=["ragged_x0", "params_d_star", "params_T", "huge_x0", "huge_T", "huge_param"])
+def test_exit_code_2_on_configs_that_raised_a_traceback(tmp_path, capsys, monkeypatch, bad):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, **{"n_paths": 5, "obs_grid": [0.1], "epsilon": 0.1, **bad})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["m1", "m2", "mix:0.5"])
+def test_exit_code_2_on_an_alpha_the_kind_takes_no_part_of(tmp_path, capsys, monkeypatch, kind):
+    # the alpha would enter the manifest's config hash and change nothing
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, kind=kind, alpha=0.3, n_paths=5, obs_grid=[0.1], epsilon=0.1)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"kind {kind!r} takes no alpha" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=6,
+)
+_NUMBER = st.integers() | st.floats()  # JSON integers have no bound
+_NUMBERS = st.lists(_NUMBER, max_size=3)
+
+
+def _field(name):
+    """Values of the field's type, unbounded in size, or any JSON value."""
+    default = getattr(ExperimentConfig(), name)
+    typed = {int: st.integers(), float: _NUMBER, list: _NUMBERS, str: st.text(max_size=4),
+             dict: st.dictionaries(st.text(max_size=3), _NUMBER, max_size=2)}
+    return typed.get(type(default), _NUMBER) | _JSON
+
+
+_FIELDS = {
+    **{f.name: _field(f.name) for f in dataclasses.fields(ExperimentConfig)},
+    "potential": st.sampled_from(["quadratic", "logcosh", "doublewell"]) | _JSON,
+    "potential_params": st.dictionaries(
+        st.sampled_from(["a", "b", "sigma", "c", "grad_bound", "d_star", "T", "box"]), _NUMBER,
+        max_size=3) | _JSON,
+    "kind": st.sampled_from(["m1", "m2", "mix", "mix:0.5", "mix:2", "m3"]) | _JSON,
+    "x0": _NUMBER | _NUMBERS | st.lists(_NUMBERS, max_size=3) | _JSON,
+    # the start state holds d_star floats, so d_star stays small
+    "d_star": st.integers(-2, 8) | st.floats() | st.booleans() | st.none(),
+}
+# a few fields at a time, so that most configs get past the type checks
+_CONFIGS = st.lists(st.sampled_from(sorted(_FIELDS)), max_size=4, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({name: _FIELDS[name] for name in names}))
+
+
+@given(_CONFIGS)
+def test_every_config_builds_or_is_refused(data):
+    # target, kind and start state build, or the config is refused; no run
+    try:
+        cfg = ExperimentConfig.from_dict(data)
+        target = cfg.build_target()
+        cfg.build_kind()
+        cfg.start_state(target)
+    except ConfigurationError:
+        pass
 
 
 def test_per_path_start_states_from_config(tmp_path, monkeypatch):

@@ -226,6 +226,15 @@ def test_load_chain_errors(tmp_path):
         load_chain(junk)
 
 
+@pytest.mark.parametrize("text", ["-1\n", "-2\n0.5 0.5\n", "0\n"], ids=["n=-1", "n=-2", "n=0"])
+def test_load_chain_refuses_a_state_count_below_one(tmp_path, text):
+    # n + n*n numbers follow n, which -1 and -2 "satisfy" with 0 and 2 numbers
+    path = tmp_path / "chain.txt"
+    path.write_text(text)
+    with pytest.raises(ConfigurationError, match="state count"):
+        load_chain(path)
+
+
 def test_load_chain_rejects_non_ascii_bytes(tmp_path):
     path = tmp_path / "chain.txt"
     path.write_bytes(b"2\n0.5 0.5\n0 1\n1 \xff0\n")

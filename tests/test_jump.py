@@ -238,8 +238,9 @@ def test_per_event_clock_invariant_to_blocks_and_threads(monkeypatch, kind):
 
 
 def test_threads_are_capped_at_the_usable_cores(monkeypatch):
-    # a run starts no more threads than the process may run on, and with one
-    # usable core it starts no pool at all; no byte changes
+    # a run starts no more threads than the process may run on, nor more than
+    # it has blocks, and with one usable core or one block it starts no pool
+    # at all; no byte changes
     pools = []
     real_pool = jump.ThreadPoolExecutor
 
@@ -264,6 +265,10 @@ def test_threads_are_capped_at_the_usable_cores(monkeypatch):
     assert np.array_equal(run(4), base) and pools == [2]
     monkeypatch.setattr(jump.os, "cpu_count", lambda: 3)
     assert np.array_equal(run(2), base) and np.array_equal(run(8), base) and pools == [2, 2, 3]
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 20)
+    assert np.array_equal(run(8), base) and pools == [2, 2, 3, 2]
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 40)
+    assert np.array_equal(run(8), base) and pools == [2, 2, 3, 2]
 
 
 def assert_paths_do_not_depend_on_n_paths(kind, target, threads):

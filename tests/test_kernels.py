@@ -1,9 +1,9 @@
 """Generator kinds, the tilted dominating kernel, and the thinning algebra.
 
-The engine holds a constant bound's kernel in its event parameters
-(jump._event_params), a state-dependent one per row (jump._at), and draws |z|
-with kernels.sample_abs; the kernel's
-density is checked against the oracle kernel_log_density below.
+The engine's one kernel record is jump._Kernel: the kernel every state shares
+(jump._event_params(...).kernel), or a state-dependent one per row (jump._at).
+It draws |z| with kernels.sample_abs; the kernel's density is checked against
+the oracle kernel_log_density below.
 """
 
 import math
@@ -116,7 +116,7 @@ def test_kernel_untilted_degrades_to_proposal():
     from scipy.special import ndtri
 
     prop = GaussianProposal(0.04)
-    p = _event_params(GeneratorKind.m1(), SmoothedDoubleWell(d_star=1), prop)
+    p = _event_params(GeneratorKind.m1(), SmoothedDoubleWell(d_star=1), prop).kernel
     assert p.tilt == 0.0
     assert p.rate_total == 1.0
     u = np.linspace(0.01, 0.99, 11)
@@ -129,8 +129,8 @@ def test_kernel_untilted_degrades_to_proposal():
 def test_kernel_tilted_mask_selects_the_component_per_row():
     target = SmoothedDoubleWell(d_star=1)
     prop = GaussianProposal(0.04)
-    p = tilted(target, prop)
-    plain = _event_params(GeneratorKind.m1(), target, prop)
+    p = tilted(target, prop).kernel
+    plain = _event_params(GeneratorKind.m1(), target, prop).kernel
     u = np.linspace(0.01, 0.99, 12)
     mask = np.arange(12) % 3 == 0
     out = draw_abs(p, u, mask)
@@ -143,7 +143,7 @@ def test_kernel_density_normalizes_to_one():
     target = SmoothedDoubleWell(d_star=1)
     for eps in (1e-1, 1e-3):
         prop = GaussianProposal(eps)
-        p = tilted(target, prop)
+        p = tilted(target, prop).kernel
         hw = p.mean_abs + 14.0 * math.sqrt(eps)
         val, _ = quad(lambda z: math.exp(float(kernel_log_density(p.tilt, prop, z))), -hw, hw,
                       points=[0.0], limit=400)
@@ -153,9 +153,10 @@ def test_kernel_density_normalizes_to_one():
 def test_kernel_structure():
     target = SmoothedDoubleWell(d_star=1, T=0.5)
     prop = GaussianProposal(0.01)
-    p = tilted(target, prop)
+    params = tilted(target, prop)
+    p = params.kernel
     assert p.tilt == 5.0  # grad_bound / T
-    assert p.epsilon == 0.01
+    assert params.epsilon == 0.01
     assert p.sigma == 0.1
     assert p.mean_abs == 0.01 * 5.0
     assert p.rate_total == math.exp(log_lam(0.01, 5.0))
@@ -171,7 +172,7 @@ def test_kernel_sampler_matches_density():
     target = SmoothedDoubleWell(d_star=1)
     eps = 0.01
     prop = GaussianProposal(eps)
-    p = tilted(target, prop)
+    p = tilted(target, prop).kernel
     rng = path_stream(42, 7, 0)
     n = 40000
     u_sign = rng.random(n)
@@ -189,7 +190,7 @@ def test_kernel_sampler_matches_density():
 
 def total_rate(kind, target, prop):
     """The candidate clock rate, the engine's uniform bound on the total jump rate."""
-    return _event_params(kind, target, prop).rate_total
+    return _event_params(kind, target, prop).kernel.rate_total
 
 
 def log_accept(kind, target, theta, x, i, z):
@@ -319,7 +320,7 @@ def test_accepted_rate_equals_kind_rate():
     target = SmoothedDoubleWell(d_star=1, T=0.5)
     prop = GaussianProposal(0.04)
     kind = GeneratorKind.mix(0.3)
-    p = _event_params(kind, target, prop)
+    p = _event_params(kind, target, prop).kernel
     r_total = p.rate_total
     x = np.array([0.8])
     for z in (-0.5, -0.05, 0.02, 0.4):
@@ -336,7 +337,7 @@ def test_domination_violation_is_a_hard_error():
     # declared bound 0.5 is far below the true slope ~2.3 near the well wall
     target = SmoothedDoubleWell(d_star=1, grad_bound=0.5)
     kind = GeneratorKind.m2()
-    p = _event_params(kind, target, GaussianProposal(0.04))
+    p = _event_params(kind, target, GaussianProposal(0.04)).kernel
     la = log_accept(kind, target, p.tilt, np.array([0.7]), 0, 0.5)
     with pytest.raises(DominationError, match="grad_bound"):
         check_domination(la, kind, target, lambda k: "x=0.7, i=0, z=0.5")
