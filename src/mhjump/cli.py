@@ -504,6 +504,10 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # numpy's message names the array's shape
+        print(f"configuration error: {args.command} does not fit in memory ({exc}); "
+              "reduce its sizes", file=sys.stderr)
+        return 2
     except (DominationError, QuadratureError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

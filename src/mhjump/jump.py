@@ -11,10 +11,11 @@ time to candidate k is E_k / R(x) with E_k the tape's exponential variate,
 and each event advances its path's clock by it (the per-event clock). Every
 other run has one rate for the whole path, so a whole chunk of waiting times
 decodes at once. One record (_Kernel) holds a kernel with its rate and branch
-split: the event parameters hold the one every state shares, or none, and _at
-builds one from each state. The time rescaling t -> t/eps is applied to the
-observation horizon, never to the rates, so the rate code is identical across
-eps.
+split, and one constructor (_kernel) builds it from a tilt through
+kernels.row_kernel: the event parameters hold the kernel of the tilt every
+state shares (0 for m1), or none, and _at builds one from each state's tilt.
+The time rescaling t -> t/eps is applied to the observation horizon, never
+to the rates, so the rate code is identical across eps.
 
 Determinism. Path p draws from a Philox stream keyed by
 (master_seed, domain, p). Every candidate event consumes exactly one row of
@@ -94,14 +95,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigurationError, DominationError
 from .kernels import (
     GeneratorKind,
     accept_log_from_delta,
     check_domination,
-    log_lam,
     row_kernel,
     sample_abs,
 )
@@ -204,20 +203,22 @@ class ObservedEnsemble:
 _Kernel = namedtuple("_Kernel", "sigma tilt mean_abs trunc_lo rate_total p_plain")
 
 
-def _kernel(alpha, sigma, theta, mean, lo, lam):
-    """The kernel tilted by theta, of mean, cut mass and mass Lam, under the
-    rate R = alpha + (1-alpha) Lam and the plain-branch probability alpha/R."""
+def _kernel(alpha, epsilon, theta):
+    """The kernel tilted by theta, one or one per row, with its mean, cut mass
+    and mass Lam from row_kernel, the rate R = alpha + (1-alpha) Lam and the
+    plain-branch probability alpha/R."""
+    mean, lo, lam = row_kernel(epsilon, theta)
     rate = alpha + (1.0 - alpha) * lam
-    return _Kernel(sigma, theta, mean, lo, rate, alpha / rate)
+    return _Kernel(math.sqrt(epsilon), theta, mean, lo, rate, alpha / rate)
 
 
 @dataclass(frozen=True)
 class _EventParams:
     """Constants of the per-event transform for one (kind, target, proposal).
 
-    kernel is the dominating kernel every state shares, or None when a
-    tilted kind runs on a target whose slope bound depends on the state: the
-    engines then take the kernel from the state before each event (_at).
+    kernel is _kernel at the tilt every state shares, or None when a tilted
+    kind runs on a target whose slope bound depends on the state: the engines
+    then take the kernel from the state before each event (_at).
     """
 
     kind: GeneratorKind
@@ -228,24 +229,24 @@ class _EventParams:
 
 
 def _event_params(kind, target, proposal):
-    """The stateless event parameters. m1's rates never exceed the proposal,
-    so it thins against the untilted kernel and needs no finite Lam(eps)."""
-    alpha, eps, sigma = kind.alpha_eff, proposal.epsilon, proposal.sigma
-    kernel = None  # a tilted kind under a state-dependent slope bound
-    if alpha == 1.0:  # the proposal: mean 0, half the mass cut, mass 1
-        kernel = _kernel(alpha, sigma, 0.0, 0.0, 0.5, 1.0)
+    """The stateless event parameters. Every state shares one tilt: 0 for m1,
+    whose rates never exceed the proposal, so it needs no finite Lam(eps), and
+    grad_bound / T for a constant bound; a tilted kind on a slope_bound target
+    has none."""
+    alpha, eps = kind.alpha_eff, proposal.epsilon
+    theta = None  # a tilted kind under a state-dependent slope bound
+    if alpha == 1.0:
+        theta = 0.0
     elif target.grad_bound is not None:
         theta = target.grad_bound / target.T
-        kernel = _kernel(alpha, sigma, theta, eps * theta, float(ndtr(-theta * sigma)),
-                         math.exp(log_lam(eps, theta)))
+    kernel = None if theta is None else _kernel(alpha, eps, theta)
     return _EventParams(kind, target, eps, alpha, kernel)
 
 
 def _at(p, x):
     """The kernel at state x, one state or a block of rows: p's shared
-    kernel, or else the kernel tilted by theta(x) = max_i slope_bound(x)_i / T,
-    which sets the clock rate R(x) and the plain-branch probability
-    alpha / R(x).
+    kernel, or else _kernel at theta(x) = max_i slope_bound(x)_i / T, which
+    sets the clock rate R(x) and the plain-branch probability alpha / R(x).
     """
     if p.kernel is not None:
         return p.kernel
@@ -255,7 +256,7 @@ def _at(p, x):
         j = int(np.argmax(~(np.reshape(theta, -1) >= 0.0)))
         raise DominationError(f"slope_bound of {target.name} is negative or NaN at "
                               f"x={np.reshape(x, (-1, target.d_star))[j]!r}")
-    return _kernel(p.alpha, math.sqrt(p.epsilon), theta, *row_kernel(p.epsilon, theta))
+    return _kernel(p.alpha, p.epsilon, theta)
 
 
 def _decode_tape(rows, d):
@@ -344,7 +345,7 @@ def _check_candidates(q, remaining):
 
 def _validate_x0(target, x0):
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape[-1] != target.d_star:
+    if x0.shape[-1:] != (target.d_star,):
         raise ConfigurationError(f"x0 must have {target.d_star} coordinates, got shape {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("x0 must be finite")

@@ -19,10 +19,10 @@ same for every i. The clock rate R(x) = alpha + (1-alpha) Lam(eps, theta(x))
 then depends on the state, but it is constant between accepted jumps,
 because rejected candidates do not move the state, so thinning stays exact
 (Lewis & Shedler 1979; the local bounds of the Zig-Zag sampler, Bierkens,
-Fearnhead & Roberts 2019). The engine has one kernel record for both: a
-constant bound gives one kernel that every state shares, with its mass from
-log_lam, and row_kernel gives a state-dependent kernel's mean, truncation
-and mass, one per row.
+Fearnhead & Roberts 2019). One formula, row_kernel, gives a kernel's mean,
+truncation and mass from its tilt, whether the tilt is one constant that
+every state shares, theta(x) one per row, or 0 for m1's untilted proposal
+(mass exactly 1).
 
 Splitting e^{theta z} phi_eps(z) = e^{eps theta^2/2} phi_eps(z - eps theta)
 turns the normalized dominating density into an equal-weight two-sided
@@ -124,20 +124,6 @@ class GeneratorKind:
         return cls(text, alpha)
 
 
-def _checked_growth(growth):
-    """eps theta^2 / 2, one or one per row; above 700 the mass would overflow."""
-    if np.max(growth) > 700.0:
-        raise ConfigurationError(f"dominating mass overflows: eps*theta^2/2 = "
-                                 f"{np.max(growth):.3g}; reduce eps or the declared bound")
-    return growth
-
-
-def log_lam(epsilon, theta):
-    """log Lam(eps) = log 2 + eps theta^2 / 2 + log Phi(theta sqrt(eps))."""
-    growth = _checked_growth(0.5 * epsilon * theta * theta)
-    return math.log(2.0) + growth + math.log(ndtr(theta * math.sqrt(epsilon)))
-
-
 def sample_abs(u, sigma, mean_abs, trunc_lo, tilted=True):
     """Inverse-cdf |z| from N(mean_abs, sigma^2) conditioned on z > 0.
 
@@ -151,14 +137,19 @@ def sample_abs(u, sigma, mean_abs, trunc_lo, tilted=True):
 
 
 def row_kernel(epsilon, theta):
-    """(mean_abs, trunc_lo, Lam) of the kernels tilted by theta, one per row.
+    """(mean_abs, trunc_lo, Lam) of the kernel tilted by theta, one theta or
+    one per row: Lam = 2 exp(eps theta^2 / 2) Phi(theta sqrt(eps)).
 
-    A row whose mass would overflow is refused as in log_lam. numpy
-    evaluates one row and a block of rows alike, so the scalar and block
+    A kernel whose mass would overflow (eps theta^2 / 2 > 700) is refused.
+    theta = 0 gives the proposal: mean 0, half the mass cut, mass 1. numpy
+    evaluates one theta and a block of rows alike, so the scalar and block
     engines get the same bits.
     """
     mean = epsilon * theta
-    growth = _checked_growth(0.5 * mean * theta)
+    growth = 0.5 * mean * theta
+    if np.max(growth) > 700.0:
+        raise ConfigurationError(f"dominating mass overflows: eps*theta^2/2 = "
+                                 f"{np.max(growth):.3g}; reduce eps or the declared bound")
     lo = ndtr(-theta * math.sqrt(epsilon))
     return mean, lo, np.exp(math.log(2.0) + growth + np.log1p(-lo))
 
@@ -173,10 +164,6 @@ def log_rate_density(kind, target, proposal, x, i, y_i):
         + proposal.logpdf(z)
         - math.log(target.d_star)
     )
-
-
-def rate_density(kind, target, proposal, x, i, y_i):
-    return np.exp(log_rate_density(kind, target, proposal, x, i, y_i))
 
 
 def accept_log_from_delta(du, abs_z, alpha_eff, theta, T):

@@ -27,7 +27,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .jump import DOMAIN_LANGEVIN, ObservedEnsemble, check_run, path_stream, run_spans
+from .jump import DOMAIN_LANGEVIN, ObservedEnsemble, _validate_x0, check_run, path_stream, run_spans
 
 LANGEVIN_BLOCK = 1024
 _STEP_CHUNK = 256
@@ -62,9 +62,9 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be positive, got {dt}")
     obs = check_run(obs_grid, n_paths, threads)
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (target.d_star,):
-        raise ConfigurationError(f"x0 must have {target.d_star} coordinates")
+    x0 = _validate_x0(target, x0)
+    if x0.ndim != 1:
+        raise ConfigurationError("simulate_langevin takes a single initial state")
     steps = obs / dt
     obs_steps = np.rint(steps).astype(np.int64)
     off = np.abs(steps - obs_steps)

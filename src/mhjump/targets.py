@@ -113,21 +113,6 @@ class TargetPotential:
         """
         return self.grad_bound
 
-    def check_gradient(self, x):
-        """Max abs gap between grad and scale-aware central differences."""
-        x = np.asarray(x, dtype=float)
-        g = self.grad(x)
-        worst = 0.0
-        for i in range(self.d_star):
-            h = 1e-6 * (1.0 + abs(float(x[..., i])))
-            xp = x.copy()
-            xm = x.copy()
-            xp[..., i] += h
-            xm[..., i] -= h
-            fd = (self.u(xp) - self.u(xm)) / (2.0 * h)
-            worst = max(worst, float(np.max(np.abs(fd - g[..., i]))))
-        return worst
-
 
 class SeparableTargetPotential(TargetPotential):
     """U(x) = sum_i u1(x_i); per-coordinate formulas enable exact dU on moves."""
@@ -252,13 +237,6 @@ class SmoothedDoubleWell(SeparableTargetPotential):
         v = np.asarray(v, dtype=float)
         r = np.sqrt(1.0 + v * v)
         return v / r * self._w(v) + r * self._dw(v)
-
-    def well_minima(self):
-        """The two symmetric minima (-m, m), solved from du1 = 0."""
-        from scipy.optimize import brentq
-
-        m = brentq(lambda v: float(self.du1(v)), 0.5 * self.a, self.a + 4.0 * self.sigma)
-        return (-m, m)
 
 
 _POTENTIALS = {

@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .errors import ConfigurationError, QuadratureError
-from .jump import DOMAIN_SBOUND, path_stream
+from .jump import DOMAIN_SBOUND, _integer, path_stream
 from .targets import (
     GaussianProposal,
     delta_u_line,
@@ -237,9 +237,10 @@ def s_bound_check(target, n_pairs=10000, scale_grid=(1e-1, 1e-2, 1e-3), master_s
     of |g|/z^2 (g the first-order Taylor remainder) over a separate pair
     sample.
     """
+    n_pairs = _integer("s_bound_check n_pairs", n_pairs, 1)
     scales = np.asarray(scale_grid, dtype=float)
-    if not (n_pairs >= 1 and scales.size and np.all((scales > 0.0) & (scales < np.inf))):
-        raise ConfigurationError("s_bound_check needs n_pairs >= 1 and positive finite scales")
+    if not (scales.size and np.all((scales > 0.0) & (scales < np.inf))):
+        raise ConfigurationError("s_bound_check needs positive finite scales")
     rng = path_stream(master_seed, DOMAIN_SBOUND, 0)
 
     def draw_moves(scale):
@@ -396,16 +397,6 @@ def generator_convergence_probe(kind, target, tf, x_grid, epsilon_grid):
     )
 
 
-def kernel_total_rate(kind, target, proposal, x):
-    """int M(x, y) dy by per-coordinate quadrature (acceptance-rate oracle)."""
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for i in range(target.d_star):
-        val, _ = _quad_line(_NodeFactor(kind, target, proposal.epsilon, x, i), lambda u: 1.0)
-        total += val
-    return total / target.d_star
-
-
 # ensemble comparison
 
 
@@ -544,8 +535,7 @@ def displacement_chisquare(displacements, kind, target, proposal, x, i=0,
 
 
 def _check_binning(n_bins, n_samples):
-    if not isinstance(n_bins, (int, np.integer)) or n_bins < 2:
-        raise ConfigurationError(f"n_bins must be an integer >= 2, got {n_bins!r}")
+    _integer("n_bins", n_bins, 2)
     if n_samples == 0:
         raise ConfigurationError("chi-square needs at least one sample")
 

@@ -263,6 +263,22 @@ def test_exit_code_2_on_configs_that_raised_a_traceback(tmp_path, capsys, monkey
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,bad", [
+    ("simulate", {"d_star": 2 ** 57}),  # start_state: 2**57 floats, 1 EiB
+    ("simulate", {"n_paths": 2 ** 57}),  # the ensemble's samples
+    ("langevin", {"n_paths": 2 ** 57}),
+], ids=["simulate-d_star", "simulate-n_paths", "langevin-n_paths"])
+def test_exit_code_2_on_a_run_that_cannot_be_allocated(tmp_path, capsys, monkeypatch, command,
+                                                       bad):
+    # sizes past any address space fail at once, whatever the overcommit setting
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, **{"n_paths": 5, "obs_grid": [0.1], "epsilon": 0.1, **bad})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"configuration error: {command} does not fit in memory" in err
+    assert str(2 ** 57) in err  # numpy's message names the array's shape
+
+
 @pytest.mark.parametrize("kind", ["m1", "m2", "mix:0.5"])
 def test_exit_code_2_on_an_alpha_the_kind_takes_no_part_of(tmp_path, capsys, monkeypatch, kind):
     # the alpha would enter the manifest's config hash and change nothing

@@ -379,33 +379,28 @@ def test_both_clocks_invariant_to_the_tape_budget(monkeypatch, rows):
         assert np.array_equal(counts, other_counts)
 
 
-def test_observation_at_time_zero_is_the_start():
-    ens = assert_engines_agree(MIX, WELL, GaussianProposal(0.3), np.array([0.4]), [0.0, 2.0], 6, 2)
-    assert np.all(ens.samples[:, 0, 0] == 0.4)
+def clock_cells(one_rate_kind):
+    """Parametrize over both clocks: one_rate_kind on the log-cosh well, and
+    the tilted kinds under the per-event clock on the 1-d quadratic."""
+    cells = [(one_rate_kind, WELL)] + [(kind, QUAD1) for kind in LOCAL]
+    return pytest.mark.parametrize("kind,target", cells,
+                                   ids=[f"{k.label()}-{t.name}" for k, t in cells])
 
 
-@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
-def test_per_event_clock_observation_at_time_zero_is_the_start(kind):
-    ens = assert_engines_agree(kind, QUAD1, GaussianProposal(0.3), np.array([0.4]), [0.0, 2.0],
+@clock_cells(MIX)
+def test_observation_at_time_zero_is_the_start(kind, target):
+    ens = assert_engines_agree(kind, target, GaussianProposal(0.3), np.array([0.4]), [0.0, 2.0],
                                6, 2)
     assert np.all(ens.samples[:, 0, 0] == 0.4)
 
 
-def test_several_observations_between_two_candidates():
-    t = candidate_times(8, 0, 6)
-    between = [t[2] + f * (t[3] - t[2]) for f in (0.2, 0.4, 0.6)]
-    ens = assert_engines_agree(GeneratorKind.m1(), WELL, GaussianProposal(0.3), np.array([0.4]),
-                               between + [t[5]], 4, 8)
-    assert np.array_equal(ens.samples[0, 0], ens.samples[0, 2])
-
-
-@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
-def test_per_event_clock_several_observations_between_two_candidates(kind):
+@clock_cells(GeneratorKind.m1())
+def test_several_observations_between_two_candidates(kind, target):
     prop, x0 = GaussianProposal(0.3), np.array([0.4])
-    t = replayed_candidate_times(kind, QUAD1, prop, x0, 8, 0, 6, 100.0)
+    t = replayed_candidate_times(kind, target, prop, x0, 8, 0, 6, 100.0)
     assert t.size == 6
     between = [t[2] + f * (t[3] - t[2]) for f in (0.2, 0.4, 0.6)]
-    ens = assert_engines_agree(kind, QUAD1, prop, x0, between + [t[5]], 4, 8)
+    ens = assert_engines_agree(kind, target, prop, x0, between + [t[5]], 4, 8)
     assert np.array_equal(ens.samples[0, 0], ens.samples[0, 2])
 
 
@@ -526,6 +521,12 @@ def test_validation_errors():
         simulate_path(GeneratorKind.m1(), QUAD1, prop, np.array([np.inf]), 1.0, 0)
     with pytest.raises(ConfigurationError, match="finite"):
         simulate_ensemble(MIX, DW, prop, np.array([0.0, np.nan]), [0.5], 4, 0)
+    # a 0-d start has no coordinate axis
+    for run in (lambda: simulate_path(MIX, WELL, prop, 0.5, 1.0, 0),
+                lambda: simulate_ensemble(MIX, WELL, prop, 0.5, [0.5], 4, 0),
+                lambda: first_jump_displacements(MIX, WELL, prop, 0.5, 10, 0)):
+        with pytest.raises(ConfigurationError, match="coordinates"):
+            run()
 
 
 def test_runaway_runs_are_refused_before_they_start():

@@ -2,8 +2,9 @@
 
 The engine's one kernel record is jump._Kernel: the kernel every state shares
 (jump._event_params(...).kernel), or a state-dependent one per row (jump._at).
-It draws |z| with kernels.sample_abs; the kernel's density is checked against
-the oracle kernel_log_density below.
+Both take their mass Lam from kernels.row_kernel, checked here against
+quadrature. A kernel draws |z| with kernels.sample_abs; its density is checked
+against the oracle kernel_log_density below.
 """
 
 import math
@@ -28,18 +29,22 @@ from mhjump.jump import _at, _event_params, path_stream
 from mhjump.kernels import (
     accept_log_from_delta,
     check_domination,
-    log_lam,
     log_rate_density,
-    rate_density,
+    row_kernel,
     sample_abs,
 )
 
 KINDS = [GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5), GeneratorKind.mix(0.25)]
 
 
+def lam(eps, theta):
+    """The engine's dominating mass Lam(eps, theta) = E e^{theta|Z|}."""
+    return row_kernel(eps, theta)[2]
+
+
 def kernel_log_density(theta, prop, z):
     """Oracle: log of the normalized kernel e^{theta|z|} phi_eps(z) / Lam(eps)."""
-    return theta * np.abs(z) + prop.logpdf(z) - log_lam(prop.epsilon, theta)
+    return theta * np.abs(z) + prop.logpdf(z) - math.log(lam(prop.epsilon, theta))
 
 
 def tilted(target, prop):
@@ -92,21 +97,24 @@ def test_log_lam_matches_quadrature(eps, theta):
     )
     hw = eps * theta + 14.0 * math.sqrt(eps)
     val, _ = quad(dens, -hw, hw, points=[0.0], limit=400)
-    assert np.isclose(math.log(val), log_lam(eps, theta), rtol=1e-10, atol=1e-12)
+    assert np.isclose(math.log(val), math.log(lam(eps, theta)), rtol=1e-10, atol=1e-12)
 
 
 def test_lam_properties():
     theta = 2.5
-    lams = [math.exp(log_lam(e, theta)) for e in (1e-1, 1e-2, 1e-3, 1e-6, 1e-12)]
+    lams = [lam(e, theta) for e in (1e-1, 1e-2, 1e-3, 1e-6, 1e-12)]
     assert all(l >= 1.0 for l in lams)
     assert all(a > b for a, b in zip(lams, lams[1:]))  # decreasing toward 1
     assert lams[-1] < 1.0 + 1e-5
-    assert math.exp(log_lam(1e-2, 0.0)) == 1.0
+    # theta = 0 is the proposal: mean 0, half the mass cut, mass exactly 1
+    assert row_kernel(1e-2, 0.0) == (0.0, 0.5, 1.0)
 
 
 def test_log_lam_overflow_guard():
     with pytest.raises(ConfigurationError):
-        log_lam(1.0, 50.0)  # eps theta^2 / 2 = 1250
+        row_kernel(1.0, 50.0)  # eps theta^2 / 2 = 1250
+    with pytest.raises(ConfigurationError):  # one overflowing row refuses the block
+        row_kernel(1.0, np.array([1.0, 50.0, 2.0]))
 
 
 # --- dominating kernel ---
@@ -159,7 +167,7 @@ def test_kernel_structure():
     assert params.epsilon == 0.01
     assert p.sigma == 0.1
     assert p.mean_abs == 0.01 * 5.0
-    assert p.rate_total == math.exp(log_lam(0.01, 5.0))
+    assert p.rate_total == lam(0.01, 5.0)
     # an equal-weight two-sided mixture with components at -mean_abs, +mean_abs
     z = np.linspace(0.0, 0.5, 5001)
     dens = kernel_log_density(p.tilt, prop, z)
@@ -202,12 +210,12 @@ def log_accept(kind, target, theta, x, i, z):
 def test_total_rate_bound_values():
     target = SmoothedDoubleWell(d_star=1)
     prop = GaussianProposal(0.01)
-    lam = math.exp(log_lam(prop.epsilon, target.grad_bound / target.T))
+    mass = lam(prop.epsilon, target.grad_bound / target.T)
     assert total_rate(GeneratorKind.m1(), target, prop) == 1.0
-    assert np.isclose(total_rate(GeneratorKind.m2(), target, prop), lam, rtol=1e-14)
+    assert np.isclose(total_rate(GeneratorKind.m2(), target, prop), mass, rtol=1e-14)
     mixed = total_rate(GeneratorKind.mix(0.25), target, prop)
-    assert np.isclose(mixed, 0.25 + 0.75 * lam, rtol=1e-14)
-    assert 1.0 <= mixed <= lam
+    assert np.isclose(mixed, 0.25 + 0.75 * mass, rtol=1e-14)
+    assert 1.0 <= mixed <= mass
 
 
 @pytest.mark.parametrize(
@@ -223,9 +231,9 @@ def test_rate_density_ordering(target, x0, x1, z, i):
     x = np.array([x0, x1])
     y_i = x[i] + z
     mid = math.exp(float(prop.logpdf(z))) / target.d_star
-    r1 = float(rate_density(GeneratorKind.m1(), target, prop, x, i, y_i))
-    r2 = float(rate_density(GeneratorKind.m2(), target, prop, x, i, y_i))
-    rm = float(rate_density(GeneratorKind.mix(0.3), target, prop, x, i, y_i))
+    r1 = math.exp(float(log_rate_density(GeneratorKind.m1(), target, prop, x, i, y_i)))
+    r2 = math.exp(float(log_rate_density(GeneratorKind.m2(), target, prop, x, i, y_i)))
+    rm = math.exp(float(log_rate_density(GeneratorKind.mix(0.3), target, prop, x, i, y_i)))
     tol = 1e-12 * (1.0 + r2)
     assert r1 <= mid + tol
     assert mid <= r2 + tol
@@ -263,8 +271,8 @@ def test_rate_density_sum_identity():
         z = float(rng.normal(0.0, 0.3))
         y_i = x[0] + z
         du = float(target.delta_u_move(x, 0, z))
-        r1 = float(rate_density(GeneratorKind.m1(), target, prop, x, 0, y_i))
-        r2 = float(rate_density(GeneratorKind.m2(), target, prop, x, 0, y_i))
+        r1 = math.exp(float(log_rate_density(GeneratorKind.m1(), target, prop, x, 0, y_i)))
+        r2 = math.exp(float(log_rate_density(GeneratorKind.m2(), target, prop, x, 0, y_i)))
         ref = (1.0 + math.exp(-du / target.T)) * math.exp(float(prop.logpdf(z))) / 2.0
         assert np.isclose(r1 + r2, ref, rtol=1e-12)
 
@@ -326,10 +334,10 @@ def test_accepted_rate_equals_kind_rate():
     for z in (-0.5, -0.05, 0.02, 0.4):
         la = float(log_accept(kind, target, p.tilt, x, 0, z))
         q = 0.3 * math.exp(float(prop.logpdf(z))) + 0.7 * math.exp(
-            float(kernel_log_density(p.tilt, prop, z)) + log_lam(prop.epsilon, p.tilt)
+            float(kernel_log_density(p.tilt, prop, z)) + math.log(lam(prop.epsilon, p.tilt))
         )
         accepted = r_total * (q / r_total) * math.exp(la)
-        want = float(rate_density(kind, target, prop, x, 0, x[0] + z))
+        want = math.exp(float(log_rate_density(kind, target, prop, x, 0, x[0] + z)))
         assert np.isclose(accepted, want, rtol=1e-12)
 
 
@@ -351,7 +359,7 @@ def test_domination_violation_is_a_hard_error():
     {"grad_bound": math.nan},
     {"grad_bound": math.inf},
     {"T": 0.0},
-    {"epsilon": 1.0, "grad_bound": 50.0},  # log_lam: eps theta^2 / 2 = 1250 overflows
+    {"epsilon": 1.0, "grad_bound": 50.0},  # row_kernel: eps theta^2 / 2 = 1250 overflows
 ])
 def test_kernel_rejects_bad_parameters(kw):
     kw = {"epsilon": 0.1, "grad_bound": 1.0, "T": 1.0, **kw}
@@ -365,7 +373,7 @@ def test_dominating_mass_is_at_least_one(eps, theta):
     # Lam = E e^{theta|Z|} >= 1 for theta >= 0, so no kernel is lighter than
     # the proposal; past the overflow guard there is no kernel at all
     try:
-        assert log_lam(eps, theta) >= 0.0
+        assert lam(eps, theta) >= 1.0
     except ConfigurationError:
         assert 0.5 * eps * theta * theta > 700.0
 

@@ -131,6 +131,17 @@ def test_langevin_validation():
         simulate_langevin(target, np.zeros(2), [0.1], 0, 1e-2, 0)
     with pytest.raises(ConfigurationError):
         simulate_langevin(target, np.zeros(2), [0.1], 5, -1e-2, 0)
+    with pytest.raises(ConfigurationError, match="2 coordinates"):
+        simulate_langevin(target, 0.5, [0.1], 5, 1e-2, 0)
+    with pytest.raises(ConfigurationError, match="single"):
+        simulate_langevin(target, np.zeros((5, 2)), [0.1], 5, 1e-2, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_langevin_refuses_a_non_finite_start(bad):
+    # the jump engines' x0 check: a NaN or infinite start never runs
+    with pytest.raises(ConfigurationError, match="x0 must be finite"):
+        simulate_langevin(SmoothedDoubleWell(d_star=1), [bad], [1.0], 10, 0.1, 0)
 
 
 @pytest.mark.parametrize("field,value", [("n_paths", 2.5), ("n_paths", 0), ("n_paths", True),

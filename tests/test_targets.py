@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.stats import norm
 
 from mhjump import (
@@ -40,6 +41,28 @@ def all_targets(d_star=2):
     ]
 
 
+def gradient_gap(target, x):
+    """Oracle: max abs gap between grad and scale-aware central differences."""
+    x = np.asarray(x, dtype=float)
+    g = target.grad(x)
+    worst = 0.0
+    for i in range(target.d_star):
+        h = 1e-6 * (1.0 + abs(float(x[..., i])))
+        xp = x.copy()
+        xm = x.copy()
+        xp[..., i] += h
+        xm[..., i] -= h
+        fd = (target.u(xp) - target.u(xm)) / (2.0 * h)
+        worst = max(worst, float(np.max(np.abs(fd - g[..., i]))))
+    return worst
+
+
+def well_minima(t):
+    """Oracle: the double well's two symmetric minima (-m, m), solved from du1 = 0."""
+    m = brentq(lambda v: float(t.du1(v)), 0.5 * t.a, t.a + 4.0 * t.sigma)
+    return (-m, m)
+
+
 coords = st.floats(-8.0, 8.0)
 dus = st.floats(-50.0, 50.0)
 temps = st.floats(0.25, 4.0)
@@ -54,7 +77,7 @@ moves = st.floats(-2.0, 2.0)
 @pytest.mark.parametrize("point", [(-2.3, 0.4), (0.0, 0.0), (1.49, -1.49), (7.0, -6.2)])
 def test_gradient_matches_finite_differences(target, point):
     x = np.array(point)
-    assert target.check_gradient(x) < 1e-6
+    assert gradient_gap(target, x) < 1e-6
 
 
 @pytest.mark.parametrize("target", all_targets(), ids=lambda t: t.name)
@@ -157,7 +180,7 @@ def test_logcosh_grad_bound_is_global():
 
 def test_doublewell_shape():
     t = SmoothedDoubleWell(d_star=1)
-    lo, hi = t.well_minima()
+    lo, hi = well_minima(t)
     assert lo == -hi
     assert 1.4 < hi < 1.6
     assert abs(float(t.du1(hi))) < 1e-10

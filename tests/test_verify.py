@@ -29,6 +29,8 @@ from mhjump import (
 )
 from mhjump.targets import gibbs_quantiles_1d, log_s_mix
 from mhjump.verify import (
+    _NodeFactor,
+    _quad_line,
     apply_limit_generator,
     bump_library,
     default_x_grid,
@@ -38,12 +40,21 @@ from mhjump.verify import (
     generator_convergence_probe,
     generator_probe_value,
     kernel_displacement_cdf,
-    kernel_total_rate,
     ks_null_sd,
     ks_statistic,
     ks_threshold,
     moment_limits,
 )
+
+
+def kernel_total_rate(kind, target, proposal, x):
+    """Oracle: int M(x, y) dy by per-coordinate quadrature."""
+    x = np.asarray(x, dtype=float)
+    total = 0.0
+    for i in range(target.d_star):
+        val, _ = _quad_line(_NodeFactor(kind, target, proposal.epsilon, x, i), lambda u: 1.0)
+        total += val
+    return total / target.d_star
 
 
 def test_fit_loglog_slope_recovers_exponent():
@@ -252,6 +263,13 @@ def test_s_bound_rejects_a_degenerate_sample(kw):
     # a zero scale divided 0 by 0 and passed with c1 = nan
     with pytest.raises(ConfigurationError, match="s_bound_check"):
         s_bound_check(LogCoshWell(d_star=1), **{"n_pairs": 100, **kw})
+
+
+@pytest.mark.parametrize("n_pairs", [2.5, True, "4", None])
+def test_s_bound_check_refuses_a_non_integer_n_pairs(n_pairs):
+    # these reached numpy's sampler or a comparison and raised a TypeError
+    with pytest.raises(ConfigurationError, match="n_pairs must be an integer >= 1"):
+        s_bound_check(LogCoshWell(d_star=1), n_pairs=n_pairs)
 
 
 # --- bump test functions and the generator probe ---
