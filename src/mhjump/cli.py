@@ -10,9 +10,10 @@ errors. Seed precedence: a seed in the config file wins, then the
 MHJUMP_SEED environment variable, then --seed, then 0. Exit codes: 0 all
 checks passed, 1 a numerical check failed, 2 configuration error, 3 I/O
 error. Every file is written atomically. The run manifest (config hash,
-version, seed, timestamps, planned outputs) is written before any result
-file; it is the only artifact carrying wall-clock data, so result files are
-byte-stable across reruns.
+version, seed, timestamps, planned outputs) is written once the run's inputs
+(target, kind, start state) are built and before any result file; it is the
+only artifact carrying wall-clock data, so result files are byte-stable
+across reruns.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .finite import (
     random_reversible_batch,
     reversibility_gap,
 )
-from .jump import DOMAIN_GEOMETRY, path_stream, simulate_ensemble
+from .jump import DOMAIN_GEOMETRY, _validate_x0, path_stream, simulate_ensemble
 from .kernels import GeneratorKind
 from .langevin import default_dt, simulate_langevin
 from .targets import GaussianProposal, make_potential
@@ -193,8 +194,11 @@ class ExperimentConfig:
     def start_state(self, target):
         x0 = np.asarray(self.x0, dtype=float)
         if x0.ndim == 0:
-            x0 = np.full(target.d_star, float(x0))
-        return x0
+            try:
+                x0 = np.full(target.d_star, float(x0))
+            except ValueError as exc:  # numpy's "Maximum allowed dimension exceeded"
+                raise ConfigurationError(f"d_star is too large for a start state: {exc}") from None
+        return _validate_x0(target, x0)
 
 
 def load_config(path):
@@ -222,7 +226,8 @@ def resolve_seed(cfg, cli_seed):
 
 
 def write_manifest(out_dir, cfg, seed, outputs):
-    """The manifest, written before any result artifact."""
+    """The manifest, written once the run's inputs are built and before any
+    result artifact."""
     now = time.time()
     manifest = {
         "config_hash": cfg.config_hash(),
@@ -283,11 +288,11 @@ def cmd_simulate(cfg, seed, out_dir, threads, rep):
     target = cfg.build_target()
     kind = cfg.build_kind()
     proposal = GaussianProposal(cfg.epsilon)
+    x0 = cfg.start_state(target)
     outputs = ["ensemble.csv", "ensemble.bin"]
     write_manifest(out_dir, cfg, seed, outputs)
     ens = simulate_ensemble(
-        kind, target, proposal, cfg.start_state(target), cfg.obs_grid,
-        cfg.n_paths, seed, threads=threads,
+        kind, target, proposal, x0, cfg.obs_grid, cfg.n_paths, seed, threads=threads,
     )
     write_csv(ens, os.path.join(out_dir, "ensemble.csv"))
     write_binary(ens, os.path.join(out_dir, "ensemble.bin"))
@@ -297,12 +302,11 @@ def cmd_simulate(cfg, seed, out_dir, threads, rep):
 
 def cmd_langevin(cfg, seed, out_dir, threads, rep):
     target = cfg.build_target()
+    x0 = cfg.start_state(target)
     dt = cfg.dt if cfg.dt is not None else default_dt(target)
     outputs = ["reference.csv", "reference.bin"]
     write_manifest(out_dir, cfg, seed, outputs)
-    ens = simulate_langevin(
-        target, cfg.start_state(target), cfg.obs_grid, cfg.n_paths, dt, seed, threads=threads,
-    )
+    ens = simulate_langevin(target, x0, cfg.obs_grid, cfg.n_paths, dt, seed, threads=threads)
     write_csv(ens, os.path.join(out_dir, "reference.csv"))
     write_binary(ens, os.path.join(out_dir, "reference.bin"))
     rep.say(f"wrote {out_dir}/reference.csv and .bin (dt={dt:g})")
@@ -311,6 +315,7 @@ def cmd_langevin(cfg, seed, out_dir, threads, rep):
 
 def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
     target = cfg.build_target()
+    x0 = cfg.start_state(target)
     outputs = [
         "drift_convergence.csv",
         "volatility_convergence.csv",
@@ -354,7 +359,6 @@ def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
     write_plot_csv(os.path.join(out_dir, "probe_convergence.csv"), probe_rows)
 
     dt = cfg.dt if cfg.dt is not None else default_dt(target)
-    x0 = cfg.start_state(target)
     ref = simulate_langevin(target, x0, cfg.obs_grid, cfg.n_paths, dt, seed, threads=threads)
     kinds = (GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5))
     sweep = sorted(cfg.epsilon_grid, reverse=True)

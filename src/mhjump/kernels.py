@@ -124,7 +124,7 @@ class GeneratorKind:
         return cls(text, alpha)
 
 
-def sample_abs(u, sigma, mean_abs, trunc_lo, tilted=True):
+def sample_abs(u, sigma, mean_abs, trunc_lo, tilted):
     """Inverse-cdf |z| from N(mean_abs, sigma^2) conditioned on z > 0.
 
     mean_abs and trunc_lo, the tilted component's mean and cut mass, are one

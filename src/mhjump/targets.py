@@ -300,11 +300,11 @@ def taylor_gap(du, grad_i, z, T):
 # one-dimensional Gibbs quadrature oracle (density, cdf, quantiles)
 
 
-def gibbs_table_1d(target, lo=-12.0, hi=12.0, n=200001):
-    """Dense-grid normalized density and cdf of exp(-u1/T) on [lo, hi]."""
+def gibbs_table_1d(target):
+    """Dense-grid normalized density and cdf of exp(-u1/T) on [-12, 12]."""
     if target.d_star != 1:
         raise ConfigurationError("gibbs_table_1d needs a one-dimensional target")
-    grid = np.linspace(lo, hi, n)
+    grid = np.linspace(-12.0, 12.0, 200001)
     logw = -target.u1(grid) / target.T
     w = np.exp(logw - np.max(logw))
     dx = grid[1] - grid[0]
@@ -313,7 +313,7 @@ def gibbs_table_1d(target, lo=-12.0, hi=12.0, n=200001):
     return grid, w / total, cdf / total
 
 
-def gibbs_quantiles_1d(target, probs, lo=-12.0, hi=12.0, n=200001):
+def gibbs_quantiles_1d(target, probs):
     """Quantiles of the 1-d Gibbs law by interpolating the quadrature cdf."""
-    grid, _, cdf = gibbs_table_1d(target, lo, hi, n)
+    grid, _, cdf = gibbs_table_1d(target)
     return np.interp(np.asarray(probs, dtype=float), cdf, grid)

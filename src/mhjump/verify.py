@@ -50,11 +50,11 @@ DEFAULT_X_VALUES = (-1.8, -0.9, 0.45, 1.1, 2.2)
 _OFFCOORD_FILL = (0.3, -0.7, 1.2, -0.2)
 
 
-def default_x_grid(d_star, values=DEFAULT_X_VALUES):
-    """Probe points: coordinate 0 sweeps values, the rest sit at fixed spots
-    chosen away from stationary points of the built-in potentials."""
-    pts = np.zeros((len(values), d_star))
-    pts[:, 0] = values
+def default_x_grid(d_star):
+    """Probe points: coordinate 0 sweeps DEFAULT_X_VALUES, the rest sit at fixed
+    spots chosen away from stationary points of the built-in potentials."""
+    pts = np.zeros((len(DEFAULT_X_VALUES), d_star))
+    pts[:, 0] = DEFAULT_X_VALUES
     for j in range(1, d_star):
         pts[:, j] = _OFFCOORD_FILL[(j - 1) % len(_OFFCOORD_FILL)]
     return pts
@@ -293,33 +293,30 @@ class ProductTestFunction:
     name: str
     factors: tuple  # tuple of (h, dh, d2h) triples, one per coordinate
 
-    def value(self, x):
+    def _product(self, x, i, order):
+        """The order-th derivative of factor i times every other factor, in
+        coordinate order; order 0 is f itself, starting from 1.0."""
         x = np.asarray(x, dtype=float)
-        out = 1.0
+        out = 1.0 if order == 0 else self.factors[i][order](x[..., i])
         for j, (h, _, _) in enumerate(self.factors):
-            out = out * h(x[..., j])
+            if order == 0 or j != i:
+                out = out * h(x[..., j])
         return out
+
+    def value(self, x):
+        return self._product(x, 0, 0)
 
     def partial(self, x, i):
-        x = np.asarray(x, dtype=float)
-        out = self.factors[i][1](x[..., i])
-        for j, (h, _, _) in enumerate(self.factors):
-            if j != i:
-                out = out * h(x[..., j])
-        return out
+        return self._product(x, i, 1)
 
     def second_partial(self, x, i):
-        x = np.asarray(x, dtype=float)
-        out = self.factors[i][2](x[..., i])
-        for j, (h, _, _) in enumerate(self.factors):
-            if j != i:
-                out = out * h(x[..., j])
-        return out
+        return self._product(x, i, 2)
 
 
-def bump_library(d_star, radius=3.0):
-    """Three C^2 bump-localized polynomials: bump, x_1 bump, x_1^2 bump."""
-    r = float(radius)
+def bump_library(d_star):
+    """Three C^2 bump-localized polynomials on radius-3 bumps: bump, x_1 bump,
+    x_1^2 bump."""
+    r = 3.0
     plain = (lambda v: _bump(v, r), lambda v: _dbump(v, r), lambda v: _d2bump(v, r))
     linear = (
         lambda v: v * _bump(v, r),
@@ -422,28 +419,23 @@ def ks_statistic(a, b):
     return k // g / (n // g * m)
 
 
-def ks_threshold(n, m=None, coeff=1.36):
-    """Classical two-sample critical value c sqrt((n+m)/(n m)), 95% by default."""
-    m = n if m is None else m
-    return coeff * math.sqrt((n + m) / (n * m))
+def ks_threshold(n, coeff=1.36):
+    """Classical two-sample critical value c sqrt(2/n) for two samples of n,
+    95% by default."""
+    return coeff * math.sqrt(2.0 / n)
 
 
-def ks_null_sd(n, m=None):
-    """Null sampling sd of the two-sample statistic: the Kolmogorov law has
-    sd ~0.26, and D = K / sqrt(nm/(n+m))."""
-    m = n if m is None else m
-    return 0.26 * math.sqrt((n + m) / (n * m))
+def ks_null_sd(n):
+    """Null sampling sd of the two-sample statistic for two samples of n: the
+    Kolmogorov law has sd ~0.26, and D = K / sqrt(n/2)."""
+    return 0.26 * math.sqrt(2.0 / n)
 
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
     obs_grid: np.ndarray
     n_paths: int
-    ks: np.ndarray          # (n_obs, d)
-    mean_gap: np.ndarray    # (n_obs, d)
-    mean_se: np.ndarray
-    var_gap: np.ndarray
-    var_se: np.ndarray
+    ks: np.ndarray  # (n_obs, d)
 
     @property
     def max_ks(self):
@@ -451,56 +443,27 @@ class ConvergenceReport:
 
 
 def compare_ensembles(ens, ref):
-    """Per obs time, per coordinate: KS distance and moment gaps with SEs."""
+    """Two-sample KS distance per obs time and coordinate between ensembles of
+    equal size on one observation grid."""
     if ens.obs_grid.shape != ref.obs_grid.shape or not np.allclose(ens.obs_grid, ref.obs_grid):
         raise ConfigurationError("ensembles must share the observation grid")
     if ens.d_star != ref.d_star:
         raise ConfigurationError("ensembles must share d_star")
     if ens.n_paths != ref.n_paths:
         raise ConfigurationError("ensembles must hold the same number of paths")
-    n_obs, d = ens.obs_grid.size, ens.d_star
-    ks = np.empty((n_obs, d))
-    mean_gap = np.empty((n_obs, d))
-    mean_se = np.empty((n_obs, d))
-    var_gap = np.empty((n_obs, d))
-    var_se = np.empty((n_obs, d))
-    for k in range(n_obs):
-        for j in range(d):
-            a = ens.samples[:, k, j]
-            b = ref.samples[:, k, j]
-            ks[k, j] = ks_statistic(a, b)
-            va, vb = np.var(a, ddof=1), np.var(b, ddof=1)
-            mean_gap[k, j] = a.mean() - b.mean()
-            mean_se[k, j] = math.sqrt(va / a.size + vb / b.size)
-            var_gap[k, j] = va - vb
-            m4a = np.mean((a - a.mean()) ** 4)
-            m4b = np.mean((b - b.mean()) ** 4)
-            var_se[k, j] = math.sqrt(
-                max(m4a - va * va, 0.0) / a.size + max(m4b - vb * vb, 0.0) / b.size
-            )
-    return ConvergenceReport(
-        obs_grid=ens.obs_grid,
-        n_paths=ens.n_paths,
-        ks=ks,
-        mean_gap=mean_gap,
-        mean_se=mean_se,
-        var_gap=var_gap,
-        var_se=var_se,
-    )
+    ks = np.empty((ens.obs_grid.size, ens.d_star))
+    for k, j in np.ndindex(ks.shape):
+        ks[k, j] = ks_statistic(ens.samples[:, k, j], ref.samples[:, k, j])
+    return ConvergenceReport(obs_grid=ens.obs_grid, n_paths=ens.n_paths, ks=ks)
 
 
 # goodness-of-fit statistics
 
 
 def stationarity_chisquare(samples, target, n_bins=50):
-    """Chi-square of 1-d samples against the Gibbs law on equal-mass bins."""
-    samples = np.asarray(samples, dtype=float).ravel()
-    _check_binning(n_bins, samples.size)
-    probs = np.arange(1, n_bins) / n_bins
-    edges = gibbs_quantiles_1d(target, probs)
-    counts = np.bincount(np.searchsorted(edges, samples), minlength=n_bins)
-    chi2, p = _chisquare(counts, np.mean(counts))
-    return chi2, p, counts
+    """Chi-square of 1-d samples against the Gibbs law on n_bins bins of equal
+    Gibbs mass: (statistic, p-value, counts)."""
+    return _equal_mass_chisquare(samples, n_bins, lambda probs: gibbs_quantiles_1d(target, probs))
 
 
 def kernel_displacement_cdf(kind, target, proposal, x, i=0, n=200001):
@@ -518,30 +481,30 @@ def kernel_displacement_cdf(kind, target, proposal, x, i=0, n=200001):
 def displacement_chisquare(displacements, kind, target, proposal, x, i=0,
                            n_bins=200, binning="equal_prob"):
     """Chi-square of sampled displacements against the quadrature kernel law,
-    on n_bins bins of equal kernel probability from the cdf's quantiles
-    ("equal_prob", the only binning)."""
+    on n_bins bins of equal kernel mass read off kernel_displacement_cdf
+    ("equal_prob", the only binning): (statistic, p-value, n_bins)."""
     if binning != "equal_prob":
         raise ConfigurationError(f"unknown binning {binning!r}")
-    displacements = np.asarray(displacements, dtype=float)
-    n = displacements.size
-    _check_binning(n_bins, n)
-    grid, cdf = kernel_displacement_cdf(kind, target, proposal, x, i)
-    edges = np.interp(np.arange(1, n_bins) / n_bins, cdf, grid)
-    counts = np.bincount(np.searchsorted(edges, displacements), minlength=n_bins)
-    expected = np.full(n_bins, n / n_bins)
-    expected = expected * counts.sum() / expected.sum()
-    chi2, p = _chisquare(counts, expected)
-    return chi2, p, counts.size
+
+    def quantiles(probs):
+        grid, cdf = kernel_displacement_cdf(kind, target, proposal, x, i)
+        return np.interp(probs, cdf, grid)
+
+    chi2, p, _ = _equal_mass_chisquare(displacements, n_bins, quantiles)
+    return chi2, p, n_bins
 
 
-def _check_binning(n_bins, n_samples):
-    _integer("n_bins", n_bins, 2)
-    if n_samples == 0:
+def _equal_mass_chisquare(samples, n_bins, quantiles):
+    """Pearson statistic of the samples' counts in the n_bins bins cut at
+    quantiles(k / n_bins), k = 1 .. n_bins - 1, against their mean count, with
+    its chi-square tail on n_bins - 1 degrees of freedom: the same bits as
+    scipy.stats.chisquare(counts)."""
+    n_bins = _integer("n_bins", n_bins, 2)
+    samples = np.asarray(samples, dtype=float).ravel()
+    if samples.size == 0:
         raise ConfigurationError("chi-square needs at least one sample")
-
-
-def _chisquare(counts, expected):
-    """Pearson statistic and its chi-square tail on len(counts) - 1 degrees of
-    freedom; the same bits as scipy.stats.chisquare."""
-    chi2 = float(np.sum((np.asarray(counts, dtype=float) - expected) ** 2 / expected))
-    return chi2, float(chdtrc(counts.size - 1, chi2))
+    edges = quantiles(np.arange(1, n_bins) / n_bins)
+    counts = np.bincount(np.searchsorted(edges, samples), minlength=n_bins)
+    expected = np.mean(counts)
+    chi2 = float(np.sum((counts.astype(float) - expected) ** 2 / expected))
+    return chi2, float(chdtrc(n_bins - 1, chi2)), counts

@@ -279,6 +279,24 @@ def test_exit_code_2_on_a_run_that_cannot_be_allocated(tmp_path, capsys, monkeyp
     assert str(2 ** 57) in err  # numpy's message names the array's shape
 
 
+@pytest.mark.parametrize("command", ["simulate", "langevin", "verify-limit"])
+@pytest.mark.parametrize("bad", [
+    {"d_star": 10 ** 400},  # numpy's ValueError: Maximum allowed dimension exceeded
+    {"d_star": 2 ** 57},  # a MemoryError: 2**57 floats, past any address space
+    {"d_star": 2, "x0": [1.0]},
+], ids=["past_numpy_dims", "past_memory", "x0_of_wrong_length"])
+def test_exit_code_2_and_no_manifest_on_a_start_state_that_cannot_be_built(
+        tmp_path, capsys, monkeypatch, command, bad):
+    # the start state is built before the manifest, so the refused run leaves none
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, **{"n_paths": 5, "obs_grid": [0.1], "epsilon": 0.1, "seed": 0,
+                                    **bad})
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("kind", ["m1", "m2", "mix:0.5"])
 def test_exit_code_2_on_an_alpha_the_kind_takes_no_part_of(tmp_path, capsys, monkeypatch, kind):
     # the alpha would enter the manifest's config hash and change nothing

@@ -36,6 +36,8 @@ LOCAL = (GeneratorKind.m2(), MIX)
 # kinds under the per-event clock on the quadratic
 ONE_RATE_CELLS = [(kind, DW) for kind in KINDS]
 CELLS = ONE_RATE_CELLS + [(kind, QUAD) for kind in LOCAL]
+both_clocks = pytest.mark.parametrize("kind,target", CELLS,
+                                      ids=[f"{k.label()}-{t.name}" for k, t in CELLS])
 
 
 def candidate_times(seed, q, n):
@@ -113,16 +115,8 @@ def test_simulate_path_invariants():
 def assert_engines_agree_on_the_grid(kind, target):
     # the same per-path tape must give bit-identical states on the obs grid
     eps = 0.04
-    prop, x0 = GaussianProposal(eps), np.array([1.0, -1.0])
-    obs = np.array([0.3, 0.7, 1.1])
-    obs_proc = obs / eps
-    ens, counts = simulate_ensemble(kind, target, prop, x0, obs, 6, 2024, return_counts=True)
-    for q in range(6):
-        path = simulate_path(kind, target, prop, x0, float(obs_proc[-1]),
-                             path_stream(2024, DOMAIN_JUMP, q))
-        assert counts[q] == path.jump_times.size
-        for k, tp in enumerate(obs_proc):
-            assert np.array_equal(ens.samples[q, k], path.state_at(tp))
+    ens = assert_engines_agree(kind, target, GaussianProposal(eps), np.array([1.0, -1.0]),
+                               np.array([0.3, 0.7, 1.1]) / eps, 6, 2024)
     assert not np.array_equal(ens.samples[:, -1], ens.samples[:, 0])
 
 
@@ -141,18 +135,11 @@ def test_scalar_and_block_engines_agree_under_the_per_event_clock(kind):
 def test_engines_agree_on_a_non_separable_target(monkeypatch, coupled):
     # the generic row-wise dU must give the same bits in both engines
     prop = GaussianProposal(0.04)
-    obs = np.array([0.3, 0.7])
     x0 = np.array([0.5, -0.8])
     monkeypatch.setattr(jump, "BLOCK_PATHS", 3)
     monkeypatch.setattr(jump, "FIRST_JUMP_BATCH", 512)
-    ens, counts = simulate_ensemble(MIX, coupled, prop, x0, obs, 5, 77, return_counts=True)
-    obs_proc = obs / prop.epsilon
-    for q in range(5):
-        path = simulate_path(MIX, coupled, prop, x0, float(obs_proc[-1]),
-                             path_stream(77, DOMAIN_JUMP, q))
-        assert counts[q] == path.jump_times.size > 0
-        for k, tp in enumerate(obs_proc):
-            assert np.array_equal(ens.samples[q, k], path.state_at(tp))
+    ens = assert_engines_agree(MIX, coupled, prop, x0, np.array([0.3, 0.7]) / prop.epsilon, 5, 77)
+    assert np.all(np.any(ens.samples[:, -1] != x0, axis=-1))  # every path jumped
     z, i = first_jump_displacements(GeneratorKind.m2(), coupled, prop, x0, 2000, 3)
     assert z.shape == i.shape == (2000,)
     assert set(np.unique(i)) == {0, 1}
@@ -213,7 +200,8 @@ def test_m1_needs_no_dominating_mass():
             simulate_ensemble(kind, target, prop, far, [0.5, 1.0], 4, 2)
 
 
-def assert_invariant_to_blocks_and_threads(monkeypatch, kind, target):
+@both_clocks
+def test_ensemble_invariant_to_blocks_and_threads(monkeypatch, kind, target):
     prop = GaussianProposal(0.09)
     obs = [0.25, 0.5]
     monkeypatch.setattr(jump, "BLOCK_PATHS", 512)
@@ -225,16 +213,6 @@ def assert_invariant_to_blocks_and_threads(monkeypatch, kind, target):
     monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
     threaded = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5, threads=4)
     assert np.array_equal(base.samples, threaded.samples)
-
-
-def test_ensemble_invariant_to_blocks_and_threads(monkeypatch):
-    for kind, target in ONE_RATE_CELLS:
-        assert_invariant_to_blocks_and_threads(monkeypatch, kind, target)
-
-
-@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
-def test_per_event_clock_invariant_to_blocks_and_threads(monkeypatch, kind):
-    assert_invariant_to_blocks_and_threads(monkeypatch, kind, QUAD)
 
 
 def test_threads_are_capped_at_the_usable_cores(monkeypatch):
@@ -311,31 +289,23 @@ def test_per_path_initial_states():
     assert np.array_equal(ens.samples[:, 0, :], starts)  # obs at t = 0 is the start
 
 
-def assert_invariant_to_tape_chunk(monkeypatch, chunk, kinds, target):
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+@both_clocks
+def test_ensemble_invariant_to_tape_chunk(monkeypatch, kind, target, chunk):
     # about 250-300 candidates per path, so the default chunk is crossed too
     prop = GaussianProposal(0.004)
     obs = [0.0, 0.3, 0.6, 1.0]
     monkeypatch.setattr(jump, "BLOCK_PATHS", 10)
 
-    def runs():
-        return [simulate_ensemble(kind, target, prop, np.array([1.0, -1.0]), obs, 24, 31,
-                                  return_counts=True) for kind in kinds]
+    def run():
+        return simulate_ensemble(kind, target, prop, np.array([1.0, -1.0]), obs, 24, 31,
+                                 return_counts=True)
 
-    base = runs()
+    ens, counts = run()
     monkeypatch.setattr(jump, "TAPE_CHUNK", chunk)
-    for (ens, counts), (other, other_counts) in zip(base, runs()):
-        assert np.array_equal(ens.samples, other.samples)
-        assert np.array_equal(counts, other_counts)
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_ensemble_invariant_to_tape_chunk(monkeypatch, chunk):
-    assert_invariant_to_tape_chunk(monkeypatch, chunk, KINDS, DW)
-
-
-@pytest.mark.parametrize("chunk", [1, 3, 64])
-def test_per_event_clock_invariant_to_tape_chunk(monkeypatch, chunk):
-    assert_invariant_to_tape_chunk(monkeypatch, chunk, LOCAL, QUAD)
+    other, other_counts = run()
+    assert np.array_equal(ens.samples, other.samples)
+    assert np.array_equal(counts, other_counts)
 
 
 @pytest.mark.parametrize("n,block,chunk", [(1, 1, 256), (256, 256, 256), (512, 512, 256),
