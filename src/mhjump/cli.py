@@ -300,9 +300,17 @@ def cmd_simulate(cfg, seed, out_dir, threads, rep):
     return 0
 
 
+def _single_start_state(cfg, target, command):
+    """cfg's start state for a command that runs every path from one state."""
+    x0 = cfg.start_state(target)
+    if x0.ndim != 1:
+        raise ConfigurationError(f"{command} takes a single initial state, not one per path")
+    return x0
+
+
 def cmd_langevin(cfg, seed, out_dir, threads, rep):
     target = cfg.build_target()
-    x0 = cfg.start_state(target)
+    x0 = _single_start_state(cfg, target, "langevin")
     dt = cfg.dt if cfg.dt is not None else default_dt(target)
     outputs = ["reference.csv", "reference.bin"]
     write_manifest(out_dir, cfg, seed, outputs)
@@ -315,7 +323,7 @@ def cmd_langevin(cfg, seed, out_dir, threads, rep):
 
 def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
     target = cfg.build_target()
-    x0 = cfg.start_state(target)
+    x0 = _single_start_state(cfg, target, "verify-limit")
     outputs = [
         "drift_convergence.csv",
         "volatility_convergence.csv",

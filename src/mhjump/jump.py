@@ -18,8 +18,10 @@ The time rescaling t -> t/eps is applied to the observation horizon, never
 to the rates, so the rate code is identical across eps.
 
 Determinism. Path p draws from a Philox stream keyed by
-(master_seed, domain, p). Every candidate event consumes exactly one row of
-six uniforms,
+(master_seed, domain, p): path_stream defines it, and path_streams builds a
+whole block's streams at once, the same streams, deriving the block's keys
+in one vectorized pass of the last step of SeedSequence's hash. Every
+candidate event consumes exactly one row of six uniforms,
 
     [exp-clock, coordinate, branch, sign, magnitude, accept],
 
@@ -65,14 +67,19 @@ on the path alone.
 The block engine advances a block of paths in lock step, one candidate event
 per iteration across the whole block, and runs every chunk through one
 runner. Only the paths still inside the horizon draw a chunk, into one
-preallocated buffer. The runner's clock holds, for each path, its time
-before the chunk and after each event. Under one rate for every event the
-chunk is decoded by one call of the event transform into event-major arrays
-and the clock is one cumulative sum; under the per-event clock each event is
-decoded at the block's current states and adds its waiting time to the
-clock. Each event stores the states it meets in `before`, and only
-candidates inside the horizon are thinned, as in the scalar engine; the
-loop stops once no path is inside. An event gathers each path's moved
+preallocated buffer, and one copy that moves whole 48-byte rows turns it
+event-major. The runner's clock holds, for each path, its time before the
+chunk and after each event. Under one rate for every event the chunk is
+decoded by one call of the event transform into event-major arrays, the
+clock is one cumulative sum, and one search of it finds the first event
+past the horizon; under the per-event clock each event is decoded at the
+block's current states, adds its waiting time to the clock and checks the
+horizon. An event does only what its kind needs: m1, whose log-acceptance
+is never positive, skips the domination check, and m2, which has no plain
+branch, draws every |z| from the tilted component with no branch mask.
+Each event stores the states it meets in `before`, and only candidates
+inside the horizon are thinned, as in the scalar engine; the loop stops
+once no path is inside. An event gathers each path's moved
 coordinate x_i once from the flat view of the states. With ux kept, it
 evaluates u1 once, at x_i + z, takes dU against the kept u1(x_i) (the same
 bits as evaluating both), and writes back the new state and its u1 term
@@ -108,6 +115,7 @@ from .targets import TargetPotential, delta_u_from_u1
 
 TAPE_COLS = 6
 COL_EXP, COL_COORD, COL_BRANCH, COL_SIGN, COL_MAG, COL_ACC = range(TAPE_COLS)
+_TAPE_ROW = np.dtype((np.void, 8 * TAPE_COLS))  # one tape row of floats as one item
 TAPE_CHUNK = 256  # rows the scalar engine draws at a time; the run-size check's cadence
 BLOCK_PATHS = 2048
 TAPE_ROWS = 1 << 17  # the most tape rows a block draws at a time
@@ -135,6 +143,68 @@ def path_stream(master_seed, domain, index):
     seed = _integer("master_seed", master_seed, 0)
     ss = np.random.SeedSequence(seed, spawn_key=(int(domain), int(index)))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _n_words(n):
+    """How many uint32 words SeedSequence reads from the integer n >= 0."""
+    return max(1, -(-n.bit_length() // 32))
+
+
+def _hashmix(v, h):
+    """SeedSequence's hashmix of the uint32 array v; h = [hash constant,
+    multiplier], and the constant advances."""
+    v = v ^ np.uint32(h[0])
+    h[0] = h[0] * h[1] & _MASK32
+    v = v * np.uint32(h[0])
+    return v ^ (v >> np.uint32(16))
+
+
+def _mix(x, y):
+    r = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+class _PhiloxKey(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands Philox a key derived beforehand."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+def path_streams(master_seed, domain, lo, hi):
+    """[path_stream(master_seed, domain, q) for q in range(lo, hi)], the same
+    streams, with the block's keys derived in one pass.
+
+    A stream's only state is its key. SeedSequence hashes the seed's words,
+    padded to 4, then the domain's, then the index's into a pool of 4 words,
+    and draws the key from the pool. Only the index word differs across the
+    block, and it is hashed last: into the pool of SeedSequence(seed,
+    spawn_key=(domain,)), with the hash constant advanced 4 times per word
+    already hashed. So the last hash and the key draw run once, in uint32
+    arithmetic, over the whole block. Indices of 2^32 and above take two
+    words; a block that reaches them falls back to path_stream.
+    """
+    seed, domain = _integer("master_seed", master_seed, 0), int(domain)
+    if hi > 1 << 32:
+        return [path_stream(seed, domain, q) for q in range(lo, hi)]
+    prefix = np.random.SeedSequence(seed, spawn_key=(domain,))
+    hashed = 4 * (max(4, _n_words(seed)) + _n_words(domain))  # hashmix calls so far
+    h = [_INIT_A * pow(_MULT_A, hashed, 1 << 32) & _MASK32, _MULT_A]
+    index = np.arange(lo, hi, dtype=np.uint32)
+    pool = [_mix(word, _hashmix(index, h)) for word in prefix.pool[:, None]]
+    h = [_INIT_B, _MULT_B]
+    state = np.stack([_hashmix(word, h) for word in pool], axis=1).astype(np.uint64)
+    keys = state[:, 0::2] | state[:, 1::2] << np.uint64(32)  # little-endian word pairs
+    return [np.random.Generator(np.random.Philox(_PhiloxKey(k))) for k in keys]
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,15 +269,18 @@ class ObservedEnsemble:
 
 # The dominating kernel e^{tilt |z|} phi_eps(z) at one state or one per row:
 # the proposal's root variance, the tilt, the positive component's mean and
-# cut mass, the clock rate and the plain-branch probability.
+# cut mass, the clock rate and the plain-branch probability (None for m2).
 _Kernel = namedtuple("_Kernel", "sigma tilt mean_abs trunc_lo rate_total p_plain")
 
 
 def _kernel(alpha, epsilon, theta):
     """The kernel tilted by theta, one or one per row, with its mean, cut mass
     and mass Lam from row_kernel, the rate R = alpha + (1-alpha) Lam and the
-    plain-branch probability alpha/R."""
+    plain-branch probability alpha/R. m2 (alpha 0) has no plain branch: its
+    rate is Lam itself, the same float."""
     mean, lo, lam = row_kernel(epsilon, theta)
+    if alpha == 0.0:
+        return _Kernel(math.sqrt(epsilon), theta, mean, lo, lam, None)
     rate = alpha + (1.0 - alpha) * lam
     return _Kernel(math.sqrt(epsilon), theta, mean, lo, rate, alpha / rate)
 
@@ -251,8 +324,8 @@ def _at(p, x):
     if p.kernel is not None:
         return p.kernel
     target = p.target
-    theta = np.max(target.slope_bound(x), axis=-1) / target.T
-    if not np.min(theta) >= 0.0:
+    theta = target.slope_bound(x).max(axis=-1) / target.T
+    if not theta.min() >= 0.0:
         j = int(np.argmax(~(np.reshape(theta, -1) >= 0.0)))
         raise DominationError(f"slope_bound of {target.name} is negative or NaN at "
                               f"x={np.reshape(x, (-1, target.d_star))[j]!r}")
@@ -272,8 +345,9 @@ def _decode_tape(rows, d):
 
 def _decode_move(q, e, neg, u_mag, u_branch):
     """The rest of the event transform, under kernel q and its clock rate:
-    (waiting time, z, |z|)."""
-    abs_z = sample_abs(u_mag, q.sigma, q.mean_abs, q.trunc_lo, u_branch >= q.p_plain)
+    (waiting time, z, |z|). Without a plain branch every draw is tilted."""
+    tilted = None if q.p_plain is None else u_branch >= q.p_plain
+    abs_z = sample_abs(u_mag, q.sigma, q.mean_abs, q.trunc_lo, tilted)
     return e / q.rate_total, np.where(neg, -abs_z, abs_z), abs_z
 
 
@@ -283,11 +357,14 @@ def _thin(p, tilt, du, abs_z, log_u, where, live=None):
 
     where(k) describes candidate k if the declared gradient bound fails;
     live, if given, masks candidates out of the check and of the accepts.
+    m1 skips the check: its log a = -max(dU, 0)/T is never positive, and a
+    NaN never trips it.
     """
     la = accept_log_from_delta(du, abs_z, p.alpha, tilt, p.target.T)
     if live is not None:
         la = np.where(live, la, -np.inf)
-    check_domination(la, p.kind, p.target, where)
+    if p.alpha != 1.0:
+        check_domination(la, p.kind, p.target, where)
     return log_u < la
 
 
@@ -416,9 +493,12 @@ def _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe):
     if q is None:  # each event's rate and move come from the state it meets
         clock = np.empty((rows.shape[0] + 1, n))
         clock[0] = t
+        first_out = 0  # each event checks the horizon
     else:  # one kernel for every event: the chunk decodes at once
         dt, z, abs_z = _decode_move(q, e, neg, u_mag, u_branch)
         clock = np.cumsum(np.vstack([t, dt]), axis=0)  # clock[k + 1] is the time of event k
+        # the latest clock never decreases, so one search finds the first event past the horizon
+        first_out = np.searchsorted(clock[1:].max(axis=1), horizon, side="right")
     before = np.empty((rows.shape[0], n, d))  # before[k] is the state event k meets
     flat = i + d * np.arange(n)  # each event's moved entry in the flat views
     x_flat = x.reshape(-1)  # views: x and ux are always fresh C-ordered arrays
@@ -437,7 +517,7 @@ def _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe):
         else:
             zk, abs_zk = z[k], abs_z[k]
         before[k] = x
-        if clock[k + 1].max() > horizon:
+        if k >= first_out and clock[k + 1].max() > horizon:
             inside = clock[k + 1] <= horizon
             if not inside.any():
                 break
@@ -475,6 +555,7 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
     n_acc = np.zeros(b, dtype=np.int64)
     chunk = _tape_chunk(b)
     tape = np.empty((b, chunk, TAPE_COLS))
+    tape_rows = tape.view(_TAPE_ROW)[..., 0]  # (b, chunk) rows of 48 bytes each
     # the unfinished paths: block rows, states, clocks
     live = np.arange(b)
     x = x0_block.copy()
@@ -492,7 +573,9 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
         for r, q in enumerate(live):
             streams[q].random(out=tape[r])
         drawn += chunk
-        rows = np.ascontiguousarray(tape[:live.size].swapaxes(0, 1))
+        # event-major: one copy that moves whole rows, not one float at a time
+        rows = np.ascontiguousarray(tape_rows[:live.size].T)
+        rows = rows.view(float).reshape(chunk, live.size, TAPE_COLS)
         t, count, cols, obs_idx, states = _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe)
         samples[live[cols], obs_idx] = states
         n_acc[live] += count
@@ -543,7 +626,7 @@ def simulate_ensemble(
     counts = np.zeros(n_paths, dtype=np.int64)
 
     def run_span(_, lo, hi):
-        streams = [path_stream(master_seed, DOMAIN_JUMP, q) for q in range(lo, hi)]
+        streams = path_streams(master_seed, DOMAIN_JUMP, lo, hi)
         samples[lo:hi], counts[lo:hi] = _run_block(
             p, np.array(starts[lo:hi], dtype=float), horizon, streams, obs_proc, lo,
         )

@@ -130,10 +130,13 @@ def sample_abs(u, sigma, mean_abs, trunc_lo, tilted):
     mean_abs and trunc_lo, the tilted component's mean and cut mass, are one
     kernel's or one per row. tilted masks the draws per row: where it is
     False the draw comes from the plain proposal instead, |N(0, sigma^2)|.
+    tilted None, a kernel with no plain branch (m2), tilts every draw and
+    builds no mask.
     """
-    mean = np.where(tilted, mean_abs, 0.0)
-    lo = np.where(tilted, trunc_lo, 0.5)
-    return mean + sigma * ndtri(lo + u * (1.0 - lo))
+    if tilted is not None:
+        mean_abs = np.where(tilted, mean_abs, 0.0)
+        trunc_lo = np.where(tilted, trunc_lo, 0.5)
+    return mean_abs + sigma * ndtri(trunc_lo + u * (1.0 - trunc_lo))
 
 
 def row_kernel(epsilon, theta):
@@ -147,10 +150,11 @@ def row_kernel(epsilon, theta):
     """
     mean = epsilon * theta
     growth = 0.5 * mean * theta
-    if np.max(growth) > 700.0:
+    worst = np.maximum.reduce(growth, axis=None)  # np.max without its wrapper
+    if worst > 700.0:
         raise ConfigurationError(f"dominating mass overflows: eps*theta^2/2 = "
-                                 f"{np.max(growth):.3g}; reduce eps or the declared bound")
-    lo = ndtr(-theta * math.sqrt(epsilon))
+                                 f"{worst:.3g}; reduce eps or the declared bound")
+    lo = ndtr(theta * -math.sqrt(epsilon))
     return mean, lo, np.exp(math.log(2.0) + growth + np.log1p(-lo))
 
 

@@ -6,7 +6,11 @@ The integrator steps
 
 the limit of the rescaled jump dynamics. Every observation time must be a
 whole number of steps (within GRID_TOL steps); an off-grid time is refused
-rather than snapped. The exact Ornstein-Uhlenbeck marginal for the
+rather than snapped. Each chunk of noise is scaled by sqrt(dt) and divided
+by sqrt(d*) once, and each step writes into a spare buffer that then swaps
+with the state; the step (_step_into, which em_step wraps) keeps em_step's
+operations in their order, so the samples are those of a loop of em_step
+calls, byte for byte. The exact Ornstein-Uhlenbeck marginal for the
 quadratic potential is kept as an independent oracle.
 
 Determinism. Paths are split into fixed groups of LANGEVIN_BLOCK
@@ -39,11 +43,22 @@ def default_dt(target):
     return 1e-3 * min(1.0, 2.0 * target.T * target.d_star)
 
 
+def _step_into(target, x, dt, noise, out):
+    """One step of the SDE from x into out, with noise the increment already
+    divided by sqrt(d*): -grad U(x), / (2 T d*), * dt, + x, + noise, in place."""
+    np.negative(target.grad(x), out=out)
+    out /= 2.0 * target.T * target.d_star
+    out *= dt
+    out += x
+    out += noise
+    return out
+
+
 def em_step(target, x, dt, gaussian_increment):
     """One step of the SDE; the increment must be N(0, dt I)."""
     x = np.asarray(x, dtype=float)
-    drift = -target.grad(x) / (2.0 * target.T * target.d_star)
-    return x + drift * dt + np.asarray(gaussian_increment, dtype=float) / math.sqrt(target.d_star)
+    noise = np.asarray(gaussian_increment, dtype=float) / math.sqrt(target.d_star)
+    return _step_into(target, x, dt, noise, np.empty(np.broadcast_shapes(x.shape, noise.shape)))
 
 
 def ou_exact_marginal(x0, t, T, d_star=1):
@@ -83,14 +98,17 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
     def run_span(g, lo, hi):
         rng = path_stream(master_seed, DOMAIN_LANGEVIN, g)
         state = np.broadcast_to(x0, (hi - lo, target.d_star)).copy()
+        spare = np.empty_like(state)  # each step writes here, then the two swap
         for k in step_to_obs.get(0, ()):
             samples[lo:hi, k, :] = state
         s = 0
         while s < n_steps:
             m = min(_STEP_CHUNK, n_steps - s)
-            noise = rng.standard_normal((m, group, target.d_star))[:, :hi - lo] * math.sqrt(dt)
+            noise = rng.standard_normal((m, group, target.d_star))[:, :hi - lo]
+            noise *= math.sqrt(dt)
+            noise /= math.sqrt(target.d_star)
             for j in range(m):
-                state = em_step(target, state, dt, noise[j])
+                state, spare = _step_into(target, state, dt, noise[j], spare), state
                 s += 1
                 for k in step_to_obs.get(s, ()):
                     samples[lo:hi, k, :] = state

@@ -279,22 +279,31 @@ def test_exit_code_2_on_a_run_that_cannot_be_allocated(tmp_path, capsys, monkeyp
     assert str(2 ** 57) in err  # numpy's message names the array's shape
 
 
-@pytest.mark.parametrize("command", ["simulate", "langevin", "verify-limit"])
-@pytest.mark.parametrize("bad", [
-    {"d_star": 10 ** 400},  # numpy's ValueError: Maximum allowed dimension exceeded
-    {"d_star": 2 ** 57},  # a MemoryError: 2**57 floats, past any address space
-    {"d_star": 2, "x0": [1.0]},
-], ids=["past_numpy_dims", "past_memory", "x0_of_wrong_length"])
+_UNBUILDABLE_STARTS = [
+    ("past_numpy_dims", {"d_star": 10 ** 400}, ("simulate", "langevin", "verify-limit")),
+    ("past_memory", {"d_star": 2 ** 57}, ("simulate", "langevin", "verify-limit")),
+    ("x0_of_wrong_length", {"d_star": 2, "x0": [1.0]}, ("simulate", "langevin", "verify-limit")),
+    # one start per path: simulate takes it, the Langevin runs take a single state
+    ("per_path_x0", {"x0": [[0.5], [0.6], [0.7], [0.8], [0.9]]}, ("langevin", "verify-limit")),
+]
+
+
+@pytest.mark.parametrize("bad,command", [
+    pytest.param(bad, command, id=f"{name}-{command}")
+    for name, bad, commands in _UNBUILDABLE_STARTS for command in commands
+])
 def test_exit_code_2_and_no_manifest_on_a_start_state_that_cannot_be_built(
         tmp_path, capsys, monkeypatch, command, bad):
-    # the start state is built before the manifest, so the refused run leaves none
+    # numpy's ValueError past its dimensions, a MemoryError at 2**57 floats
+    # (past any address space); the start state is checked before the
+    # manifest, so the refused run leaves no file
     monkeypatch.delenv("MHJUMP_SEED", raising=False)
     cfg = write_config(tmp_path, **{"n_paths": 5, "obs_grid": [0.1], "epsilon": 0.1, "seed": 0,
                                     **bad})
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert "configuration error" in capsys.readouterr().err
-    assert not (out / "manifest.json").exists()
+    assert not out.exists() or not any(out.iterdir())
 
 
 @pytest.mark.parametrize("kind", ["m1", "m2", "mix:0.5"])

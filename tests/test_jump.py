@@ -20,7 +20,7 @@ from mhjump import (
     simulate_path,
 )
 from mhjump import jump
-from mhjump.jump import DOMAIN_JUMP, JumpPath, ObservedEnsemble
+from mhjump.jump import DOMAIN_JUMP, JumpPath, ObservedEnsemble, path_streams
 
 DW = SmoothedDoubleWell(d_star=2)
 MIX = GeneratorKind.mix(0.5)
@@ -72,6 +72,21 @@ def assert_engines_agree(kind, target, prop, x0, obs, n_paths, seed):
         for k, tp in enumerate(obs):
             assert np.array_equal(ens.samples[q, k], path.state_at(tp))
     return ens
+
+
+@pytest.mark.parametrize("seed", [0, 1, 314159, 2 ** 32 - 1, 2 ** 40 + 7, 2 ** 130 + 5])
+def test_path_streams_are_path_stream(seed):
+    # seeds of 1, 2 and 5 uint32 words, every domain; blocks from 0, from past
+    # 0, ending at 2**32, and crossing it (which falls back to path_stream)
+    for domain in range(5):
+        for lo, hi in [(0, 3), (1000, 1004), (2 ** 32 - 3, 2 ** 32), (2 ** 32 - 2, 2 ** 32 + 2)]:
+            streams = path_streams(seed, domain, lo, hi)
+            assert len(streams) == hi - lo
+            for q, stream in zip(range(lo, hi), streams):
+                ref = path_stream(seed, domain, q)
+                assert np.array_equal(stream.bit_generator.state["state"]["key"],
+                                      ref.bit_generator.state["state"]["key"])
+                assert np.array_equal(stream.random(8), ref.random(8))
 
 
 def test_path_stream_reproducible_and_split():
@@ -249,24 +264,15 @@ def test_threads_are_capped_at_the_usable_cores(monkeypatch):
     assert np.array_equal(run(8), base) and pools == [2, 2, 3, 2]
 
 
-def assert_paths_do_not_depend_on_n_paths(kind, target, threads):
+@pytest.mark.parametrize("threads", [1, 4])
+@both_clocks
+def test_ensemble_paths_do_not_depend_on_n_paths(kind, target, threads):
     # a path's values depend only on (seed, domain, path index)
     prop = GaussianProposal(0.09)
     obs = [0.25, 0.5]
     full = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 700, 5)
     part = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 300, 5, threads=threads)
     assert np.array_equal(part.samples, full.samples[:300])
-
-
-@pytest.mark.parametrize("threads", [1, 4])
-def test_ensemble_paths_do_not_depend_on_n_paths(threads):
-    assert_paths_do_not_depend_on_n_paths(MIX, DW, threads)
-
-
-@pytest.mark.parametrize("threads", [1, 4])
-@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
-def test_per_event_clock_paths_do_not_depend_on_n_paths(kind, threads):
-    assert_paths_do_not_depend_on_n_paths(kind, QUAD, threads)
 
 
 def test_rescaled_grid_is_horizon_division():
@@ -676,6 +682,8 @@ def test_first_jump_displacements_refuses_malformed_sizes_and_seeds(field, value
 def test_path_stream_refuses_malformed_seeds(seed):
     with pytest.raises(ConfigurationError, match="master_seed"):
         path_stream(seed, DOMAIN_JUMP, 0)
+    with pytest.raises(ConfigurationError, match="master_seed"):
+        path_streams(seed, DOMAIN_JUMP, 0, 3)
     with pytest.raises(ConfigurationError, match="master_seed"):
         simulate_path(MIX, DW, GaussianProposal(0.04), np.zeros(2), 1.0, seed)
 

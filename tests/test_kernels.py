@@ -27,6 +27,7 @@ from mhjump import (
 )
 from mhjump.jump import _at, _event_params, path_stream
 from mhjump.kernels import (
+    _ACCEPT_SLACK,
     accept_log_from_delta,
     check_domination,
     log_rate_density,
@@ -387,3 +388,13 @@ def test_accept_log_reduces_at_endpoints():
     assert np.allclose(
         accept_log_from_delta(du, abs_z, 0.0, 2.0, 1.0), log_s_m2(du, 1.0) - 2.0 * abs_z
     )
+
+
+@given(du=st.floats(allow_nan=False, allow_infinity=False),
+       abs_z=st.floats(0.0, allow_infinity=False), theta=st.floats(0.0, 1e3),
+       T=st.floats(0.0, allow_infinity=False, exclude_min=True))
+def test_m1_log_acceptance_never_passes_the_slack(du, abs_z, theta, T):
+    # m1's log a = -max(dU, 0)/T, whatever the tilt it is handed, so the
+    # engines skip check_domination for m1; a tiny T may overflow it to -inf
+    with np.errstate(over="ignore"):
+        assert accept_log_from_delta(du, abs_z, 1.0, theta, T) <= _ACCEPT_SLACK

@@ -13,7 +13,8 @@ from mhjump import (
     ou_exact_marginal,
     simulate_langevin,
 )
-from mhjump import langevin
+from mhjump import langevin, path_stream
+from mhjump.jump import DOMAIN_LANGEVIN
 from mhjump.langevin import default_dt
 from mhjump.verify import fit_loglog_slope
 
@@ -39,6 +40,28 @@ def test_em_step_formula():
     got = em_step(target, x, 0.01, dw)
     want = x - x / (2.0 * 0.5 * 2) * 0.01 + dw / math.sqrt(2.0)
     assert np.allclose(got, want, rtol=1e-14)
+
+
+@pytest.mark.parametrize("target,x0", [
+    (BoxedQuadratic(d_star=3), [1.0, -0.5, 2.0]),
+    (SmoothedDoubleWell(d_star=2), [1.0, -1.0]),
+], ids=["quadratic-d3", "doublewell-d2"])
+def test_langevin_steps_as_a_loop_of_em_step(target, x0):
+    # the engine steps in place; a loop of em_step calls over the same draws
+    # gives the same bytes. 300 steps end inside the second noise chunk.
+    n, dt, seed = 5, 1e-3, 11
+    ens = simulate_langevin(target, np.array(x0), [0.15, 0.3], n, dt, seed)
+    rng = path_stream(seed, DOMAIN_LANGEVIN, 0)
+    x, want, s = np.tile(x0, (n, 1)), [], 0
+    while s < 300:
+        m = min(langevin._STEP_CHUNK, 300 - s)
+        noise = rng.standard_normal((m, langevin.LANGEVIN_BLOCK, target.d_star))[:, :n]
+        for dw in noise * math.sqrt(dt):
+            x = em_step(target, x, dt, dw)
+            s += 1
+            if s in (150, 300):
+                want.append(x)
+    assert np.array_equal(ens.samples, np.stack(want, axis=1))
 
 
 def test_ou_oracle_values():
