@@ -7,12 +7,20 @@
 Each run is `python3 perfbench/run.py --workload W --seed S --seconds X
 --trace 0` inside one checkout, with that checkout's perfbench/ and src/.
 Odd-numbered pairs run the parent first, even-numbered pairs the change.
-The script prints each run's four end-to-end metrics, each side's median and
-quartiles, and the pairs whose wall_s the change won (lower is better; ties
-count for neither side). A gain in wall_s is claimed only when the change
-wins at least nine tenths of the pairs and its median beats the parent's by
-more than the distance between the parent's quartiles. Exit status 0 when
-the claim holds and every run passed its gates, 1 otherwise.
+The end-to-end metrics, with the direction that is better and the bound by
+which each may worsen, are those of the parent checkout's BENCHMARK.json.
+The script prints each run's metrics, each side's median and quartiles, and
+for every metric the pairs the change won (ties count for neither side) and
+two verdicts:
+
+- a gain is claimed only when the change wins at least nine tenths of the
+  pairs and its median beats the parent's by more than the distance between
+  the parent's quartiles;
+- a regression is flagged when the change's median is worse than the
+  parent's by more than the metric's relative bound.
+
+Exit status 0 when every run passed its gates and no metric regressed, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -24,21 +32,42 @@ import statistics
 import subprocess
 import sys
 
-METRICS = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")
+
+def end_to_end_metrics(checkout):
+    """(name, better, bound) of each end-to-end metric in checkout's BENCHMARK.json."""
+    with open(os.path.join(checkout, "BENCHMARK.json")) as f:
+        return [(m["name"], m["better"], m["bound"]) for m in json.load(f)["end_to_end"]]
 
 
-def run_once(checkout, args):
+def run_once(checkout, names, args):
     """One benchmark run in checkout: its metric values and whether its gates passed."""
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
-    return {m: result["metrics"][m]["value"] for m in METRICS}, result["correct"]
+    return {m: result["metrics"][m]["value"] for m in names}, result["correct"]
 
 
 def quartiles(values):
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def judge(name, better, bound, parent, change):
+    """Print one metric's verdicts; returns whether it regressed."""
+    sign = 1.0 if better == "lower" else -1.0  # sign * (parent - change) > 0: the change is better
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
+    p1, p2, p3 = quartiles(parent)
+    c2 = statistics.median(change)
+    gain = sign * (p2 - c2)
+    claimed = wins >= 0.9 * len(parent) and gain > p3 - p1
+    regressed = -gain > bound * abs(p2)
+    print(f"{name}: change won {wins} of {len(parent)} pairs ({losses} lost); medians "
+          f"{p2:.4f} -> {c2:.4f} ({(c2 - p2) / p2:+.1%}), a gain of {gain:.4f} against the "
+          f"parent's IQR {p3 - p1:.4f}: gain {'claimed' if claimed else 'not shown'}; "
+          f"{'REGRESSED past' if regressed else 'within'} its bound {bound:.0%}")
+    return regressed
 
 
 def main(argv=None):
@@ -51,33 +80,27 @@ def main(argv=None):
     ap.add_argument("--seconds", type=int, default=10)
     args = ap.parse_args(argv)
 
+    metrics = end_to_end_metrics(args.parent)
+    names = [name for name, _, _ in metrics]
     sides = {"parent": args.parent, "change": args.change}
     runs = {side: [] for side in sides}
     all_correct = True
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            values, correct = run_once(sides[side], args)
+            values, correct = run_once(sides[side], names, args)
             all_correct &= correct
             runs[side].append(values)
-            print(f"pair {i + 1} {side:<6} " + " ".join(f"{m} {values[m]:.4f}" for m in METRICS)
+            print(f"pair {i + 1} {side:<6} " + " ".join(f"{m} {values[m]:.4f}" for m in names)
                   + ("" if correct else " GATES FAILED"), flush=True)
 
-    for m in METRICS:
+    for m in names:
         for side in sides:
             q1, q2, q3 = quartiles([r[m] for r in runs[side]])
             print(f"{m:<12} {side:<6} median {q2:.4f} [{q1:.4f}, {q3:.4f}]")
-    parent = [r["wall_s"] for r in runs["parent"]]
-    change = [r["wall_s"] for r in runs["change"]]
-    wins = sum(c < p for p, c in zip(parent, change))
-    losses = sum(c > p for p, c in zip(parent, change))
-    p1, p2, p3 = quartiles(parent)
-    gap = p2 - statistics.median(change)
-    won = wins >= 0.9 * args.pairs and gap > p3 - p1
-    print(f"wall_s: change won {wins} of {args.pairs} pairs ({losses} lost); medians "
-          f"{p2:.4f} -> {p2 - gap:.4f} ({-gap / p2:+.1%}), a gap of {gap:.4f} against the "
-          f"parent's IQR {p3 - p1:.4f}: gain {'claimed' if won else 'not shown'}")
-    return 0 if won and all_correct else 1
+    regressed = [judge(name, better, bound, [r[name] for r in runs["parent"]],
+                       [r[name] for r in runs["change"]]) for name, better, bound in metrics]
+    return 0 if all_correct and not any(regressed) else 1
 
 
 if __name__ == "__main__":

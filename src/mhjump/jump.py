@@ -43,17 +43,24 @@ ends mid-chunk ignores the unused rows, and because the stream is
 counter-based a path's rows, and so its values, do not depend on the chunk
 length either.
 
-Blocks and chunks. The scalar engine draws TAPE_CHUNK rows at a time. A
-block holds min(n_paths, BLOCK_PATHS) paths, and its tape at most TAPE_ROWS
-rows: each path of a block of b paths draws the largest chunk c that
-divides TAPE_CHUNK with b c <= TAPE_ROWS (256 paths draw 256 rows, 1024
-paths 128, 2048 paths 64). A wide block spreads the fixed cost of each
-event's numpy calls over more paths, and the budget keeps its tape, and so
-peak memory, at the 512 x 256 rows of a narrow one. The same budget bounds
-the block's `before` buffer, the state each event of a chunk meets: c x b x
-d floats, at most TAPE_ROWS x d. When a target's dU is the separable
-u1(x_i + z) - u1(x_i), the block also keeps ux = u1(x), its paths' b x d
-potential terms, beside their states.
+Blocks and chunks. The package has one working-set budget, the floats of
+one block tape: TAPE_ROWS x TAPE_COLS (6.3 MB). Every sampler sizes its draw
+buffer from it, so no call's working memory grows with its sample count or
+with d*. The scalar engine draws TAPE_CHUNK rows at a time. A block holds
+min(n_paths, BLOCK_PATHS) paths, and each path of a block of b paths draws
+the largest chunk c that divides TAPE_CHUNK with b c max(TAPE_COLS, d) within
+the budget: its tape holds b c rows of TAPE_COLS floats, and its `before`
+buffer, the state each event of a chunk meets, b c states of d floats. For d
+<= TAPE_COLS that is b c <= TAPE_ROWS (256 paths draw 256 rows, 1024 paths
+128, 2048 paths 64); a wider state draws shorter chunks (1024 paths at d=64
+draw 8 rows). A wide block spreads the fixed cost of each event's numpy calls
+over more paths, and the budget keeps its tape, and so peak memory, at the
+512 x 256 rows of a narrow one. first_jump_displacements reads its one
+stream FIRST_JUMP_BATCH rows at a time, into one buffer, so that batch and
+the row-length temporaries of its transform stay near one tape's bytes; the
+Langevin engine draws its noise in chunks of the same budget (see langevin).
+When a target's dU is the separable u1(x_i + z) - u1(x_i), the block also
+keeps ux = u1(x), its paths' b x d potential terms, beside their states.
 
 The run-size check. Each time a path has drawn a multiple of TAPE_CHUNK
 rows, both engines stop it with a ConfigurationError if its rate in its
@@ -118,8 +125,8 @@ COL_EXP, COL_COORD, COL_BRANCH, COL_SIGN, COL_MAG, COL_ACC = range(TAPE_COLS)
 _TAPE_ROW = np.dtype((np.void, 8 * TAPE_COLS))  # one tape row of floats as one item
 TAPE_CHUNK = 256  # rows the scalar engine draws at a time; the run-size check's cadence
 BLOCK_PATHS = 2048
-TAPE_ROWS = 1 << 17  # the most tape rows a block draws at a time
-FIRST_JUMP_BATCH = 1 << 18
+TAPE_ROWS = 1 << 17  # a block tape's rows; its TAPE_ROWS x TAPE_COLS floats are the budget
+FIRST_JUMP_BATCH = 1 << 15  # rows of the first-jump sampler's one buffer
 MAX_CANDIDATES = 1e9  # expected candidate events per path a run may go on to
 
 # The stream registry: every random draw of the package comes from one of
@@ -426,6 +433,14 @@ def _validate_x0(target, x0):
         raise ConfigurationError(f"x0 must have {target.d_star} coordinates, got shape {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("x0 must be finite")
+    # from a state of infinite U every dU is inf - inf = NaN: no candidate is
+    # ever accepted, and the first-jump sampler would never return
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.asarray(target.u(x0))
+    if not np.all(np.isfinite(u)):
+        j = int(np.argmax(~np.isfinite(u.reshape(-1))))
+        raise ConfigurationError(f"the potential {target.name} is not finite at "
+                                 f"x0={x0.reshape(-1, target.d_star)[j]!r}")
     return x0
 
 
@@ -541,11 +556,15 @@ def _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe):
     return clock[k + 1], count, cols, obs_idx, before[ks, cols]
 
 
-def _tape_chunk(b):
-    """Rows each path of a block of b paths draws at a time: the largest
-    divisor of TAPE_CHUNK whose b rows per path fit in TAPE_ROWS, at least 1."""
-    return max((c for c in range(1, TAPE_CHUNK + 1) if TAPE_CHUNK % c == 0 and b * c <= TAPE_ROWS),
-               default=1)
+def _tape_chunk(b, d):
+    """Rows each path of a block of b paths of d coordinates draws at a time:
+    the largest divisor c of TAPE_CHUNK whose tape (b c rows of TAPE_COLS
+    floats) and `before` buffer (b c states of d floats) each fit in one
+    tape's floats, TAPE_ROWS x TAPE_COLS; at least 1."""
+    budget = TAPE_ROWS * TAPE_COLS
+    width = max(TAPE_COLS, d)
+    return max((c for c in range(1, TAPE_CHUNK + 1)
+                if TAPE_CHUNK % c == 0 and b * c * width <= budget), default=1)
 
 
 def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
@@ -553,7 +572,7 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
     b, d = x0_block.shape
     samples = np.empty((b, obs_proc.size, d))
     n_acc = np.zeros(b, dtype=np.int64)
-    chunk = _tape_chunk(b)
+    chunk = _tape_chunk(b, d)
     tape = np.empty((b, chunk, TAPE_COLS))
     tape_rows = tape.view(_TAPE_ROW)[..., 0]  # (b, chunk) rows of 48 bytes each
     # the unfinished paths: block rows, states, clocks
@@ -604,11 +623,11 @@ def simulate_ensemble(
     With rescaled=True (the default) obs_grid is macroscopic time and each
     path runs to process time max(obs_grid)/epsilon; with rescaled=False the
     grid is raw process time (diagnostic runs). Paths run in blocks of
-    min(n_paths, BLOCK_PATHS), each drawing its tape in chunks that keep it
-    within TAPE_ROWS rows, on `threads` threads or the usable cores, whichever
-    is fewer; none of these changes any path's values. n_paths, master_seed
-    and threads are integers (numpy's too): n_paths and threads at least 1,
-    master_seed at least 0.
+    min(n_paths, BLOCK_PATHS), each drawing its tape in chunks that keep the
+    tape and the states its events meet within one tape's floats, on
+    `threads` threads or the usable cores, whichever is fewer; none of these
+    changes any path's values. n_paths, master_seed and threads are integers
+    (numpy's too): n_paths and threads at least 1, master_seed at least 0.
     """
     obs = check_run(obs_grid, n_paths, threads)
     x0 = _validate_x0(target, x0)
@@ -651,8 +670,10 @@ def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed):
     Rejected candidates do not move the state, so first accepted displacements
     are iid draws from M(x, .) normalized. This is a direct sampler on a
     single stream (domain DOMAIN_DIRECT), not a path tape, read
-    FIRST_JUMP_BATCH rows at a time; accepted rows are a tape-order
-    subsequence, so the batch size cannot change the draws.
+    FIRST_JUMP_BATCH rows at a time into one buffer, so its working memory
+    stays near one block tape's bytes beside the returned arrays; accepted
+    rows are a tape-order subsequence, so the batch size cannot change the
+    draws.
     """
     x = _validate_x0(target, x)
     if x.ndim != 1:
@@ -671,9 +692,10 @@ def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed):
                     lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
         return z[acc], i[acc]
 
+    batch = np.empty((FIRST_JUMP_BATCH, TAPE_COLS))
     filled = 0
     while filled < n_samples:
-        za, ia = accepted(rng.random((FIRST_JUMP_BATCH, TAPE_COLS)))
+        za, ia = accepted(rng.random(out=batch))
         take = min(n_samples - filled, za.size)
         out_z[filled:filled + take] = za[:take]
         out_i[filled:filled + take] = ia[:take]

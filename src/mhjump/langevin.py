@@ -22,6 +22,13 @@ partial group reads the first columns of the same draws. A path's values
 therefore depend only on (master_seed, domain, path index): not on n_paths,
 not on the thread count. LANGEVIN_BLOCK is part of the reference format:
 changing it changes the bytes of every reference ensemble.
+
+Chunks. A chunk holds as many steps as fit in the package's working-set
+budget, one block tape's floats (jump.TAPE_ROWS x jump.TAPE_COLS), at least
+one: 768 steps at d*=1, 256 at d*=3, 12 at d*=64. Each group draws every
+chunk into one buffer, allocated once. The noise is drawn in C order (step,
+path, coordinate) from a counter-based stream, so the chunk length decides
+only where the draws are cut, never their values.
 """
 
 from __future__ import annotations
@@ -30,17 +37,22 @@ import math
 
 import numpy as np
 
+from . import jump
 from .errors import ConfigurationError
 from .jump import DOMAIN_LANGEVIN, ObservedEnsemble, _validate_x0, check_run, path_stream, run_spans
 
 LANGEVIN_BLOCK = 1024
-_STEP_CHUNK = 256
 GRID_TOL = 1e-6  # steps an observation time may sit off the step grid
 
 
 def default_dt(target):
     """1e-3 * min(1, 2 T d*): drift per step stays small on the clock scale."""
     return 1e-3 * min(1.0, 2.0 * target.T * target.d_star)
+
+
+def _chunk_steps(d_star):
+    """Steps whose noise for a full group fits in one block tape's floats, at least 1."""
+    return max(1, jump.TAPE_ROWS * jump.TAPE_COLS // (LANGEVIN_BLOCK * d_star))
 
 
 def _step_into(target, x, dt, noise, out):
@@ -94,17 +106,19 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
         step_to_obs.setdefault(int(s), []).append(k)
     samples = np.empty((n_paths, obs.size, target.d_star))
     group = LANGEVIN_BLOCK
+    chunk = min(_chunk_steps(target.d_star), n_steps)
 
     def run_span(g, lo, hi):
         rng = path_stream(master_seed, DOMAIN_LANGEVIN, g)
         state = np.broadcast_to(x0, (hi - lo, target.d_star)).copy()
         spare = np.empty_like(state)  # each step writes here, then the two swap
+        draws = np.empty((chunk, group, target.d_star))  # every chunk's noise, full group
         for k in step_to_obs.get(0, ()):
             samples[lo:hi, k, :] = state
         s = 0
         while s < n_steps:
-            m = min(_STEP_CHUNK, n_steps - s)
-            noise = rng.standard_normal((m, group, target.d_star))[:, :hi - lo]
+            m = min(chunk, n_steps - s)
+            noise = rng.standard_normal(out=draws[:m])[:, :hi - lo]
             noise *= math.sqrt(dt)
             noise /= math.sqrt(target.d_star)
             for j in range(m):

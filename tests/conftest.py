@@ -5,6 +5,8 @@ reproducible; derandomizing hypothesis keeps the property tests in the same
 regime.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -45,3 +47,16 @@ class CoupledQuadratic(TargetPotential):
 @pytest.fixture
 def coupled():
     return CoupledQuadratic()
+
+
+@pytest.fixture
+def traced_peak_mb():
+    """run() -> the peak of the memory it allocated while traced, in MB (1e6 bytes)."""
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+    return peak

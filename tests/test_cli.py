@@ -285,6 +285,9 @@ _UNBUILDABLE_STARTS = [
     ("x0_of_wrong_length", {"d_star": 2, "x0": [1.0]}, ("simulate", "langevin", "verify-limit")),
     # one start per path: simulate takes it, the Langevin runs take a single state
     ("per_path_x0", {"x0": [[0.5], [0.6], [0.7], [0.8], [0.9]]}, ("langevin", "verify-limit")),
+    # U(1e200) overflows: from there no candidate could ever be accepted
+    ("infinite_potential", {"potential": "doublewell", "x0": 1e200},
+     ("simulate", "langevin", "verify-limit")),
 ]
 
 

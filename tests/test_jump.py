@@ -17,6 +17,7 @@ from mhjump import (
     first_jump_displacements,
     path_stream,
     simulate_ensemble,
+    simulate_langevin,
     simulate_path,
 )
 from mhjump import jump
@@ -127,24 +128,19 @@ def test_simulate_path_invariants():
     assert path.states.shape == (t.size, 2)
 
 
-def assert_engines_agree_on_the_grid(kind, target):
+# the logcosh well's exp and log1p are evaluated on whole blocks and on
+# gathered coordinates by the block engine, and on scalars by the other
+AGREE_CELLS = CELLS + [(kind, WELL2) for kind in KINDS]
+
+
+@pytest.mark.parametrize("kind,target", AGREE_CELLS,
+                         ids=[f"{k.label()}-{t.name}" for k, t in AGREE_CELLS])
+def test_scalar_and_block_engines_agree(kind, target):
     # the same per-path tape must give bit-identical states on the obs grid
     eps = 0.04
     ens = assert_engines_agree(kind, target, GaussianProposal(eps), np.array([1.0, -1.0]),
                                np.array([0.3, 0.7, 1.1]) / eps, 6, 2024)
     assert not np.array_equal(ens.samples[:, -1], ens.samples[:, 0])
-
-
-def test_scalar_and_block_engines_agree_exactly():
-    # the logcosh well's exp and log1p are evaluated on whole blocks and on
-    # gathered coordinates by the block engine, and on scalars by the other
-    for kind, target in ONE_RATE_CELLS + [(kind, WELL2) for kind in KINDS]:
-        assert_engines_agree_on_the_grid(kind, target)
-
-
-@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
-def test_scalar_and_block_engines_agree_under_the_per_event_clock(kind):
-    assert_engines_agree_on_the_grid(kind, QUAD)
 
 
 def test_engines_agree_on_a_non_separable_target(monkeypatch, coupled):
@@ -188,8 +184,8 @@ def test_only_the_separable_delta_u_comes_from_kept_u1_terms(monkeypatch, couple
         u1 = spy(monkeypatch, target, "u1") if hasattr(target, "u1") else None
         simulate_ensemble(MIX, target, prop, x0, obs, 5, 77, rescaled=False)
         assert delta and all(np.ndim(x) == 2 for x, _, _ in delta)
-        if u1 is not None:  # two per delta_u_move, none for a kept term
-            assert len(u1) == 2 * len(delta)
+        if u1 is not None:  # two per delta_u_move, none for a kept term, one for U(x0)
+            assert len(u1) == 2 * len(delta) + 1
         assert_engines_agree(MIX, target, prop, x0, obs, 5, 77)
     # a built-in separable target never asks delta_u_move in the block engine
     target = SmoothedDoubleWell(d_star=2)
@@ -323,8 +319,8 @@ def test_blocks_share_one_tape_budget(monkeypatch, n, block, chunk):
     shapes = []
     tape_chunk = jump._tape_chunk
 
-    def spy(b):
-        shapes.append((b, tape_chunk(b)))
+    def spy(b, d):
+        shapes.append((b, tape_chunk(b, d)))
         return shapes[-1][1]
 
     monkeypatch.setattr(jump, "_tape_chunk", spy)
@@ -349,7 +345,7 @@ def test_both_clocks_invariant_to_the_tape_budget(monkeypatch, rows):
 
     base = runs()
     monkeypatch.setattr(jump, "TAPE_ROWS", rows)
-    assert jump._tape_chunk(24) < jump.TAPE_CHUNK
+    assert jump._tape_chunk(24, 2) < jump.TAPE_CHUNK
     for (ens, counts), (other, other_counts) in zip(base, runs()):
         assert np.array_equal(ens.samples, other.samples)
         assert np.array_equal(counts, other_counts)
@@ -505,6 +501,40 @@ def test_validation_errors():
             run()
 
 
+def test_a_start_of_infinite_potential_is_refused_by_every_engine():
+    # U(1e200) overflows to inf, so every dU would be inf - inf = NaN: no
+    # candidate is accepted, and the first-jump sampler would never return
+    target, prop, far = SmoothedDoubleWell(d_star=1), GaussianProposal(1e-2), np.array([1e200])
+    refused = r"doublewell is not finite at x0=array\(\[1.e\+200\]\)"
+    for run in (lambda: first_jump_displacements(GeneratorKind.m2(), target, prop, far, 10, 0),
+                lambda: simulate_path(GeneratorKind.m2(), target, prop, far, 1.0, 0),
+                lambda: simulate_ensemble(MIX, target, prop, np.array([[0.0], [1e200]]), [0.5],
+                                          2, 0),
+                lambda: simulate_langevin(target, far, [0.01], 2, 1e-3, 0)):
+        with pytest.raises(ConfigurationError, match=refused):
+            run()
+
+
+def test_first_jump_working_memory_stays_near_one_tape(traced_peak_mb):
+    # 10**6 samples return 16 MB; the batch and its transform's temporaries
+    # stay near one tape's bytes (6.3 MB) beside them
+    peak = traced_peak_mb(lambda: first_jump_displacements(
+        GeneratorKind.m2(), SmoothedDoubleWell(d_star=1), GaussianProposal(1e-2), [0.7], 10 ** 6,
+        0))
+    assert peak < 24.0
+
+
+def test_block_working_memory_does_not_grow_with_d(traced_peak_mb):
+    # a block of 1024 paths at d=64 draws short chunks, so its tape and its
+    # `before` buffer each fit in one tape's floats; samples are 1 MB
+    d = 64
+    assert jump._tape_chunk(1024, d) == 8
+    peak = traced_peak_mb(lambda: simulate_ensemble(
+        GeneratorKind.m1(), SmoothedDoubleWell(d_star=d), GaussianProposal(1e-2), np.zeros(d),
+        [0.005, 0.01], 1024, 0))
+    assert peak < 24.0
+
+
 def test_runaway_runs_are_refused_before_they_start():
     # m2 against the constant tilt 10 at eps=0.5: Lam ~ 1.44e11 candidates per
     # unit time, ~2.9e11 per path over the process horizon 2; it would never
@@ -617,7 +647,7 @@ def test_rate_check_keeps_its_cadence_in_a_short_chunk(monkeypatch, kind, seed):
     monkeypatch.setattr(jump, "TAPE_CHUNK", 8)
     monkeypatch.setattr(jump, "TAPE_ROWS", 2)
     monkeypatch.setattr(jump, "MAX_CANDIDATES", 1500.0)
-    assert jump._tape_chunk(1) == jump.TAPE_CHUNK // 4
+    assert jump._tape_chunk(1, 1) == jump.TAPE_CHUNK // 4
     prop, horizon = GaussianProposal(0.3), 600.0
     scalar = rate_checks(monkeypatch, lambda: simulate_path(
         kind, QUAD1, prop, np.zeros(1), horizon, path_stream(seed, DOMAIN_JUMP, 0)))

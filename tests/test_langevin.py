@@ -13,7 +13,7 @@ from mhjump import (
     ou_exact_marginal,
     simulate_langevin,
 )
-from mhjump import langevin, path_stream
+from mhjump import jump, langevin, path_stream
 from mhjump.jump import DOMAIN_LANGEVIN
 from mhjump.langevin import default_dt
 from mhjump.verify import fit_loglog_slope
@@ -42,26 +42,56 @@ def test_em_step_formula():
     assert np.allclose(got, want, rtol=1e-14)
 
 
-@pytest.mark.parametrize("target,x0", [
+LOOP_CASES = pytest.mark.parametrize("target,x0", [
     (BoxedQuadratic(d_star=3), [1.0, -0.5, 2.0]),
     (SmoothedDoubleWell(d_star=2), [1.0, -1.0]),
 ], ids=["quadratic-d3", "doublewell-d2"])
+
+
+@LOOP_CASES
 def test_langevin_steps_as_a_loop_of_em_step(target, x0):
     # the engine steps in place; a loop of em_step calls over the same draws
-    # gives the same bytes. 300 steps end inside the second noise chunk.
+    # gives the same bytes. The run ends inside the second noise chunk.
     n, dt, seed = 5, 1e-3, 11
-    ens = simulate_langevin(target, np.array(x0), [0.15, 0.3], n, dt, seed)
+    chunk = langevin._chunk_steps(target.d_star)
+    steps = chunk + 44
+    ens = simulate_langevin(target, np.array(x0), [steps // 2 * dt, steps * dt], n, dt, seed)
     rng = path_stream(seed, DOMAIN_LANGEVIN, 0)
     x, want, s = np.tile(x0, (n, 1)), [], 0
-    while s < 300:
-        m = min(langevin._STEP_CHUNK, 300 - s)
+    while s < steps:
+        m = min(chunk, steps - s)
         noise = rng.standard_normal((m, langevin.LANGEVIN_BLOCK, target.d_star))[:, :n]
         for dw in noise * math.sqrt(dt):
             x = em_step(target, x, dt, dw)
             s += 1
-            if s in (150, 300):
+            if s in (steps // 2, steps):
                 want.append(x)
     assert np.array_equal(ens.samples, np.stack(want, axis=1))
+
+
+@LOOP_CASES
+def test_langevin_bytes_do_not_depend_on_the_chunk(monkeypatch, target, x0):
+    # the budget patched so that a chunk is 1 or 7 steps; 300 steps cross the
+    # default chunk of the d3 case too, and 1030 paths make a partial group
+    def run():
+        return simulate_langevin(target, np.array(x0), [0.15, 0.3], 1030, 1e-3, 11).samples
+
+    base = run()
+    for steps in (1, 7):
+        rows = -(-steps * langevin.LANGEVIN_BLOCK * target.d_star // jump.TAPE_COLS)
+        monkeypatch.setattr(jump, "TAPE_ROWS", rows)
+        assert langevin._chunk_steps(target.d_star) == steps
+        assert np.array_equal(run(), base)
+
+
+def test_langevin_working_memory_does_not_grow_with_d(traced_peak_mb):
+    # at d=64 a chunk is 12 steps, 6.3 MB of noise, not 256 steps (134 MB);
+    # samples are 1 MB
+    d = 64
+    assert langevin._chunk_steps(d) == 12
+    peak = traced_peak_mb(lambda: simulate_langevin(
+        BoxedQuadratic(d_star=d), np.zeros(d), [0.128, 0.256], 1024, 1e-3, 0))
+    assert peak < 16.0
 
 
 def test_ou_oracle_values():
