@@ -19,6 +19,14 @@ two verdicts:
 - a regression is flagged when the change's median is worse than the
   parent's by more than the metric's relative bound.
 
+Each batch appends one record, one line of JSON, to BENCH_pairs.json at the
+root of the repository that holds this script; the file is only ever
+appended to, so a wrong record is corrected by a later one that says so. A
+record holds the commit of each checkout (with a digest of its uncommitted
+changes, if any), the workload, seed, seconds and pair count, every run's
+metrics, and for each metric both sides' medians and quartiles, the ratio of
+the medians, the pairs won and lost, and both verdicts.
+
 Exit status 0 when every run passed its gates and no metric regressed, 1
 otherwise.
 """
@@ -26,11 +34,16 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import datetime
+import hashlib
 import json
 import os
 import statistics
 import subprocess
 import sys
+
+RECORDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "BENCH_pairs.json")
 
 
 def end_to_end_metrics(checkout):
@@ -53,13 +66,28 @@ def quartiles(values):
     return q1, q2, q3
 
 
+def checkout_identity(checkout):
+    """The checkout's HEAD commit, whether tracked files differ from it, and
+    the sha256 of that difference; commit None outside a git checkout."""
+    def git(*args):
+        return subprocess.run(["git", "-C", checkout, *args], capture_output=True,
+                              check=True).stdout
+    try:
+        commit = git("rev-parse", "HEAD").decode().strip()
+    except (OSError, subprocess.CalledProcessError):
+        return {"commit": None, "dirty": None, "diff_sha256": None}
+    diff = git("diff", "--binary", "HEAD")
+    return {"commit": commit, "dirty": bool(diff),
+            "diff_sha256": hashlib.sha256(diff).hexdigest() if diff else None}
+
+
 def judge(name, better, bound, parent, change):
-    """Print one metric's verdicts; returns whether it regressed."""
+    """Print one metric's verdicts; returns them with the numbers behind them."""
     sign = 1.0 if better == "lower" else -1.0  # sign * (parent - change) > 0: the change is better
     wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
     losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
     p1, p2, p3 = quartiles(parent)
-    c2 = statistics.median(change)
+    c1, c2, c3 = quartiles(change)
     gain = sign * (p2 - c2)
     claimed = wins >= 0.9 * len(parent) and gain > p3 - p1
     regressed = -gain > bound * abs(p2)
@@ -67,7 +95,19 @@ def judge(name, better, bound, parent, change):
           f"{p2:.4f} -> {c2:.4f} ({(c2 - p2) / p2:+.1%}), a gain of {gain:.4f} against the "
           f"parent's IQR {p3 - p1:.4f}: gain {'claimed' if claimed else 'not shown'}; "
           f"{'REGRESSED past' if regressed else 'within'} its bound {bound:.0%}")
-    return regressed
+    return {"better": better, "bound": bound,
+            "parent": {"median": p2, "q1": p1, "q3": p3},
+            "change": {"median": c2, "q1": c1, "q3": c3},
+            "ratio": c2 / p2, "wins": wins, "losses": losses,
+            "gain_claimed": claimed, "regressed": regressed}
+
+
+def append_record(record):
+    """Append one batch's record as one line of JSON, flushed to disk."""
+    with open(RECORDS, "a") as f:
+        f.write(json.dumps(record, sort_keys=True) + "\n")
+        f.flush()
+        os.fsync(f.fileno())
 
 
 def main(argv=None):
@@ -98,9 +138,17 @@ def main(argv=None):
         for side in sides:
             q1, q2, q3 = quartiles([r[m] for r in runs[side]])
             print(f"{m:<12} {side:<6} median {q2:.4f} [{q1:.4f}, {q3:.4f}]")
-    regressed = [judge(name, better, bound, [r[name] for r in runs["parent"]],
-                       [r[name] for r in runs["change"]]) for name, better, bound in metrics]
-    return 0 if all_correct and not any(regressed) else 1
+    verdicts = {name: judge(name, better, bound, [r[name] for r in runs["parent"]],
+                            [r[name] for r in runs["change"]]) for name, better, bound in metrics}
+    append_record({
+        "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        "parent": checkout_identity(args.parent), "change": checkout_identity(args.change),
+        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+        "pairs": args.pairs, "all_gates_passed": all_correct, "runs": runs, "metrics": verdicts,
+    })
+    print(f"appended the batch's record to {RECORDS}")
+    regressed = any(v["regressed"] for v in verdicts.values())
+    return 0 if all_correct and not regressed else 1
 
 
 if __name__ == "__main__":

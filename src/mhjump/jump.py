@@ -49,18 +49,24 @@ buffer from it, so no call's working memory grows with its sample count or
 with d*. The scalar engine draws TAPE_CHUNK rows at a time. A block holds
 min(n_paths, BLOCK_PATHS) paths, and each path of a block of b paths draws
 the largest chunk c that divides TAPE_CHUNK with b c max(TAPE_COLS, d) within
-the budget: its tape holds b c rows of TAPE_COLS floats, and its `before`
-buffer, the state each event of a chunk meets, b c states of d floats. For d
-<= TAPE_COLS that is b c <= TAPE_ROWS (256 paths draw 256 rows, 1024 paths
-128, 2048 paths 64); a wider state draws shorter chunks (1024 paths at d=64
-draw 8 rows). A wide block spreads the fixed cost of each event's numpy calls
-over more paths, and the budget keeps its tape, and so peak memory, at the
-512 x 256 rows of a narrow one. first_jump_displacements reads its one
-stream FIRST_JUMP_BATCH rows at a time, into one buffer, so that batch and
-the row-length temporaries of its transform stay near one tape's bytes; the
-Langevin engine draws its noise in chunks of the same budget (see langevin).
-When a target's dU is the separable u1(x_i + z) - u1(x_i), the block also
-keeps ux = u1(x), its paths' b x d potential terms, beside their states.
+the budget. For d <= TAPE_COLS that is b c <= TAPE_ROWS (256 paths draw 256
+rows, 1024 paths 128, 2048 paths 64); a wider state draws shorter chunks
+(1024 paths at d=64 draw 8 rows). The paths draw a chunk a group at a time
+into one group tape of FIRST_JUMP_BATCH rows (256 paths of 128 rows), and
+each group is decoded from it straight into the chunk's event-major arrays,
+so no tape of the whole block exists. The budget bounds what a chunk holds:
+the event-major arrays, at most TAPE_COLS numbers per event with the clock,
+the states the events meet (`before`, b c states of d floats), each within
+it, and the group tape, a quarter of it. A wide block spreads the fixed cost
+of each event's numpy calls over more paths, and its chunk stays within
+this working set: traced, a 1024-path block at d=1 peaks at 10.3 MB (24.4
+MB with a whole-block tape and its event-major copy). first_jump_displacements
+reads its one stream FIRST_JUMP_BATCH rows at a time, into one buffer, so
+that batch and the row-length temporaries of its transform stay near one
+tape's bytes; the Langevin engine draws its noise in chunks of the same
+budget (see langevin). When a target's dU is the separable u1(x_i + z) -
+u1(x_i), the block also keeps ux = u1(x), its paths' b x d potential terms,
+beside their states.
 
 The run-size check. Each time a path has drawn a multiple of TAPE_CHUNK
 rows, both engines stop it with a ConfigurationError if its rate in its
@@ -73,17 +79,16 @@ on the path alone.
 
 The block engine advances a block of paths in lock step, one candidate event
 per iteration across the whole block, and runs every chunk through one
-runner. Only the paths still inside the horizon draw a chunk, into one
-preallocated buffer, and one copy that moves whole 48-byte rows turns it
-event-major. The runner's clock holds, for each path, its time before the
-chunk and after each event. Under one rate for every event the chunk is
-decoded by one call of the event transform into event-major arrays, the
-clock is one cumulative sum, and one search of it finds the first event
-past the horizon; under the per-event clock each event is decoded at the
-block's current states, adds its waiting time to the clock and checks the
-horizon. An event does only what its kind needs: m1, whose log-acceptance
-is never positive, skips the domination check, and m2, which has no plain
-branch, draws every |z| from the tilted component with no branch mask.
+runner. Only the paths still inside the horizon draw a chunk. The clock
+holds, for each path, its time before the chunk and after each event, and
+the decode writes each event's exponential variate into it. Under one rate
+for every event each group is decoded whole, waiting times and moves, the
+clock is one cumulative sum taken in place, and one search of it finds the
+first event past the horizon; under the per-event clock each event is
+decoded at the block's current states, turns its variate into its time and
+checks the horizon. An event does only what its kind needs: m1, whose
+log-acceptance is never positive, skips the domination check, and m1 and
+m2, whose kernels have one component, draw every |z| with no branch mask.
 Each event stores the states it meets in `before`, and only candidates
 inside the horizon are thinned, as in the scalar engine; the loop stops
 once no path is inside. An event gathers each path's moved
@@ -122,11 +127,10 @@ from .targets import TargetPotential, delta_u_from_u1
 
 TAPE_COLS = 6
 COL_EXP, COL_COORD, COL_BRANCH, COL_SIGN, COL_MAG, COL_ACC = range(TAPE_COLS)
-_TAPE_ROW = np.dtype((np.void, 8 * TAPE_COLS))  # one tape row of floats as one item
 TAPE_CHUNK = 256  # rows the scalar engine draws at a time; the run-size check's cadence
 BLOCK_PATHS = 2048
 TAPE_ROWS = 1 << 17  # a block tape's rows; its TAPE_ROWS x TAPE_COLS floats are the budget
-FIRST_JUMP_BATCH = 1 << 15  # rows of the first-jump sampler's one buffer
+FIRST_JUMP_BATCH = 1 << 15  # rows of the first-jump batch and of a block's group tape
 MAX_CANDIDATES = 1e9  # expected candidate events per path a run may go on to
 
 # The stream registry: every random draw of the package comes from one of
@@ -276,7 +280,8 @@ class ObservedEnsemble:
 
 # The dominating kernel e^{tilt |z|} phi_eps(z) at one state or one per row:
 # the proposal's root variance, the tilt, the positive component's mean and
-# cut mass, the clock rate and the plain-branch probability (None for m2).
+# cut mass, the clock rate and the plain-branch probability (None for m1 and
+# m2, whose kernels have one component).
 _Kernel = namedtuple("_Kernel", "sigma tilt mean_abs trunc_lo rate_total p_plain")
 
 
@@ -284,12 +289,14 @@ def _kernel(alpha, epsilon, theta):
     """The kernel tilted by theta, one or one per row, with its mean, cut mass
     and mass Lam from row_kernel, the rate R = alpha + (1-alpha) Lam and the
     plain-branch probability alpha/R. m2 (alpha 0) has no plain branch: its
-    rate is Lam itself, the same float."""
+    rate is Lam itself, the same float. m1 (alpha 1, tilt 0) needs none
+    either: its tilted component is the plain proposal, with mean 0 and cut
+    mass 1/2, the bits the plain branch draws with."""
     mean, lo, lam = row_kernel(epsilon, theta)
     if alpha == 0.0:
         return _Kernel(math.sqrt(epsilon), theta, mean, lo, lam, None)
     rate = alpha + (1.0 - alpha) * lam
-    return _Kernel(math.sqrt(epsilon), theta, mean, lo, rate, alpha / rate)
+    return _Kernel(math.sqrt(epsilon), theta, mean, lo, rate, None if alpha == 1.0 else alpha / rate)
 
 
 @dataclass(frozen=True)
@@ -339,23 +346,34 @@ def _at(p, x):
     return _kernel(p.alpha, p.epsilon, theta)
 
 
-def _decode_tape(rows, d):
+def _decode_tape(rows, d, out=(None, None, None, None)):
     """The state-free part of the event transform. Tape rows (..., 6) ->
     (exponential variate, coordinate, negative sign, magnitude uniform,
-    branch uniform, log accept-uniform)."""
-    e = -np.log1p(-rows[..., COL_EXP])
-    i = np.minimum((rows[..., COL_COORD] * d).astype(np.int64), d - 1)
+    branch uniform, log accept-uniform). The variate, the coordinate, the
+    sign and the log uniform are written into out, arrays of the rows'
+    shape, where it gives one, and into new arrays where it gives None."""
+    e, i, neg, log_u = out
+    e = np.negative(rows[..., COL_EXP], out=e)
+    np.log1p(e, out=e)
+    np.negative(e, out=e)
+    if i is None:
+        i = np.empty(e.shape, dtype=np.int64)
+    np.multiply(rows[..., COL_COORD], d, out=i, casting="unsafe")  # truncated, as astype
+    np.minimum(i, d - 1, out=i)
+    neg = np.less(rows[..., COL_SIGN], 0.5, out=neg)
     with np.errstate(divide="ignore"):
-        log_u = np.log(rows[..., COL_ACC])
-    return e, i, rows[..., COL_SIGN] < 0.5, rows[..., COL_MAG], rows[..., COL_BRANCH], log_u
+        log_u = np.log(rows[..., COL_ACC], out=log_u)
+    return e, i, neg, rows[..., COL_MAG], rows[..., COL_BRANCH], log_u
 
 
 def _decode_move(q, e, neg, u_mag, u_branch):
     """The rest of the event transform, under kernel q and its clock rate:
-    (waiting time, z, |z|). Without a plain branch every draw is tilted."""
+    (waiting time, z, |z|). An array e becomes the waiting times in place.
+    A kernel with one component draws every |z| from it, with no mask."""
+    e /= q.rate_total
     tilted = None if q.p_plain is None else u_branch >= q.p_plain
     abs_z = sample_abs(u_mag, q.sigma, q.mean_abs, q.trunc_lo, tilted)
-    return e / q.rate_total, np.where(neg, -abs_z, abs_z), abs_z
+    return e, np.where(neg, -abs_z, abs_z), abs_z
 
 
 def _thin(p, tilt, du, abs_z, log_u, where, live=None):
@@ -490,8 +508,57 @@ def _spans(lo, hi):
     return np.repeat(np.arange(n.size), n), np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - lo, n)
 
 
-def _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe):
-    """Run one chunk of event-major tape rows from the clocks t.
+# One chunk of n paths as event-major arrays, (chunk, n) each but the clock:
+# clock[k + 1] is each path's time after event k and clock[0] its time before
+# the chunk; flat, each event's moved entry in the flat view of the states;
+# log_u, its log accept-uniform; under one kernel the move (z, abs_z), else
+# the uniforms each event's kernel decodes: the sign (neg), the magnitude and
+# the branch (None without a plain branch).
+_Chunk = namedtuple("_Chunk", "clock flat log_u z abs_z neg u_mag u_branch")
+
+
+def _draw_chunk(p, streams, live, tape, t, d):
+    """The live paths' next chunk (_Chunk) from the clocks t. The paths draw
+    a group at a time into tape, the group tape (group, chunk, TAPE_COLS),
+    and each group's rows are decoded straight into its columns of the
+    event-major arrays; under one kernel the clock is then one cumulative
+    sum, taken in place."""
+    group, chunk, _ = tape.shape
+    n = live.size
+    shape = (chunk, n)
+    one_rate = p.kernel is not None
+    if one_rate:
+        move, uniforms = (np.empty(shape), np.empty(shape)), (None, None, None)
+    else:
+        move = (None, None)
+        uniforms = (np.empty(shape, dtype=bool), np.empty(shape),
+                    None if p.alpha == 0.0 else np.empty(shape))
+    ev = _Chunk(np.empty((chunk + 1, n)), np.empty(shape, dtype=np.int64), np.empty(shape),
+                *move, *uniforms)
+    ev.clock[0] = t
+    for lo in range(0, n, group):
+        paths = live[lo:lo + group]
+        for r, q in enumerate(paths):
+            streams[q].random(out=tape[r])
+        cols = slice(lo, lo + paths.size)
+        rows = tape[:paths.size].swapaxes(0, 1)  # event-major view of the group's rows
+        e, flat, neg, u_mag, u_branch, _ = _decode_tape(
+            rows, d, (ev.clock[1:, cols], ev.flat[:, cols], None if one_rate else ev.neg[:, cols],
+                      ev.log_u[:, cols]))
+        flat += d * np.arange(lo, cols.stop)
+        if one_rate:
+            _, ev.z[:, cols], ev.abs_z[:, cols] = _decode_move(p.kernel, e, neg, u_mag, u_branch)
+        else:
+            ev.u_mag[:, cols] = u_mag
+            if ev.u_branch is not None:
+                ev.u_branch[:, cols] = u_branch
+    if one_rate:
+        np.cumsum(ev.clock, axis=0, out=ev.clock)
+    return ev
+
+
+def _run_chunk(p, ev, x, ux, horizon, obs_proc, describe):
+    """Run one chunk's events (_Chunk) across the block.
 
     Moves x in place, and ux, the u1 terms of x or None, with it; without
     them each dU is the target's delta_u_move. describe(j) names row j's
@@ -503,44 +570,41 @@ def _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe):
     the grid.
     """
     n, d = x.shape
-    e, i, neg, u_mag, u_branch, log_u = _decode_tape(rows, d)
+    clock, flat, log_u = ev.clock, ev.flat, ev.log_u
+    chunk = log_u.shape[0]
     q = p.kernel
     if q is None:  # each event's rate and move come from the state it meets
-        clock = np.empty((rows.shape[0] + 1, n))
-        clock[0] = t
         first_out = 0  # each event checks the horizon
-    else:  # one kernel for every event: the chunk decodes at once
-        dt, z, abs_z = _decode_move(q, e, neg, u_mag, u_branch)
-        clock = np.cumsum(np.vstack([t, dt]), axis=0)  # clock[k + 1] is the time of event k
-        # the latest clock never decreases, so one search finds the first event past the horizon
+    else:  # the latest clock never decreases, so one search finds the first event past the horizon
         first_out = np.searchsorted(clock[1:].max(axis=1), horizon, side="right")
-    before = np.empty((rows.shape[0], n, d))  # before[k] is the state event k meets
-    flat = i + d * np.arange(n)  # each event's moved entry in the flat views
+    before = np.empty((chunk, n, d))  # before[k] is the state event k meets
+    offsets = d * np.arange(n)  # each row's first entry in the flat views
     x_flat = x.reshape(-1)  # views: x and ux are always fresh C-ordered arrays
     u_flat = None if ux is None else ux.reshape(-1)
     count = np.zeros(n, dtype=np.int64)
     inside = None  # every row is inside the horizon
 
     def where(j):
-        return f"{describe(j)}, x={x[j]!r}, i={int(i[k, j])}, z={float(zk[j])!r}"
+        return f"{describe(j)}, x={x[j]!r}, i={int(fk[j] - offsets[j])}, z={float(zk[j])!r}"
 
-    for k in range(rows.shape[0]):
+    for k in range(chunk):
+        fk = flat[k]
         if p.kernel is None:
             q = _at(p, x)
-            dt, zk, abs_zk = _decode_move(q, e[k], neg[k], u_mag[k], u_branch[k])
-            clock[k + 1] = clock[k] + dt
+            dt, zk, abs_zk = _decode_move(q, clock[k + 1], ev.neg[k], ev.u_mag[k],
+                                          None if q.p_plain is None else ev.u_branch[k])
+            np.add(clock[k], dt, out=dt)
         else:
-            zk, abs_zk = z[k], abs_z[k]
+            zk, abs_zk = ev.z[k], ev.abs_z[k]
         before[k] = x
         if k >= first_out and clock[k + 1].max() > horizon:
             inside = clock[k + 1] <= horizon
             if not inside.any():
                 break
-        fk = flat[k]
         xi = x_flat[fk]
         y = xi + zk
         if u_flat is None:
-            du = p.target.delta_u_move(x, i[k], zk)
+            du = p.target.delta_u_move(x, fk - offsets, zk)
         else:
             u_old, uy = u_flat[fk], p.target.u1(y)
             du = uy - u_old
@@ -558,9 +622,9 @@ def _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe):
 
 def _tape_chunk(b, d):
     """Rows each path of a block of b paths of d coordinates draws at a time:
-    the largest divisor c of TAPE_CHUNK whose tape (b c rows of TAPE_COLS
-    floats) and `before` buffer (b c states of d floats) each fit in one
-    tape's floats, TAPE_ROWS x TAPE_COLS; at least 1."""
+    the largest divisor c of TAPE_CHUNK whose decoded rows (b c rows of up to
+    TAPE_COLS floats) and `before` buffer (b c states of d floats) each fit
+    in one tape's floats, TAPE_ROWS x TAPE_COLS; at least 1."""
     budget = TAPE_ROWS * TAPE_COLS
     width = max(TAPE_COLS, d)
     return max((c for c in range(1, TAPE_CHUNK + 1)
@@ -573,8 +637,8 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
     samples = np.empty((b, obs_proc.size, d))
     n_acc = np.zeros(b, dtype=np.int64)
     chunk = _tape_chunk(b, d)
-    tape = np.empty((b, chunk, TAPE_COLS))
-    tape_rows = tape.view(_TAPE_ROW)[..., 0]  # (b, chunk) rows of 48 bytes each
+    # the group tape: as many paths' chunks as fill FIRST_JUMP_BATCH rows
+    tape = np.empty((min(b, max(1, FIRST_JUMP_BATCH // chunk)), chunk, TAPE_COLS))
     # the unfinished paths: block rows, states, clocks
     live = np.arange(b)
     x = x0_block.copy()
@@ -589,13 +653,10 @@ def _run_block(p, x0_block, horizon, streams, obs_proc, path_offset):
     while live.size:
         if drawn % TAPE_CHUNK == 0:  # the scalar engine's chunk boundaries
             _check_candidates(_at(p, x), horizon - t)
-        for r, q in enumerate(live):
-            streams[q].random(out=tape[r])
         drawn += chunk
-        # event-major: one copy that moves whole rows, not one float at a time
-        rows = np.ascontiguousarray(tape_rows[:live.size].T)
-        rows = rows.view(float).reshape(chunk, live.size, TAPE_COLS)
-        t, count, cols, obs_idx, states = _run_chunk(p, rows, x, ux, t, horizon, obs_proc, describe)
+        # the chunk's arrays are the runner's alone, so they are freed before the next draw
+        t, count, cols, obs_idx, states = _run_chunk(
+            p, _draw_chunk(p, streams, live, tape, t, d), x, ux, horizon, obs_proc, describe)
         samples[live[cols], obs_idx] = states
         n_acc[live] += count
         keep = t <= horizon

@@ -130,13 +130,19 @@ def sample_abs(u, sigma, mean_abs, trunc_lo, tilted):
     mean_abs and trunc_lo, the tilted component's mean and cut mass, are one
     kernel's or one per row. tilted masks the draws per row: where it is
     False the draw comes from the plain proposal instead, |N(0, sigma^2)|.
-    tilted None, a kernel with no plain branch (m2), tilts every draw and
-    builds no mask.
+    tilted None, a kernel with one component (m2's tilted one, m1's
+    untilted one), draws every |z| from it and builds no mask. Returns an
+    array, 0-d for one draw: the chain runs in place in the one array it
+    allocates.
     """
     if tilted is not None:
         mean_abs = np.where(tilted, mean_abs, 0.0)
         trunc_lo = np.where(tilted, trunc_lo, 0.5)
-    return mean_abs + sigma * ndtri(trunc_lo + u * (1.0 - trunc_lo))
+    r = np.asarray(u * (1.0 - trunc_lo))
+    np.add(trunc_lo, r, out=r)
+    ndtri(r, out=r)
+    np.multiply(sigma, r, out=r)
+    return np.add(mean_abs, r, out=r)
 
 
 def row_kernel(epsilon, theta):

@@ -35,6 +35,8 @@ def test_chain_validation():
     assert good.rates[0, 1] == 0.3
     with pytest.raises(ConfigurationError):
         FiniteChain(n=3, rates=np.zeros((2, 2)), mu=[0.5, 0.5])
+    with pytest.raises(ConfigurationError, match=r"mu must have length 2, got \(3,\)"):
+        FiniteChain(n=2, rates=np.zeros((2, 2)), mu=[0.2, 0.3, 0.5])
     with pytest.raises(ConfigurationError):
         FiniteChain(n=2, rates=[[0.0, -0.1], [0.2, 0.0]], mu=[0.5, 0.5])
     with pytest.raises(ConfigurationError):

@@ -390,24 +390,34 @@ def test_observation_crossing_on_the_first_row_of_a_chunk(monkeypatch):
         assert_engines_agree(kind, target, prop, x0, obs, 3, 8)
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
-def test_paths_ending_mid_chunk_while_others_continue(monkeypatch, kind):
-    monkeypatch.setattr(jump, "TAPE_CHUNK", 8)
-    horizon = 20.0
-    ends = [np.searchsorted(candidate_times(5, q, 200), horizon) for q in range(16)]
-    assert len({n // 8 for n in ends}) > 1  # m1 paths end in different chunks
-    assert_engines_agree(kind, WELL, GaussianProposal(0.3), np.array([0.4]),
-                         [1.0, 7.5, 7.6, 15.0, horizon], 16, 5)
+# every kind at one rate on the log-cosh well, and the tilted kinds under the
+# per-event clock on the 1-d quadratic
+MID_CHUNK_CELLS = [(kind, WELL) for kind in KINDS] + [(kind, QUAD1) for kind in LOCAL]
 
 
-@pytest.mark.parametrize("kind", LOCAL, ids=lambda k: k.label())
-def test_per_event_clock_paths_ending_mid_chunk_while_others_continue(monkeypatch, kind):
+@pytest.mark.parametrize("kind,target", MID_CHUNK_CELLS,
+                         ids=[k.label() + ("-per-event-clock" if t is QUAD1 else "")
+                              for k, t in MID_CHUNK_CELLS])
+def test_paths_ending_mid_chunk_while_others_continue(monkeypatch, kind, target):
+    # chunks of 8 rows drawn in groups of 3 paths: the 16 paths are not a
+    # multiple of a group, and as they end in different chunks the live paths
+    # fill fewer groups
     monkeypatch.setattr(jump, "TAPE_CHUNK", 8)
+    monkeypatch.setattr(jump, "FIRST_JUMP_BATCH", 3 * 8)
     prop, x0, horizon = GaussianProposal(0.3), np.array([0.4]), 20.0
-    ends = [replayed_candidate_times(kind, QUAD1, prop, x0, 5, q, 200, horizon).size - 1
+    ends = [replayed_candidate_times(kind, target, prop, x0, 5, q, 200, horizon).size - 1
             for q in range(16)]
     assert len({n // 8 for n in ends}) > 1  # the paths end in different chunks
-    assert_engines_agree(kind, QUAD1, prop, x0, [1.0, 7.5, 7.6, 15.0, horizon], 16, 5)
+    live, draw = [], jump._draw_chunk
+
+    def spy(p, streams, paths, tape, t, d):
+        live.append((paths.size, tape.shape[0]))
+        return draw(p, streams, paths, tape, t, d)
+
+    monkeypatch.setattr(jump, "_draw_chunk", spy)
+    assert_engines_agree(kind, target, prop, x0, [1.0, 7.5, 7.6, 15.0, horizon], 16, 5)
+    assert {group for _, group in live} == {3}
+    assert len({-(-n // 3) for n, _ in live}) > 1  # the live count crossed a group boundary
 
 
 def test_lying_grad_bound_raises_in_both_engines():
@@ -489,6 +499,12 @@ def test_validation_errors():
         simulate_ensemble(MIX, DW, prop, np.zeros(2), [0.5], 0, 0)
     with pytest.raises(ConfigurationError):
         simulate_ensemble(MIX, DW, prop, np.zeros((3, 2)), [0.5], 4, 0)
+    # the scalar engine and the first-jump sampler start from one state only
+    with pytest.raises(ConfigurationError, match="simulate_path takes a single initial state"):
+        simulate_path(MIX, DW, prop, np.zeros((3, 2)), 1.0, 0)
+    with pytest.raises(ConfigurationError,
+                       match="first_jump_displacements takes a single state"):
+        first_jump_displacements(MIX, DW, prop, np.zeros((3, 2)), 10, 0)
     with pytest.raises(ConfigurationError, match="finite"):
         simulate_path(GeneratorKind.m1(), QUAD1, prop, np.array([np.inf]), 1.0, 0)
     with pytest.raises(ConfigurationError, match="finite"):
@@ -524,15 +540,41 @@ def test_first_jump_working_memory_stays_near_one_tape(traced_peak_mb):
     assert peak < 24.0
 
 
+BUDGET_MB = jump.TAPE_ROWS * jump.TAPE_COLS * 8 / 1e6  # one block tape's floats
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.label())
+def test_block_chunk_fits_in_two_budgets(traced_peak_mb, kind):
+    # the ks_sweep cell: 1024 paths at d=1 draw 128-row chunks, m1 under the
+    # shared kernel, m2 and mix(0.5) under the per-event clock; the group
+    # tape, the decoded event-major arrays, the clock and `before` stay
+    # within two budgets (a whole-block tape and its event-major copy alone
+    # were two)
+    peak = traced_peak_mb(lambda: simulate_ensemble(
+        kind, QUAD1, GaussianProposal(1e-2), np.array([1.0]), [0.5, 1.0], 1024, 0))
+    assert peak <= 2 * BUDGET_MB
+
+
+def test_occupation_block_fits_in_one_budget(traced_peak_mb):
+    # the occupation cell: 256 paths at d=1 draw 256-row chunks on a long
+    # unrescaled run with a dense grid; samples are 41 kB
+    starts = np.where(np.arange(256) % 2 == 0, 1.48946, -1.48946)[:, None]
+    for kind in KINDS[:2]:
+        peak = traced_peak_mb(lambda: simulate_ensemble(
+            kind, SmoothedDoubleWell(d_star=1), GaussianProposal(0.05), starts,
+            80.0 + 25.0 * np.arange(20), 256, 0, rescaled=False))
+        assert peak <= BUDGET_MB
+
+
 def test_block_working_memory_does_not_grow_with_d(traced_peak_mb):
-    # a block of 1024 paths at d=64 draws short chunks, so its tape and its
-    # `before` buffer each fit in one tape's floats; samples are 1 MB
+    # a block of 1024 paths at d=64 draws short chunks, so its decoded rows
+    # and its `before` buffer each fit in one tape's floats; samples are 1 MB
     d = 64
     assert jump._tape_chunk(1024, d) == 8
     peak = traced_peak_mb(lambda: simulate_ensemble(
         GeneratorKind.m1(), SmoothedDoubleWell(d_star=d), GaussianProposal(1e-2), np.zeros(d),
         [0.005, 0.01], 1024, 0))
-    assert peak < 24.0
+    assert peak <= 2 * BUDGET_MB
 
 
 def test_runaway_runs_are_refused_before_they_start():

@@ -130,6 +130,10 @@ def test_kernel_untilted_degrades_to_proposal():
     assert p.rate_total == 1.0
     u = np.linspace(0.01, 0.99, 11)
     assert np.allclose(draw_abs(p, u), 0.2 * ndtri(0.5 + 0.5 * u), rtol=1e-12)
+    # m1's one component is the plain proposal, so it draws with no branch
+    # mask and gets the bits of the all-plain mask u_branch >= alpha/R = 1
+    assert p.p_plain is None
+    assert np.array_equal(draw_abs(p, u, None), draw_abs(p, u, np.zeros(u.size, dtype=bool)))
     z = np.array([-0.4, 0.0, 0.3])
     ref = -0.5 * z * z / 0.04 - 0.5 * math.log(2.0 * math.pi * 0.04)
     assert np.allclose(kernel_log_density(p.tilt, prop, z), ref, rtol=1e-12)

@@ -403,6 +403,9 @@ def test_compare_ensembles_contract():
     d = simulate_langevin(target, np.array([1.0, 0.0]), [0.5, 1.0], 300, 1e-2, 6)
     with pytest.raises(ConfigurationError):
         compare_ensembles(a, d)
+    one = simulate_langevin(BoxedQuadratic(d_star=1), np.array([1.0]), [0.5, 1.0], 400, 1e-2, 6)
+    with pytest.raises(ConfigurationError, match="ensembles must share d_star"):
+        compare_ensembles(a, one)
 
 
 # --- goodness of fit ---
