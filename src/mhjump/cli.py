@@ -7,9 +7,10 @@ moments (tilted absolute-moment orders), sbound (linearization bound).
 
 Configs are JSON with a fixed key set; unknown keys are configuration
 errors. Seed precedence: a seed in the config file wins, then the
-MHJUMP_SEED environment variable, then --seed, then 0. Exit codes: 0 all
-checks passed, 1 a numerical check failed, 2 configuration error, 3 I/O
-error. Every file is written atomically. The run manifest (config hash,
+MHJUMP_SEED environment variable, then --seed, then 0; a seed outside
+[0, 2**64), which the binary header cannot hold, is refused before the
+manifest. Exit codes: 0 all checks passed, 1 a numerical check failed, 2
+configuration error, 3 I/O error. Every file is written atomically. The run manifest (config hash,
 version, seed, timestamps, planned outputs) is written once the run's inputs
 (target, kind, start state) are built and before any result file; it is the
 only artifact carrying wall-clock data, so result files are byte-stable
@@ -169,10 +170,7 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigurationError(f"bad config: {exc}") from None
+        return cls(**data)
 
     def to_dict(self):
         return dataclasses.asdict(self)
@@ -211,18 +209,22 @@ def load_config(path):
 
 
 def resolve_seed(cfg, cli_seed):
-    """Config seed wins, then MHJUMP_SEED, then the --seed flag, then 0."""
-    if cfg.seed is not None:
-        return int(cfg.seed)
+    """Config seed wins, then MHJUMP_SEED, then the --seed flag, then 0. The
+    seed must fit the binary header's u64 field, [0, 2**64)."""
+    seed, source = 0, "seed"
     env = os.environ.get("MHJUMP_SEED")
-    if env is not None:
+    if cfg.seed is not None:
+        seed, source = cfg.seed, "config field 'seed'"
+    elif env is not None:
         try:
-            return int(env)
+            seed, source = int(env), "MHJUMP_SEED"
         except ValueError:
             raise ConfigurationError(f"MHJUMP_SEED must be an integer, got {env!r}") from None
-    if cli_seed is not None:
-        return int(cli_seed)
-    return 0
+    elif cli_seed is not None:
+        seed, source = cli_seed, "--seed"
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigurationError(f"{source} must be in [0, 2**64), got {seed}")
+    return int(seed)
 
 
 def write_manifest(out_dir, cfg, seed, outputs):

@@ -158,6 +158,8 @@ def read_csv(path):
 def write_binary(ens, path):
     if ens.kind not in _KIND_CODES:
         raise ConfigurationError(f"unknown ensemble kind {ens.kind!r}")
+    if not 0 <= ens.seed < 2 ** 64:
+        raise ConfigurationError(f"seed {ens.seed} does not fit the binary header's u64 field")
     alpha = math.nan if ens.alpha is None else float(ens.alpha)
     header = _HEADER.pack(
         _MAGIC,

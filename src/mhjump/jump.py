@@ -38,8 +38,10 @@ independent reference for the block engine's kept u1 terms (below). A
 path's values depend only on
 (master_seed, domain, path index): no randomness is shared across paths, so
 neither the number of paths, nor the block a path runs in, nor the thread
-that runs the block can change them. Rows are drawn in chunks; a path that
-ends mid-chunk ignores the unused rows, and because the stream is
+that runs the block can change them. Both engines run their blocks through
+run_spans: a block returns its rows, and run_spans alone writes them at
+their paths' indices, whatever the schedule. Rows are drawn in chunks; a
+path that ends mid-chunk ignores the unused rows, and because the stream is
 counter-based a path's rows, and so its values, do not depend on the chunk
 length either.
 
@@ -110,6 +112,7 @@ import math
 import os
 from collections import namedtuple
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -393,10 +396,9 @@ def _thin(p, tilt, du, abs_z, log_u, where, live=None):
     return log_u < la
 
 
-def check_run(obs_grid, n_paths, threads=1):
+def check_run(obs_grid, n_paths):
     """Validate an ensemble request; returns the observation grid as an array."""
     _integer("n_paths", n_paths, 1)
-    _integer("threads", threads, 1)
     obs = np.asarray(obs_grid, dtype=float)
     if (obs.ndim != 1 or obs.size == 0 or not np.all(np.isfinite(obs)) or np.any(obs < 0.0)
             or np.any(np.diff(obs) <= 0.0)):
@@ -413,21 +415,25 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
-def run_spans(run_span, n_paths, block, threads):
-    """Call run_span(b, lo, hi) for each block b of `block` consecutive paths.
+def run_spans(run_span, out, block, threads):
+    """Run the paths of out, arrays of one row per path, in blocks of `block`
+    consecutive paths, and place each block's rows.
 
-    Blocks run in order, or on a pool of min(threads, usable cores, blocks)
-    threads when that is more than one; run_span writes its own rows of the
-    output, so the schedule cannot change them.
+    run_span(b, lo, hi) returns block b's rows of paths lo to hi, one array
+    per array of out, and writes nowhere; this loop alone writes them into
+    out[i][lo:hi], in block order. Blocks run in order, or on a pool of
+    min(threads, usable cores, blocks) threads when that is more than one,
+    so the schedule cannot change the output. threads is an integer >= 1.
     """
+    threads = _integer("threads", threads, 1)
+    n_paths = len(out[0])
     spans = [(b, lo, min(lo + block, n_paths)) for b, lo in enumerate(range(0, n_paths, block))]
-    workers = min(int(threads), _usable_cores(), len(spans))
-    if workers <= 1:
-        for span in spans:
-            run_span(*span)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda span: run_span(*span), spans))
+    workers = min(threads, _usable_cores(), len(spans))
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        rows = (pool.map if pool else map)(lambda span: run_span(*span), spans)
+        for (_, lo, hi), block_rows in zip(spans, rows):
+            for array, r in zip(out, block_rows):
+                array[lo:hi] = r
 
 
 def _check_candidates(q, remaining):
@@ -690,7 +696,7 @@ def simulate_ensemble(
     changes any path's values. n_paths, master_seed and threads are integers
     (numpy's too): n_paths and threads at least 1, master_seed at least 0.
     """
-    obs = check_run(obs_grid, n_paths, threads)
+    obs = check_run(obs_grid, n_paths)
     x0 = _validate_x0(target, x0)
     if x0.ndim == 1:
         starts = np.broadcast_to(x0, (n_paths, target.d_star))
@@ -707,11 +713,9 @@ def simulate_ensemble(
 
     def run_span(_, lo, hi):
         streams = path_streams(master_seed, DOMAIN_JUMP, lo, hi)
-        samples[lo:hi], counts[lo:hi] = _run_block(
-            p, np.array(starts[lo:hi], dtype=float), horizon, streams, obs_proc, lo,
-        )
+        return _run_block(p, np.array(starts[lo:hi], dtype=float), horizon, streams, obs_proc, lo)
 
-    run_spans(run_span, n_paths, BLOCK_PATHS, threads)
+    run_spans(run_span, (samples, counts), BLOCK_PATHS, threads)
     ens = ObservedEnsemble(
         obs_grid=obs,
         samples=samples,

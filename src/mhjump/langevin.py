@@ -88,7 +88,7 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
     """Euler-Maruyama ensemble on obs_grid, a grid of whole steps of dt."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be positive, got {dt}")
-    obs = check_run(obs_grid, n_paths, threads)
+    obs = check_run(obs_grid, n_paths)
     x0 = _validate_x0(target, x0)
     if x0.ndim != 1:
         raise ConfigurationError("simulate_langevin takes a single initial state")
@@ -110,11 +110,12 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
 
     def run_span(g, lo, hi):
         rng = path_stream(master_seed, DOMAIN_LANGEVIN, g)
+        rows = np.empty((hi - lo, obs.size, target.d_star))
         state = np.broadcast_to(x0, (hi - lo, target.d_star)).copy()
         spare = np.empty_like(state)  # each step writes here, then the two swap
         draws = np.empty((chunk, group, target.d_star))  # every chunk's noise, full group
         for k in step_to_obs.get(0, ()):
-            samples[lo:hi, k, :] = state
+            rows[:, k, :] = state
         s = 0
         while s < n_steps:
             m = min(chunk, n_steps - s)
@@ -125,9 +126,10 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
                 state, spare = _step_into(target, state, dt, noise[j], spare), state
                 s += 1
                 for k in step_to_obs.get(s, ()):
-                    samples[lo:hi, k, :] = state
+                    rows[:, k, :] = state
+        return (rows,)
 
-    run_spans(run_span, n_paths, group, threads)
+    run_spans(run_span, (samples,), group, threads)
     return ObservedEnsemble(
         obs_grid=obs,
         samples=samples,

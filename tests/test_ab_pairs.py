@@ -1,4 +1,5 @@
-"""scripts/ab_pairs.py: the verdicts and the append-only record of each batch."""
+"""scripts/ab_pairs.py: the verdicts and the append-only record of each batch;
+scripts/trajectory.py: the chain of their ratios."""
 
 import importlib.util
 import json
@@ -9,15 +10,18 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.fixture
-def ab(monkeypatch, tmp_path):
-    """The script as a module, writing its records under tmp_path."""
-    spec = importlib.util.spec_from_file_location("ab_pairs",
-                                                  os.path.join(ROOT, "scripts", "ab_pairs.py"))
+def load_script(monkeypatch, tmp_path, name):
+    """scripts/<name>.py as a module, with its records under tmp_path."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(ROOT, "scripts", f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "RECORDS", str(tmp_path / "BENCH_pairs.json"))
     return module
+
+
+@pytest.fixture
+def ab(monkeypatch, tmp_path):
+    return load_script(monkeypatch, tmp_path, "ab_pairs")
 
 
 def test_each_batch_appends_one_record(ab, monkeypatch, tmp_path, capsys):
@@ -57,3 +61,29 @@ def test_each_batch_appends_one_record(ab, monkeypatch, tmp_path, capsys):
     assert (wall["wins"], wall["losses"], wall["gain_claimed"], wall["regressed"]) == (
         0, 4, False, True)
     assert "REGRESSED past its bound 25%" in capsys.readouterr().out
+
+
+def test_trajectory_chains_the_claimed_ratios(monkeypatch, tmp_path, capsys):
+    # three batches of one workload and seed: two claim a gain in wall time,
+    # the one between them claims none and regresses
+    trajectory = load_script(monkeypatch, tmp_path, "trajectory")
+
+    def record(date, commit, dirty, ratio, claimed, regressed):
+        verdicts = {"ratio": ratio, "wins": 10 if claimed else 3, "losses": 0 if claimed else 7,
+                    "gain_claimed": claimed, "regressed": regressed}
+        return {"date": f"{date}T12:00:00+00:00", "workload": "ks_sweep", "seed": 7,
+                "change": {"commit": commit, "dirty": dirty}, "metrics": {"wall_s": verdicts}}
+
+    with open(trajectory.RECORDS, "w") as f:
+        for r in (record("2026-01-02", "a" * 40, False, 0.8, True, False),
+                  record("2026-02-03", "b" * 40, True, 1.3, False, True),
+                  record("2026-03-04", None, False, 0.5, True, False)):
+            f.write(json.dumps(r) + "\n")
+    assert trajectory.main() == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ks_sweep seed 7 wall_s",
+        "  2026-01-02 aaaaaaa  ratio 0.8000 (won 10, lost 0) gain claimed",
+        "  2026-02-03 bbbbbbb+ ratio 1.3000 (won 3, lost 7) REGRESSED",
+        "  2026-03-04 none     ratio 0.5000 (won 10, lost 0) gain claimed",
+        "  product of 2 claimed ratio(s): 0.4000",
+    ]

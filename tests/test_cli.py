@@ -385,6 +385,44 @@ def test_threads_flag_must_be_positive(tmp_path, capsys, monkeypatch):
     assert "threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("source,command", [("config", "sbound"), ("env", "verify-geometry"),
+                                            ("flag", "simulate")])
+def test_exit_code_2_and_no_manifest_on_a_seed_the_binary_header_cannot_hold(
+        tmp_path, capsys, monkeypatch, source, command, seed):
+    # the binary header stores the seed as a u64; each source is refused
+    # where the three meet, before the manifest
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = {"n_paths": 5, "obs_grid": [0.1], "epsilon": 0.1, "n_pairs": 50, "n_chains": 2,
+           "n_reversible": 20}
+    argv = [command, "--out", str(tmp_path / "o"), "--quiet"]
+    if source == "config":
+        cfg["seed"] = seed
+    elif source == "env":
+        monkeypatch.setenv("MHJUMP_SEED", str(seed))
+    else:
+        argv.append(f"--seed={seed}")
+    assert main(argv + ["--config", write_config(tmp_path, **cfg)]) == 2
+    assert f"must be in [0, 2**64), got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "manifest.json").exists()
+
+
+def test_exit_code_1_and_every_failed_check_named(tmp_path, capsys, monkeypatch):
+    # at eps 0.5 and 0.1 the folded moments are far from their small-eps
+    # orders: both slope checks fail, and the run still writes its data
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, folded_epsilon_grid=[0.5, 0.1], t_grid=[1.0], seed=0)
+    out = tmp_path / "o"
+    assert main(["moments", "--config", cfg, "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert ("FAIL verify.folded_normal_moment[t=1,k=3]: log-log slope = 2.0188 "
+            "(required in [1.45, 1.55])") in text
+    assert ("FAIL verify.folded_normal_moment[t=1,k=4]: log-log slope = 2.5794 "
+            "(required in [1.95, 2.05])") in text
+    assert text.count("FAIL") == 2 and text.rstrip().endswith("2 check(s) failed")
+    assert (out / "moments.csv").exists()
+
+
 def test_exit_code_3_on_blocked_output(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("MHJUMP_SEED", raising=False)
     blocker = tmp_path / "taken"

@@ -1,5 +1,6 @@
 """Ensemble file formats: text round trips, binary layout, error paths."""
 
+import dataclasses
 import math
 import warnings
 
@@ -183,6 +184,14 @@ def test_write_binary_rejects_unknown_kind(tmp_path, jump_ens):
     )
     with pytest.raises(ConfigurationError, match="kind"):
         write_binary(bad, tmp_path / "e.bin")
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_write_binary_refuses_a_seed_the_header_cannot_hold(tmp_path, jump_ens, seed):
+    # the header's seed field is a u64; any other seed is refused, not a struct.error
+    with pytest.raises(ConfigurationError, match=f"seed {seed} does not fit"):
+        write_binary(dataclasses.replace(jump_ens, seed=seed), tmp_path / "e.bin")
+    assert not (tmp_path / "e.bin").exists()
 
 
 def _mangle_csv(path, line, edit):

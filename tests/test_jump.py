@@ -1,6 +1,7 @@
 """Event-driven simulator: tape determinism, clocks, observation semantics."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -224,6 +225,57 @@ def test_ensemble_invariant_to_blocks_and_threads(monkeypatch, kind, target):
     monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
     threaded = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5, threads=4)
     assert np.array_equal(base.samples, threaded.samples)
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_run_spans_places_every_block_at_its_paths(monkeypatch, threads):
+    # on 4 threads each block waits for the next one to finish, so the blocks
+    # finish last to first; the rows of two outputs of different dtypes still
+    # land at their paths' indices, the last block a partial one
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    n, block = 14, 4
+    done = [threading.Event() for _ in range(4)]
+    finished = []
+
+    def run_span(b, lo, hi):
+        if threads > 1 and b < 3:
+            assert done[b + 1].wait(timeout=30)
+        finished.append(b)
+        done[b].set()
+        paths = np.arange(lo, hi)
+        return paths + 0.5, -paths
+
+    out = (np.full(n, np.nan), np.zeros(n, dtype=np.int64))
+    jump.run_spans(run_span, out, block, threads)
+    assert finished == ([3, 2, 1, 0] if threads > 1 else [0, 1, 2, 3])
+    assert np.array_equal(out[0], np.arange(n) + 0.5)
+    assert np.array_equal(out[1], -np.arange(n)) and out[1].dtype == np.int64
+
+
+class SteepBeyondThreeQuadratic(BoxedQuadratic):
+    """Declares the quadratic's slope bound |x| below |x| = 3 and half of it beyond."""
+
+    def slope_bound(self, x):
+        x = np.abs(np.asarray(x, dtype=float))
+        return np.where(x < 3.0, x, 0.5 * x)
+
+
+def test_an_error_in_a_later_block_is_raised_as_in_process(monkeypatch):
+    # paths 6 to 15 start where the declared bound is too small; blocks 1 to 3
+    # raise, and on 4 threads the caller gets block 1's error, the one a run in
+    # process meets first, and no worker thread outlives the call
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 4)
+    x0 = np.where(np.arange(16) < 6, 0.7, 5.0)[:, None]
+    messages = []
+    for threads in (1, 4):
+        before = threading.active_count()
+        with pytest.raises(DominationError) as err:
+            simulate_ensemble(GeneratorKind.m2(), SteepBeyondThreeQuadratic(d_star=1),
+                              GaussianProposal(0.04), x0, [0.5, 1.0], 16, 4, threads=threads)
+        assert threading.active_count() == before
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and "at path 6, x=array([5.])" in messages[0]
 
 
 def test_threads_are_capped_at_the_usable_cores(monkeypatch):
