@@ -28,7 +28,10 @@ metrics, and for each metric both sides' medians and quartiles, the ratio of
 the medians, the pairs won and lost, and both verdicts.
 
 Exit status 0 when every run passed its gates and no metric regressed, 1
-otherwise.
+otherwise. A run that exits non-zero ends the batch at once, with status 1,
+no record, and a message that names its side and pair and shows the last
+lines of its stderr. A batch needs at least two pairs, since its verdicts
+rest on quartiles.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import sys
 
 RECORDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "BENCH_pairs.json")
+STDERR_LINES = 10  # lines of a failed run's stderr that the batch's message shows
 
 
 def end_to_end_metrics(checkout):
@@ -59,6 +63,14 @@ def run_once(checkout, names, args):
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     return {m: result["metrics"][m]["value"] for m in names}, result["correct"]
+
+
+def at_least_two(text):
+    """--pairs: an integer >= 2, so that each side has quartiles."""
+    n = int(text)
+    if n < 2:
+        raise argparse.ArgumentTypeError(f"a batch needs at least 2 pairs, got {n}")
+    return n
 
 
 def quartiles(values):
@@ -116,7 +128,7 @@ def main(argv=None):
     ap.add_argument("change", help="checkout of the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--pairs", type=at_least_two, default=10)
     ap.add_argument("--seconds", type=int, default=10)
     args = ap.parse_args(argv)
 
@@ -128,7 +140,14 @@ def main(argv=None):
     for i in range(args.pairs):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
-            values, correct = run_once(sides[side], names, args)
+            try:
+                values, correct = run_once(sides[side], names, args)
+            except subprocess.CalledProcessError as e:
+                tail = "\n".join(e.stderr.splitlines()[-STDERR_LINES:])
+                print(f"pair {i + 1} {side}: the run in {sides[side]} exited with status "
+                      f"{e.returncode}; the batch stops with no record. The end of its "
+                      f"stderr:\n{tail}", file=sys.stderr)
+                return 1
             all_correct &= correct
             runs[side].append(values)
             print(f"pair {i + 1} {side:<6} " + " ".join(f"{m} {values[m]:.4f}" for m in names)

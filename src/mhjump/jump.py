@@ -415,6 +415,15 @@ def _usable_cores():
         return os.cpu_count() or 1
 
 
+def span_workers(threads, n_spans):
+    """The threads a run of n_spans blocks uses: min(threads, usable cores,
+    n_spans). threads is an integer >= 1, or None for the usable cores; this
+    is the one place that checks it."""
+    cores = _usable_cores()
+    threads = cores if threads is None else _integer("threads", threads, 1)
+    return min(threads, cores, n_spans)
+
+
 def run_spans(run_span, out, block, threads):
     """Run the paths of out, arrays of one row per path, in blocks of `block`
     consecutive paths, and place each block's rows.
@@ -422,13 +431,13 @@ def run_spans(run_span, out, block, threads):
     run_span(b, lo, hi) returns block b's rows of paths lo to hi, one array
     per array of out, and writes nowhere; this loop alone writes them into
     out[i][lo:hi], in block order. Blocks run in order, or on a pool of
-    min(threads, usable cores, blocks) threads when that is more than one,
-    so the schedule cannot change the output. threads is an integer >= 1.
+    span_workers(threads, blocks) threads when that is more than one, so the
+    schedule cannot change the output. threads is an integer >= 1, or None
+    for the usable cores.
     """
-    threads = _integer("threads", threads, 1)
     n_paths = len(out[0])
     spans = [(b, lo, min(lo + block, n_paths)) for b, lo in enumerate(range(0, n_paths, block))]
-    workers = min(threads, _usable_cores(), len(spans))
+    workers = span_workers(threads, len(spans))
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         rows = (pool.map if pool else map)(lambda span: run_span(*span), spans)
         for (_, lo, hi), block_rows in zip(spans, rows):

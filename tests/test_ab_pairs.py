@@ -63,6 +63,54 @@ def test_each_batch_appends_one_record(ab, monkeypatch, tmp_path, capsys):
     assert "REGRESSED past its bound 25%" in capsys.readouterr().out
 
 
+def two_checkouts(tmp_path):
+    """A parent and a change checkout outside git, with one end-to-end metric."""
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "wall_s", "better": "lower", "bound": 0.25}]}))
+    return [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "oracles",
+            "--seed", "7"]
+
+
+@pytest.mark.parametrize("pairs", ["1", "0"])
+def test_a_batch_of_fewer_than_two_pairs_is_refused_before_any_run(ab, monkeypatch, tmp_path,
+                                                                    capsys, pairs):
+    def run_once(checkout, names, args):
+        raise AssertionError("no run may start")
+
+    monkeypatch.setattr(ab, "run_once", run_once)
+    with pytest.raises(SystemExit) as refused:
+        ab.main(two_checkouts(tmp_path) + ["--pairs", pairs])
+    assert refused.value.code == 2
+    assert f"a batch needs at least 2 pairs, got {pairs}" in capsys.readouterr().err
+    assert not os.path.exists(ab.RECORDS)
+
+
+def test_a_failed_run_ends_the_batch_with_its_stderr(ab, monkeypatch, tmp_path, capsys):
+    # the parent's first run passes; the change's exits 1 with a long stderr,
+    # whose last lines the message shows
+    argv = two_checkouts(tmp_path)
+    result = {"metrics": {"wall_s": {"value": 1.0}}, "correct": True}
+    last = "ModuleNotFoundError: No module named 'mhjump'\n"
+    stderr = "".join(f"line {k}\n" for k in range(30)) + last
+
+    def run(cmd, cwd, **kwargs):
+        assert kwargs["check"] is True
+        if os.path.basename(cwd) == "change":
+            raise ab.subprocess.CalledProcessError(1, cmd, output="", stderr=stderr)
+        return ab.subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(ab.subprocess, "run", run)
+    assert ab.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out.startswith("pair 1 parent wall_s 1.0000")
+    assert f"pair 1 change: the run in {argv[1]} exited with status 1" in err
+    assert err.endswith("".join(f"line {k}\n" for k in range(21, 30)) + last)
+    assert "line 20" not in err and "Traceback" not in err
+    assert not os.path.exists(ab.RECORDS)
+
+
 def test_trajectory_chains_the_claimed_ratios(monkeypatch, tmp_path, capsys):
     # three batches of one workload and seed: two claim a gain in wall time,
     # the one between them claims none and regresses
