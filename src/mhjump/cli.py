@@ -8,12 +8,13 @@ moments (tilted absolute-moment orders), sbound (linearization bound).
 Configs are JSON with a fixed key set; unknown keys are configuration
 errors. Seed precedence: a seed in the config file wins, then the
 MHJUMP_SEED environment variable, then --seed, then 0; a seed outside
-[0, 2**64), which the binary header cannot hold, is refused before the
-manifest. Exit codes: 0 all checks passed, 1 a numerical check failed, 2
-configuration error, 3 I/O error. Every file is written atomically. The run manifest (config hash,
-version, seed, timestamps, planned outputs) is written once the run's inputs
-(target, kind, start state) are built and before any result file; it is the
-only artifact carrying wall-clock data, so result files are byte-stable
+[0, 2**64), which the binary header cannot hold, is refused. Exit codes: 0
+all checks passed, 1 a numerical check failed, 2 configuration error, 3 I/O
+error. Every file is written atomically. The run manifest (config hash,
+version, seed, timestamps, outputs) is written once, by main, after the
+command has written every output and returned 0 or 1; a run that ends in an
+error leaves none, so a manifest is the record that its run finished. It is
+the only artifact carrying wall-clock data, so result files are byte-stable
 across reruns.
 """
 
@@ -203,7 +204,9 @@ def load_config(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    # ValueError: bad JSON, bad UTF-8 or an integer past int's digit limit;
+    # RecursionError: nesting past the parser's depth
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from None
     return ExperimentConfig.from_dict(data)
 
@@ -228,8 +231,8 @@ def resolve_seed(cfg, cli_seed):
 
 
 def write_manifest(out_dir, cfg, seed, outputs):
-    """The manifest, written once the run's inputs are built and before any
-    result artifact."""
+    """The manifest, written once the run has written every output: its
+    timestamps mark the run's completion."""
     now = time.time()
     manifest = {
         "config_hash": cfg.config_hash(),
@@ -291,8 +294,6 @@ def cmd_simulate(cfg, seed, out_dir, threads, rep):
     kind = cfg.build_kind()
     proposal = GaussianProposal(cfg.epsilon)
     x0 = cfg.start_state(target)
-    outputs = ["ensemble.csv", "ensemble.bin"]
-    write_manifest(out_dir, cfg, seed, outputs)
     ens = simulate_ensemble(
         kind, target, proposal, x0, cfg.obs_grid, cfg.n_paths, seed, threads=threads,
     )
@@ -302,20 +303,10 @@ def cmd_simulate(cfg, seed, out_dir, threads, rep):
     return 0
 
 
-def _single_start_state(cfg, target, command):
-    """cfg's start state for a command that runs every path from one state."""
-    x0 = cfg.start_state(target)
-    if x0.ndim != 1:
-        raise ConfigurationError(f"{command} takes a single initial state, not one per path")
-    return x0
-
-
 def cmd_langevin(cfg, seed, out_dir, threads, rep):
     target = cfg.build_target()
-    x0 = _single_start_state(cfg, target, "langevin")
+    x0 = cfg.start_state(target)
     dt = cfg.dt if cfg.dt is not None else default_dt(target)
-    outputs = ["reference.csv", "reference.bin"]
-    write_manifest(out_dir, cfg, seed, outputs)
     ens = simulate_langevin(target, x0, cfg.obs_grid, cfg.n_paths, dt, seed, threads=threads)
     write_csv(ens, os.path.join(out_dir, "reference.csv"))
     write_binary(ens, os.path.join(out_dir, "reference.bin"))
@@ -325,15 +316,10 @@ def cmd_langevin(cfg, seed, out_dir, threads, rep):
 
 def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
     target = cfg.build_target()
-    x0 = _single_start_state(cfg, target, "verify-limit")
-    outputs = [
-        "drift_convergence.csv",
-        "volatility_convergence.csv",
-        "third_moment.csv",
-        "probe_convergence.csv",
-        "ks_vs_epsilon.csv",
-    ]
-    write_manifest(out_dir, cfg, seed, outputs)
+    x0 = cfg.start_state(target)
+    dt = cfg.dt if cfg.dt is not None else default_dt(target)
+    # the reference first, so that its checks refuse a bad request before any result file
+    ref = simulate_langevin(target, x0, cfg.obs_grid, cfg.n_paths, dt, seed, threads=threads)
     x_grid = default_x_grid(target.d_star)
     eps_grid = list(cfg.moment_epsilon_grid)
 
@@ -368,8 +354,6 @@ def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
             )
     write_plot_csv(os.path.join(out_dir, "probe_convergence.csv"), probe_rows)
 
-    dt = cfg.dt if cfg.dt is not None else default_dt(target)
-    ref = simulate_langevin(target, x0, cfg.obs_grid, cfg.n_paths, dt, seed, threads=threads)
     kinds = (GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5))
     sweep = sorted(cfg.epsilon_grid, reverse=True)
     threshold = ks_threshold(cfg.n_paths)
@@ -402,8 +386,6 @@ def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
 
 
 def cmd_verify_geometry(cfg, seed, out_dir, threads, rep):
-    outputs = ["dmu_landscape.csv"]
-    write_manifest(out_dir, cfg, seed, outputs)
     rng = path_stream(seed, DOMAIN_GEOMETRY, 0)
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
     worst_alpha_gap = 0.0
@@ -442,8 +424,6 @@ def cmd_verify_geometry(cfg, seed, out_dir, threads, rep):
 
 
 def cmd_moments(cfg, seed, out_dir, threads, rep):
-    outputs = ["moments.csv"]
-    write_manifest(out_dir, cfg, seed, outputs)
     eps_grid = np.asarray(cfg.folded_epsilon_grid, dtype=float)
     rows = []
     for t in cfg.t_grid:
@@ -466,8 +446,6 @@ def cmd_moments(cfg, seed, out_dir, threads, rep):
 
 def cmd_sbound(cfg, seed, out_dir, threads, rep):
     target = cfg.build_target()
-    outputs = ["sbound.csv"]
-    write_manifest(out_dir, cfg, seed, outputs)
     report = s_bound_check(target, cfg.n_pairs, cfg.scale_grid, seed)
     rows = [
         (s, r, 0.0, "max_ratio") for s, r in zip(report.scales, report.max_ratio)
@@ -478,13 +456,16 @@ def cmd_sbound(cfg, seed, out_dir, threads, rep):
     return rep.status()
 
 
+# each command and the outputs its manifest lists
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "langevin": cmd_langevin,
-    "verify-limit": cmd_verify_limit,
-    "verify-geometry": cmd_verify_geometry,
-    "moments": cmd_moments,
-    "sbound": cmd_sbound,
+    "simulate": (cmd_simulate, ["ensemble.csv", "ensemble.bin"]),
+    "langevin": (cmd_langevin, ["reference.csv", "reference.bin"]),
+    "verify-limit": (cmd_verify_limit, ["drift_convergence.csv", "volatility_convergence.csv",
+                                        "third_moment.csv", "probe_convergence.csv",
+                                        "ks_vs_epsilon.csv"]),
+    "verify-geometry": (cmd_verify_geometry, ["dmu_landscape.csv"]),
+    "moments": (cmd_moments, ["moments.csv"]),
+    "sbound": (cmd_sbound, ["sbound.csv"]),
 }
 
 
@@ -514,7 +495,11 @@ def main(argv=None):
         if threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {threads}")
         out_dir = _ensure_out(args.out)
-        return _COMMANDS[args.command](cfg, seed, out_dir, threads, rep)
+        command, outputs = _COMMANDS[args.command]
+        status = command(cfg, seed, out_dir, threads, rep)
+        # a failed check (1) still finishes the run; an exception leaves no manifest
+        write_manifest(out_dir, cfg, seed, outputs)
+        return status
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

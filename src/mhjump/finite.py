@@ -45,7 +45,7 @@ class FiniteChain:
         if np.any(mu <= 0.0):
             raise ConfigurationError("mu must be strictly positive")
         if abs(mu.sum() - 1.0) > _MU_TOL:
-            raise ConfigurationError(f"mu must sum to 1 within {_MU_TOL}, got {mu.sum()!r}")
+            raise ConfigurationError(f"mu must sum to 1 within {_MU_TOL}, got {mu.sum()}")
         rates.flags.writeable = False
         mu.flags.writeable = False
         object.__setattr__(self, "rates", rates)

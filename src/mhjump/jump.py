@@ -144,7 +144,8 @@ DOMAIN_JUMP, DOMAIN_LANGEVIN, DOMAIN_DIRECT, DOMAIN_SBOUND, DOMAIN_GEOMETRY = ra
 def _integer(name, value, least):
     """value as an int: a Python or numpy integer, not a bool, >= least."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise ConfigurationError(f"{name} must be an integer >= {least}, got {value!r}")
+        got = value.item() if isinstance(value, np.generic) else value  # 3, not np.int64(3)
+        raise ConfigurationError(f"{name} must be an integer >= {least}, got {got!r}")
     return int(value)
 
 

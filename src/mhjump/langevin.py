@@ -112,7 +112,7 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
     if off.max() > GRID_TOL:
         k = int(np.argmax(off))
         raise ConfigurationError(
-            f"observation time {obs[k]!r} is {steps[k]!r} steps of dt={dt!r}, not a whole number"
+            f"observation time {obs[k]} is {steps[k]} steps of dt={dt}, not a whole number"
         )
     n_steps = int(obs_steps[-1])
     step_to_obs = {}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mhjump import ConfigurationError, GeneratorKind, simulate_ensemble, simulate_langevin
+from mhjump import ConfigurationError, GeneratorKind, cli, simulate_ensemble, simulate_langevin
 from mhjump.cli import ExperimentConfig, load_config, main, resolve_seed, write_manifest
 from mhjump.ensembles import read_binary, read_csv
 from mhjump.targets import GaussianProposal, make_potential
@@ -55,6 +55,26 @@ def write_config(tmp_path, **kw):
     p = tmp_path / "config.json"
     p.write_text(json.dumps(kw))
     return str(p)
+
+
+def spy_on_the_manifest(monkeypatch):
+    """The files in the output directory each time main writes the manifest."""
+    seen = []
+    write = cli.write_manifest
+
+    def spy(out_dir, *args):
+        seen.append(sorted(os.listdir(out_dir)))
+        return write(out_dir, *args)
+
+    monkeypatch.setattr(cli, "write_manifest", spy)
+    return seen
+
+
+def assert_written_once_last(seen, out):
+    """The manifest was written once, after every output, and lists exactly them."""
+    outputs = sorted(json.loads((out / "manifest.json").read_text())["outputs"])
+    assert seen == [outputs]
+    assert sorted(os.listdir(out)) == sorted(outputs + ["manifest.json"])
 
 
 def test_simulate_matches_library_call(tmp_path, capsys, monkeypatch):
@@ -184,6 +204,7 @@ def test_verify_limit_reduced(tmp_path, capsys, monkeypatch):
         obs_grid=[0.5, 1.0], n_paths=2000, dt=1e-3, seed=0,
     )
     out = tmp_path / "v"
+    seen = spy_on_the_manifest(monkeypatch)
     assert main(["verify-limit", "--config", cfg, "--out", str(out),
                  "--threads", "4"]) == 0
     text = capsys.readouterr().out
@@ -192,6 +213,56 @@ def test_verify_limit_reduced(tmp_path, capsys, monkeypatch):
         assert f"pass verify.moment_report[mix(0.5)]: k={k} error slope" in text
     for name in ("drift_convergence.csv", "ks_vs_epsilon.csv", "manifest.json"):
         assert (out / name).exists()
+    assert_written_once_last(seen, out)
+
+
+_TINY_RUNS = {
+    "simulate": {"n_paths": 5, "obs_grid": [0.1], "epsilon": 0.1},
+    "langevin": {"n_paths": 5, "obs_grid": [0.1], "dt": 1e-2},
+    "verify-geometry": {"n_chains": 2, "n_states": 3, "n_reversible": 20},
+    "moments": {"t_grid": [1.0], "folded_epsilon_grid": [1e-5, 1e-6]},
+    "sbound": {"n_pairs": 50},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_TINY_RUNS))
+def test_the_manifest_is_written_once_last_and_lists_the_outputs(tmp_path, monkeypatch, command):
+    # verify-limit's case is test_verify_limit_reduced
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, seed=0, **_TINY_RUNS[command])
+    out = tmp_path / "o"
+    seen = spy_on_the_manifest(monkeypatch)
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) in (0, 1)
+    assert_written_once_last(seen, out)
+
+
+def test_a_run_that_fails_between_two_artifact_writes_leaves_no_manifest(tmp_path, capsys,
+                                                                        monkeypatch):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+
+    def refuse(ens, path):
+        raise OSError(f"{path}: no space left")
+
+    monkeypatch.setattr(cli, "write_binary", refuse)
+    cfg = write_config(tmp_path, seed=0, **_TINY_RUNS["simulate"])
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert os.listdir(out) == ["ensemble.csv"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "langevin"])
+def test_a_run_that_cannot_be_allocated_leaves_no_manifest(tmp_path, capsys, monkeypatch,
+                                                           command):
+    # 10**12 paths of 16 coordinates at 2 times are 256 TB, past a 47-bit
+    # address space: the allocation fails at once, whatever the overcommit setting
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, n_paths=10 ** 12, d_star=16, obs_grid=[0.1, 0.2], epsilon=0.1,
+                       dt=1e-2, seed=0)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert f"configuration error: {command} does not fit in memory" in capsys.readouterr().err
+    assert os.listdir(out) == []
 
 
 def test_quiet_silences_stdout(tmp_path, capsys, monkeypatch):
@@ -307,6 +378,42 @@ def test_exit_code_2_and_no_manifest_on_a_start_state_that_cannot_be_built(
     assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command,bad", [
+    pytest.param(command, bad, id=f"{name}-{command}")
+    for name, bad, commands in (
+        ("no_paths", {"n_paths": 0}, ("simulate", "langevin", "verify-limit")),
+        ("decreasing_obs_grid", {"obs_grid": [0.5, 0.3]}, ("simulate", "langevin", "verify-limit")),
+        ("obs_grid_off_the_dt_grid", {"dt": 0.3}, ("verify-limit",)),
+    ) for command in commands
+])
+def test_exit_code_2_and_an_empty_out_on_a_run_the_library_refuses(tmp_path, capsys, monkeypatch,
+                                                                   command, bad):
+    # verify-limit builds its Langevin reference first: the library refuses
+    # the request before any quadrature runs or any file is written
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, seed=0, **bad)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("text", [
+    b'{"kind": "m\xff"}',
+    b"[" * 100000 + b"]" * 100000,
+    b'{"n_paths": ' + b"1" * 5000 + b"}",
+], ids=["invalid_utf8", "nested_past_the_recursion_limit", "integer_past_the_digit_limit"])
+def test_exit_code_2_on_a_config_file_json_cannot_read(tmp_path, capsys, monkeypatch, text):
+    # UnicodeDecodeError, RecursionError and ValueError each ended in a traceback
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    with pytest.raises(ConfigurationError, match="is not valid JSON"):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["m1", "m2", "mix:0.5"])

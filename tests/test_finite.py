@@ -30,6 +30,11 @@ def chain_from_seed(seed, n=5):
 # --- construction and validation ---
 
 
+def test_a_refused_mu_sum_is_named_as_a_plain_number():
+    with pytest.raises(ConfigurationError, match=r"mu must sum to 1 within 1e-12, got 1\.1$"):
+        FiniteChain(n=2, rates=np.zeros((2, 2)), mu=[0.5, 0.6])
+
+
 def test_chain_validation():
     good = FiniteChain(n=2, rates=[[0.0, 0.3], [0.2, 0.0]], mu=[0.4, 0.6])
     assert good.rates[0, 1] == 0.3

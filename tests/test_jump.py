@@ -793,6 +793,11 @@ def test_sizes_and_seeds_may_be_numpy_integers():
     assert np.array_equal(z, z2) and np.array_equal(i, i2)
 
 
+def test_a_refused_numpy_integer_is_named_as_a_plain_number():
+    with pytest.raises(ConfigurationError, match=r"n_paths must be an integer >= 1, got 0$"):
+        simulate_ensemble(MIX, DW, GaussianProposal(0.04), np.zeros(2), [0.5], np.int64(0), 0)
+
+
 @pytest.mark.parametrize("field,value", [("n_samples", -1), ("n_samples", 0),
                                          ("n_samples", 2.5), ("master_seed", -1),
                                          ("master_seed", 1.5)])

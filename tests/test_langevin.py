@@ -159,6 +159,13 @@ def test_langevin_observation_grid():
     assert on_grid.samples.shape == (5, 3, 2)
 
 
+def test_an_off_grid_refusal_names_plain_numbers():
+    # not numpy's reprs, "np.float64(1.0)"
+    with pytest.raises(ConfigurationError, match=r"observation time 1\.0 is 3\.3333333333333335 "
+                                                 r"steps of dt=0\.3, not a whole number"):
+        simulate_langevin(BoxedQuadratic(d_star=1), np.zeros(1), [1.0], 5, 0.3, 0)
+
+
 def test_langevin_deterministic_across_threads(monkeypatch):
     target = SmoothedDoubleWell(d_star=2)
     args = (target, np.array([1.0, -1.0]), [0.1, 0.3], 2100, 1e-2, 123)
