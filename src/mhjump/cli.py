@@ -26,6 +26,7 @@ import hashlib
 import json
 import math
 import os
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -45,7 +46,7 @@ from .finite import (
     random_reversible_batch,
     reversibility_gap,
 )
-from .jump import DOMAIN_GEOMETRY, _validate_x0, path_stream, simulate_ensemble
+from .jump import DOMAIN_GEOMETRY, _validate_x0, check_seed, path_stream, simulate_ensemble
 from .kernels import GeneratorKind
 from .langevin import default_dt, simulate_langevin
 from .targets import GaussianProposal, make_potential
@@ -96,7 +97,8 @@ def _is_numbers(v):
 _FIELD_TYPES = (
     ("an integer", _is_int,
      ("d_star", "n_paths", "seed", "threads", "n_chains", "n_states", "n_reversible", "n_pairs")),
-    ("a number", _is_number, ("T", "alpha", "epsilon", "dt", "quad_tol")),
+    ("a number", _is_number, ("T", "alpha", "epsilon", "dt")),
+    ("a positive finite number", lambda v: _is_number(v) and 0.0 < v < math.inf, ("quad_tol",)),
     ("a non-empty list of numbers", lambda v: _is_numbers(v) and len(v) > 0, ("obs_grid", "t_grid")),
     ("a non-empty list of positive finite numbers",
      lambda v: _is_numbers(v) and len(v) > 0 and all(0.0 < e < math.inf for e in v),
@@ -152,7 +154,9 @@ class ExperimentConfig:
             for name in names:
                 value = getattr(self, name)
                 if not (ok(value) or (value is None and defaults[name] is None)):
-                    raise ConfigurationError(f"config field {name!r} must be {what}, got {value!r}")
+                    raise ConfigurationError(
+                        f"config field {name!r} must be {what}, got {reprlib.repr(value)}"
+                    )
         for name, least in _FIELD_MINIMUMS:
             if getattr(self, name) < least:
                 raise ConfigurationError(
@@ -212,8 +216,8 @@ def load_config(path):
 
 
 def resolve_seed(cfg, cli_seed):
-    """Config seed wins, then MHJUMP_SEED, then the --seed flag, then 0. The
-    seed must fit the binary header's u64 field, [0, 2**64)."""
+    """Config seed wins, then MHJUMP_SEED, then the --seed flag, then 0. It is
+    checked here, under its source's name, because moments draws nothing."""
     seed, source = 0, "seed"
     env = os.environ.get("MHJUMP_SEED")
     if cfg.seed is not None:
@@ -225,9 +229,7 @@ def resolve_seed(cfg, cli_seed):
             raise ConfigurationError(f"MHJUMP_SEED must be an integer, got {env!r}") from None
     elif cli_seed is not None:
         seed, source = cli_seed, "--seed"
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigurationError(f"{source} must be in [0, 2**64), got {seed}")
-    return int(seed)
+    return check_seed(seed, source)
 
 
 def write_manifest(out_dir, cfg, seed, outputs):

@@ -9,7 +9,7 @@ Binary layout (all little-endian), header then payload:
     offset  size  field
     0       4     magic b"MHJE"
     4       2     format version (u16, currently 1)
-    6       1     kind code (u8: 0 m1, 1 m2, 2 mix, 3 langevin)
+    6       1     kind code (u8: index in ENSEMBLE_KINDS, 0 m1, 1 m2, 2 mix, 3 langevin)
     7       1     pad (0)
     8       4     d_star (u32)
     12      8     n_paths (u64)
@@ -32,13 +32,11 @@ import warnings
 import numpy as np
 
 from .errors import ConfigurationError
-from .jump import ObservedEnsemble
+from .jump import ENSEMBLE_KINDS, ObservedEnsemble
 
 _MAGIC = b"MHJE"
 _VERSION = 1
 _HEADER = struct.Struct("<4sHBBIQQddQ")
-_KIND_CODES = {"m1": 0, "m2": 1, "mix": 2, "langevin": 3}
-_CODE_KINDS = {v: k for k, v in _KIND_CODES.items()}
 _META_PREFIX = "# mhjump-ensemble "
 
 
@@ -116,10 +114,6 @@ def _read_meta(path, meta):
     except ValueError as exc:  # a token without "=", or a non-numeric value
         raise ConfigurationError(f"{path}: bad metadata: {exc}") from None
     _check_counts(path, n_paths, n_grid, d)
-    if kind not in _KIND_CODES:
-        raise ConfigurationError(
-            f"{path}: unknown ensemble kind {kind!r}; known: {sorted(_KIND_CODES)}"
-        )
     return kind, alpha, epsilon, seed, n_paths, n_grid, d
 
 
@@ -156,22 +150,18 @@ def read_csv(path):
 
 
 def write_binary(ens, path):
-    if ens.kind not in _KIND_CODES:
-        raise ConfigurationError(f"unknown ensemble kind {ens.kind!r}")
-    if not 0 <= ens.seed < 2 ** 64:
-        raise ConfigurationError(f"seed {ens.seed} does not fit the binary header's u64 field")
     alpha = math.nan if ens.alpha is None else float(ens.alpha)
     header = _HEADER.pack(
         _MAGIC,
         _VERSION,
-        _KIND_CODES[ens.kind],
+        ENSEMBLE_KINDS.index(ens.kind),
         0,
         ens.d_star,
         ens.n_paths,
         ens.obs_grid.size,
         float(ens.epsilon),
         alpha,
-        int(ens.seed),
+        ens.seed,
     )
     with atomic_open(path, "wb") as fh:
         fh.write(header)
@@ -187,7 +177,7 @@ def read_binary(path):
     magic, version, code, _, d, n_paths, n_grid, scale, alpha, seed = _HEADER.unpack_from(raw)
     if version != _VERSION:
         raise ConfigurationError(f"{path}: unsupported format version {version}")
-    if code not in _CODE_KINDS:
+    if code >= len(ENSEMBLE_KINDS):
         raise ConfigurationError(f"{path}: unknown kind code {code}")
     _check_counts(path, n_paths, n_grid, d)
     need = _HEADER.size + 8 * (n_grid + n_paths * n_grid * d)
@@ -197,4 +187,4 @@ def read_binary(path):
     samples = np.frombuffer(
         raw, dtype="<f8", count=n_paths * n_grid * d, offset=_HEADER.size + 8 * n_grid
     ).astype(float).reshape(n_paths, n_grid, d)
-    return _ensemble(path, grid, samples, scale, _CODE_KINDS[code], seed, alpha)
+    return _ensemble(path, grid, samples, scale, ENSEMBLE_KINDS[code], seed, alpha)

@@ -42,9 +42,9 @@ class FiniteChain:
             raise ConfigurationError(f"mu must have length {self.n}, got {mu.shape}")
         if not np.all(np.isfinite(rates)) or np.any(rates < 0.0):
             raise ConfigurationError("rates must be finite and nonnegative")
-        if np.any(mu <= 0.0):
+        if not np.all(mu > 0.0):  # this check and the next are written so that a NaN fails
             raise ConfigurationError("mu must be strictly positive")
-        if abs(mu.sum() - 1.0) > _MU_TOL:
+        if not abs(mu.sum() - 1.0) <= _MU_TOL:
             raise ConfigurationError(f"mu must sum to 1 within {_MU_TOL}, got {mu.sum()}")
         rates.flags.writeable = False
         mu.flags.writeable = False

@@ -139,6 +139,8 @@ MAX_CANDIDATES = 1e9  # expected candidate events per path a run may go on to
 # The stream registry: every random draw of the package comes from one of
 # these domains, so no two engines or oracles ever share a stream.
 DOMAIN_JUMP, DOMAIN_LANGEVIN, DOMAIN_DIRECT, DOMAIN_SBOUND, DOMAIN_GEOMETRY = range(5)
+# the kinds an ensemble may hold, in the order of their binary kind codes 0..3
+ENSEMBLE_KINDS = ("m1", "m2", "mix", "langevin")
 
 
 def _integer(name, value, least):
@@ -149,13 +151,22 @@ def _integer(name, value, least):
     return int(value)
 
 
+def check_seed(seed, name="master_seed"):
+    """seed as an int: a Python or numpy integer in [0, 2**64), the seeds every
+    stream and ensemble record take and the binary header's u64 field holds."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        got = seed.item() if isinstance(seed, np.generic) else seed
+        raise ConfigurationError(f"{name} must be in [0, 2**64), got {got!r}")
+    return int(seed)
+
+
 def path_stream(master_seed, domain, index):
     """Counter-based stream keyed by (master_seed, domain, index).
 
     Philox is counter-based, so a stream's values depend on its key only,
     never on which other streams exist or in which order they are drawn.
     """
-    seed = _integer("master_seed", master_seed, 0)
+    seed = check_seed(master_seed)
     ss = np.random.SeedSequence(seed, spawn_key=(int(domain), int(index)))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -164,11 +175,6 @@ def path_stream(master_seed, domain, index):
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _n_words(n):
-    """How many uint32 words SeedSequence reads from the integer n >= 0."""
-    return max(1, -(-n.bit_length() // 32))
 
 
 def _hashmix(v, h):
@@ -204,15 +210,16 @@ def path_streams(master_seed, domain, lo, hi):
     and draws the key from the pool. Only the index word differs across the
     block, and it is hashed last: into the pool of SeedSequence(seed,
     spawn_key=(domain,)), with the hash constant advanced 4 times per word
-    already hashed. So the last hash and the key draw run once, in uint32
-    arithmetic, over the whole block. Indices of 2^32 and above take two
-    words; a block that reaches them falls back to path_stream.
+    already hashed: a seed below 2^64 is at most 2 words, so always 4 once
+    padded. The last hash and the key draw run once, in uint32 arithmetic,
+    over the whole block. A domain or index of 2^32 and above takes two
+    words; a block that has one falls back to path_stream.
     """
-    seed, domain = _integer("master_seed", master_seed, 0), int(domain)
-    if hi > 1 << 32:
+    seed, domain = check_seed(master_seed), int(domain)
+    if hi > 1 << 32 or domain >> 32:
         return [path_stream(seed, domain, q) for q in range(lo, hi)]
     prefix = np.random.SeedSequence(seed, spawn_key=(domain,))
-    hashed = 4 * (max(4, _n_words(seed)) + _n_words(domain))  # hashmix calls so far
+    hashed = 4 * (4 + 1)  # hashmix calls so far: 4 seed words, 1 domain word
     h = [_INIT_A * pow(_MULT_A, hashed, 1 << 32) & _MASK32, _MULT_A]
     index = np.arange(lo, hi, dtype=np.uint32)
     pool = [_mix(word, _hashmix(index, h)) for word in prefix.pool[:, None]]
@@ -251,7 +258,8 @@ class ObservedEnsemble:
     samples[p, k, :] is path p at obs_grid[k]; for rescaled runs the grid is
     macroscopic time t and the path runs to process time t/epsilon. epsilon
     holds the proposal variance for jump ensembles and the step size for the
-    reference integrator (kind "langevin").
+    reference integrator (kind "langevin"). kind and seed are checked here,
+    once, so every ensemble writes to both formats.
     """
 
     obs_grid: np.ndarray
@@ -267,6 +275,9 @@ class ObservedEnsemble:
         if samples.ndim != 3 or samples.shape[1] != grid.size or samples.shape[2] < 1:
             raise ConfigurationError("samples must have shape (paths, grid, d) with d >= 1")
         check_run(grid, samples.shape[0])
+        if self.kind not in ENSEMBLE_KINDS:
+            raise ConfigurationError(f"unknown ensemble kind {self.kind!r}; known: {ENSEMBLE_KINDS}")
+        object.__setattr__(self, "seed", check_seed(self.seed, "seed"))
         object.__setattr__(self, "obs_grid", grid)
         object.__setattr__(self, "samples", samples)
 
@@ -704,7 +715,7 @@ def simulate_ensemble(
     tape and the states its events meet within one tape's floats, on
     `threads` threads or the usable cores, whichever is fewer; none of these
     changes any path's values. n_paths, master_seed and threads are integers
-    (numpy's too): n_paths and threads at least 1, master_seed at least 0.
+    (numpy's too): n_paths and threads at least 1, master_seed in [0, 2**64).
     """
     obs = check_run(obs_grid, n_paths)
     x0 = _validate_x0(target, x0)
@@ -731,7 +742,7 @@ def simulate_ensemble(
         samples=samples,
         epsilon=proposal.epsilon,
         kind=kind.tag,
-        seed=int(master_seed),
+        seed=master_seed,
         alpha=kind.alpha,
     )
     if return_counts:

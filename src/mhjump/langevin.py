@@ -155,6 +155,6 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
         samples=samples,
         epsilon=dt,
         kind="langevin",
-        seed=int(master_seed),
+        seed=master_seed,
         alpha=None,
     )

@@ -104,7 +104,7 @@ def _quad_line(factor, weight):
 def _moment(factor, eps, d_star, k, tol):
     val, err = _quad_line(factor, lambda u: u ** k)
     scale = eps ** (0.5 * k - 1.0) / d_star
-    if err * scale > tol:
+    if not err * scale <= tol:  # a NaN error estimate fails too
         raise QuadratureError(
             f"moment k={k} at eps={eps:g}: error estimate {err * scale:.2e} above {tol:g}"
         )
@@ -186,7 +186,8 @@ def folded_normal_moment(t, k, epsilon, tol=QUAD_TOL):
         raise ConfigurationError(f"k must be in 0..4, got {k}")
     root = math.sqrt(epsilon)
     upper = _U_RANGE + 2.0 + t * root
-    if upper <= 0.0 or t * root * upper > 700.0:  # an empty [0, upper], or e^{t root u} overflows
+    # refuses an empty [0, upper], an e^{t root u} that overflows, and a NaN or infinite t
+    if not (upper > 0.0 and t * root * upper <= 700.0):
         raise ConfigurationError(f"folded moment t={t} eps={epsilon}: t sqrt(eps) is out of range")
 
     def integrand(u):
@@ -194,7 +195,7 @@ def folded_normal_moment(t, k, epsilon, tol=QUAD_TOL):
 
     val, err = quad(integrand, 0.0, upper, **_QUAD_OPTS)
     scale = 2.0 * epsilon ** (0.5 * k)
-    if err * scale > tol:
+    if not err * scale <= tol:
         raise QuadratureError(f"folded moment t={t} k={k}: error {err * scale:.2e} above {tol:g}")
     return val * scale
 
@@ -264,7 +265,7 @@ def s_bound_check(target, n_pairs=10000, scale_grid=(1e-1, 1e-2, 1e-3), master_s
         bound = np.exp(theta * np.abs(z)) * z * z
         ratio = gap / bound
         max_ratio[a] = float(np.max(ratio))
-        violations += int(np.sum(ratio > c1))
+        violations += int(np.sum(~(ratio <= c1)))  # a NaN ratio or c1 is a violation
     return SBoundReport(scales=scales, max_ratio=max_ratio, c1=c1, n_violations=violations)
 
 

@@ -132,6 +132,28 @@ def test_sbound_command(tmp_path, capsys, monkeypatch):
     assert "pass" in capsys.readouterr().out
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in dU
+@pytest.mark.parametrize("param", [{"a": float("nan")}, {"b": float("inf")}], ids=["a-nan", "b-inf"])
+def test_sbound_fails_on_a_potential_that_is_nan(tmp_path, capsys, monkeypatch, param):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    cfg = write_config(tmp_path, potential="doublewell", potential_params=param, n_pairs=100)
+    assert main(["sbound", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
+    assert "FAIL verify.s_bound_check" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [{"quad_tol": 0}, {"quad_tol": -1}, {"quad_tol": float("nan")},
+                                 {"t_grid": [0.0, float("nan")]}, {"t_grid": [float("inf")]}],
+                         ids=["tol-0", "tol-negative", "tol-nan", "t-nan", "t-inf"])
+def test_moments_exit_code_2_and_no_manifest_on_a_malformed_config(tmp_path, capsys, monkeypatch,
+                                                                   bad):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    out = tmp_path / "m"
+    assert main(["moments", "--config", write_config(tmp_path, **bad), "--out", str(out),
+                 "--quiet"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 def test_verify_geometry_quick(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("MHJUMP_SEED", raising=False)
     cfg = write_config(tmp_path, n_chains=5, n_states=4, n_reversible=300, seed=0)
@@ -317,6 +339,17 @@ def test_exit_code_2_on_mistyped_config_fields(tmp_path, capsys, monkeypatch, ba
     assert "configuration error" in capsys.readouterr().err
     with pytest.raises(ConfigurationError):
         ExperimentConfig(**bad)
+
+
+def test_a_refused_config_value_is_shown_in_short():
+    # a long list or a deep nesting is cut, and the message still names the field
+    deep = 1.0
+    for _ in range(900):
+        deep = [deep]
+    for name, value in [("obs_grid", [0.5] * 5000 + ["x"]), ("x0", deep)]:
+        with pytest.raises(ConfigurationError, match=f"config field '{name}'") as info:
+            ExperimentConfig(**{name: value})
+        assert len(str(info.value)) < 300
 
 
 @pytest.mark.parametrize("bad", [

@@ -177,19 +177,61 @@ def test_observed_ensemble_rejects_empty_paths_and_coordinates(shape):
         ObservedEnsemble(np.array([0.3, 0.7]), np.zeros(shape), 0.01, "m1", 0)
 
 
+@pytest.mark.parametrize("kind, seed, message", [
+    ("exotic", 0, r"unknown ensemble kind 'exotic'"),
+    ("m1", -1, r"seed must be in \[0, 2\*\*64\), got -1"),
+    ("m1", 2 ** 64, r"seed must be in \[0, 2\*\*64\), got 18446744073709551616"),
+    ("m1", 1.5, r"seed must be in \[0, 2\*\*64\), got 1.5"),
+], ids=["kind-exotic", "seed-negative", "seed-2**64", "seed-float"])
+def test_observed_ensemble_refuses_a_kind_or_seed_no_file_can_hold(kind, seed, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ObservedEnsemble(np.array([0.3, 0.7]), np.zeros((3, 2, 1)), 0.01, kind, seed)
+
+
+@pytest.mark.parametrize("code, kind", enumerate(["m1", "m2", "mix", "langevin"]))
+def test_binary_kind_codes_keep_their_values(tmp_path, jump_ens, code, kind):
+    # the codes are part of the file format
+    p = tmp_path / "e.bin"
+    write_binary(dataclasses.replace(jump_ens, kind=kind), p)
+    assert p.read_bytes()[6] == code
+    assert read_binary(p).kind == kind
+
+
+FORMATS = {"csv": (write_csv, read_csv), "bin": (write_binary, read_binary)}
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_every_read_ensemble_writes_back_through_both_writers(tmp_path, jump_ens, langevin_ens,
+                                                              fmt, seed):
+    for ens in (dataclasses.replace(jump_ens, seed=seed), dataclasses.replace(langevin_ens, seed=seed)):
+        write, read = FORMATS[fmt]
+        write(ens, tmp_path / f"read.{fmt}")
+        back = read(tmp_path / f"read.{fmt}")
+        for out, (write_again, read_again) in FORMATS.items():
+            write_again(back, tmp_path / f"again.{out}")
+            again = read_again(tmp_path / f"again.{out}")
+            assert np.array_equal(again.samples, ens.samples)
+            assert np.array_equal(again.obs_grid, ens.obs_grid)
+            assert (again.kind, again.epsilon, again.alpha, again.seed) == \
+                (ens.kind, ens.epsilon, ens.alpha, ens.seed)
+
+
 def test_write_binary_rejects_unknown_kind(tmp_path, jump_ens):
-    bad = ObservedEnsemble(
-        obs_grid=jump_ens.obs_grid, samples=jump_ens.samples,
-        epsilon=jump_ens.epsilon, kind="exotic", seed=0,
-    )
+    # the record refuses the kind, so no ensemble reaches write_binary with it
     with pytest.raises(ConfigurationError, match="kind"):
+        bad = ObservedEnsemble(
+            obs_grid=jump_ens.obs_grid, samples=jump_ens.samples,
+            epsilon=jump_ens.epsilon, kind="exotic", seed=0,
+        )
         write_binary(bad, tmp_path / "e.bin")
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 def test_write_binary_refuses_a_seed_the_header_cannot_hold(tmp_path, jump_ens, seed):
-    # the header's seed field is a u64; any other seed is refused, not a struct.error
-    with pytest.raises(ConfigurationError, match=f"seed {seed} does not fit"):
+    # the header's seed field is a u64; the record refuses any other seed, so
+    # it never reaches the header as a struct.error
+    with pytest.raises(ConfigurationError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
         write_binary(dataclasses.replace(jump_ens, seed=seed), tmp_path / "e.bin")
     assert not (tmp_path / "e.bin").exists()
 
@@ -248,6 +290,17 @@ def test_read_csv_rejects_an_unknown_kind(tmp_path, jump_ens):
     _mangle_csv(p, 0, lambda s: s.replace("kind=mix", "kind=exotic"))
     with pytest.raises(ConfigurationError, match="exotic"):
         read_csv(p)
+
+
+@pytest.mark.parametrize("seed", [-5, 2 ** 64])
+def test_read_csv_refuses_a_seed_no_ensemble_may_hold(tmp_path, jump_ens, seed):
+    # the record's refusal, named with the file: no read ensemble fails to write back
+    p = tmp_path / "e.csv"
+    write_csv(jump_ens, p)
+    _mangle_csv(p, 0, lambda s: s.replace("seed=99", f"seed={seed}"))
+    with pytest.raises(ConfigurationError) as info:
+        read_csv(p)
+    assert str(info.value) == f"{p}: seed must be in [0, 2**64), got {seed}"
 
 
 class _DiskFull:

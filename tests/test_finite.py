@@ -50,6 +50,9 @@ def test_chain_validation():
         FiniteChain(n=2, rates=np.zeros((2, 2)), mu=[1.0, 0.0])
     with pytest.raises(ConfigurationError):
         FiniteChain(n=2, rates=[[0.0, np.inf], [0.0, 0.0]], mu=[0.5, 0.5])
+    for mu in ([np.nan, 1.0], [0.5, np.nan], [np.inf, 1.0]):  # a NaN compares false
+        with pytest.raises(ConfigurationError, match="mu must"):
+            FiniteChain(n=2, rates=np.zeros((2, 2)), mu=mu)
 
 
 def test_chain_diagonal_is_cleared_and_frozen():
@@ -239,6 +242,13 @@ def test_load_chain_refuses_a_state_count_below_one(tmp_path, text):
     path = tmp_path / "chain.txt"
     path.write_text(text)
     with pytest.raises(ConfigurationError, match="state count"):
+        load_chain(path)
+
+
+def test_load_chain_refuses_a_nan_in_mu(tmp_path):
+    path = tmp_path / "chain.txt"
+    path.write_text("2\nnan 1.0\n0 0.3\n0.2 0\n")
+    with pytest.raises(ConfigurationError, match="mu must be strictly positive"):
         load_chain(path)
 
 

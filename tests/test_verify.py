@@ -110,6 +110,15 @@ def test_generator_moment_validation():
                          tol=0.0)
 
 
+def test_a_nan_tolerance_is_never_met():
+    # the tolerance checks are written so that a NaN on either side fails them
+    with pytest.raises(QuadratureError):
+        generator_moment(GeneratorKind.m1(), BoxedQuadratic(d_star=1), GaussianProposal(1e-2),
+                         [0.5], k=1, tol=math.nan)
+    with pytest.raises(QuadratureError):
+        folded_normal_moment(1.0, 3, 1e-5, tol=math.nan)
+
+
 @pytest.mark.parametrize("kind", [GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5)],
                          ids=lambda k: k.label())
 @pytest.mark.parametrize("target", [BoxedQuadratic(d_star=1), SmoothedDoubleWell(d_star=3)],
@@ -224,6 +233,12 @@ def test_folded_moment_closed_forms_at_zero_tilt():
     assert folded_normal_moment(-1.0, 3, 1e-5) > 0.0
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_folded_moment_refuses_a_non_finite_t(t):
+    with pytest.raises(ConfigurationError, match="out of range"):
+        folded_normal_moment(t, 3, 1e-5)
+
+
 def test_folded_moment_orders_small_scale():
     eps = np.array([1e-5, 1e-6, 1e-7, 1e-8])
     vals3 = [folded_normal_moment(1.0, 3, e) for e in eps]
@@ -263,6 +278,20 @@ def test_s_bound_rejects_a_degenerate_sample(kw):
     # a zero scale divided 0 by 0 and passed with c1 = nan
     with pytest.raises(ConfigurationError, match="s_bound_check"):
         s_bound_check(LogCoshWell(d_star=1), **{"n_pairs": 100, **kw})
+
+
+class _NaNBeyondTwo(BoxedQuadratic):
+    """The quadratic, with U NaN beyond |x| = 2."""
+
+    def u1(self, v):
+        return np.where(np.abs(v) > 2.0, np.nan, super().u1(v))
+
+
+def test_s_bound_check_counts_a_nan_ratio_as_a_violation():
+    # moves from [-3, 3] meet the NaN, and a NaN never compares above c1
+    rep = s_bound_check(_NaNBeyondTwo(d_star=1), n_pairs=200, master_seed=1)
+    assert not rep.stable
+    assert rep.n_violations > 0
 
 
 @pytest.mark.parametrize("n_pairs", [2.5, True, "4", None])
