@@ -99,7 +99,9 @@ _FIELD_TYPES = (
      ("d_star", "n_paths", "seed", "threads", "n_chains", "n_states", "n_reversible", "n_pairs")),
     ("a number", _is_number, ("T", "alpha", "epsilon", "dt")),
     ("a positive finite number", lambda v: _is_number(v) and 0.0 < v < math.inf, ("quad_tol",)),
-    ("a non-empty list of numbers", lambda v: _is_numbers(v) and len(v) > 0, ("obs_grid", "t_grid")),
+    ("a non-empty list of numbers", lambda v: _is_numbers(v) and len(v) > 0, ("obs_grid",)),
+    ("a non-empty list of finite numbers",
+     lambda v: _is_numbers(v) and len(v) > 0 and all(map(math.isfinite, v)), ("t_grid",)),
     ("a non-empty list of positive finite numbers",
      lambda v: _is_numbers(v) and len(v) > 0 and all(0.0 < e < math.inf for e in v),
      ("epsilon_grid", "scale_grid")),
@@ -481,7 +483,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None, help="fallback seed (config and MHJUMP_SEED win)")
     parser.add_argument("--out", default="mhjump-out", help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads, at most the usable cores (default from config)")
+                        help="worker processes, at most the usable cores (default from config)")
     parser.add_argument("--quiet", action="store_true")
     return parser
 

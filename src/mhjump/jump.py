@@ -37,13 +37,13 @@ engine asks the target's delta_u_move for every dU, so it stays the
 independent reference for the block engine's kept u1 terms (below). A
 path's values depend only on
 (master_seed, domain, path index): no randomness is shared across paths, so
-neither the number of paths, nor the block a path runs in, nor the thread
-that runs the block can change them. Both engines run their blocks through
-run_spans: a block returns its rows, and run_spans alone writes them at
-their paths' indices, whatever the schedule. Rows are drawn in chunks; a
-path that ends mid-chunk ignores the unused rows, and because the stream is
-counter-based a path's rows, and so its values, do not depend on the chunk
-length either.
+neither the number of paths, nor the block a path runs in, nor the worker
+process that runs the block can change them. Both engines run their blocks
+through run_spans, the package's one parallel mechanism: a block returns its
+rows, and run_spans alone writes them at their paths' indices, whatever the
+schedule. Rows are drawn in chunks; a path that ends mid-chunk ignores the
+unused rows, and because the stream is counter-based a path's rows, and so
+its values, do not depend on the chunk length either.
 
 Blocks and chunks. The package has one working-set budget, the floats of
 one block tape: TAPE_ROWS x TAPE_COLS (6.3 MB). Every sampler sizes its draw
@@ -109,9 +109,9 @@ at an observation time is the state after the last jump at or before it).
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 from collections import namedtuple
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
@@ -418,22 +418,16 @@ def check_run(obs_grid, n_paths):
     return obs
 
 
-def _usable_cores():
-    """The cores this process may run on, or the machine's where the OS does
-    not say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+_worker_span = None  # a forked worker's run_span, inherited from the call that forked it
 
 
-def span_workers(threads, n_spans):
-    """The threads a run of n_spans blocks uses: min(threads, usable cores,
-    n_spans). threads is an integer >= 1, or None for the usable cores; this
-    is the one place that checks it."""
-    cores = _usable_cores()
-    threads = cores if threads is None else _integer("threads", threads, 1)
-    return min(threads, cores, n_spans)
+def _adopt(run_span):
+    global _worker_span
+    _worker_span = run_span
+
+
+def _run_adopted(span):
+    return _worker_span(*span)
 
 
 def run_spans(run_span, out, block, threads):
@@ -442,16 +436,25 @@ def run_spans(run_span, out, block, threads):
 
     run_span(b, lo, hi) returns block b's rows of paths lo to hi, one array
     per array of out, and writes nowhere; this loop alone writes them into
-    out[i][lo:hi], in block order. Blocks run in order, or on a pool of
-    span_workers(threads, blocks) threads when that is more than one, so the
-    schedule cannot change the output. threads is an integer >= 1, or None
-    for the usable cores.
+    out[i][lo:hi], in block order. The blocks run on min(threads, usable
+    cores, blocks) worker processes, forked per call: each inherits run_span,
+    so only (b, lo, hi) goes out and only rows come back, in block order, and
+    the first block that raises raises its error here, as in process; the
+    pool ends with the call. With one worker, or where the OS cannot fork,
+    the blocks run in order in this process. threads is an integer >= 1, or
+    None for the usable cores; this is the one place that checks it.
     """
     n_paths = len(out[0])
     spans = [(b, lo, min(lo + block, n_paths)) for b, lo in enumerate(range(0, n_paths, block))]
-    workers = span_workers(threads, len(spans))
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        rows = (pool.map if pool else map)(lambda span: run_span(*span), spans)
+    try:
+        cores = len(os.sched_getaffinity(0))  # the cores this process may run on
+    except AttributeError:  # the OS does not say: the machine's
+        cores = os.cpu_count() or 1
+    workers = min(cores if threads is None else _integer("threads", threads, 1), cores, len(spans))
+    forks = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+    with (multiprocessing.get_context("fork").Pool(workers, _adopt, (run_span,)) if forks
+          else nullcontext()) as pool:
+        rows = pool.imap(_run_adopted, spans) if pool else (run_span(*span) for span in spans)
         for (_, lo, hi), block_rows in zip(spans, rows):
             for array, r in zip(out, block_rows):
                 array[lo:hi] = r
@@ -485,7 +488,7 @@ def _validate_x0(target, x0):
     if not np.all(np.isfinite(u)):
         j = int(np.argmax(~np.isfinite(u.reshape(-1))))
         raise ConfigurationError(f"the potential {target.name} is not finite at "
-                                 f"x0={x0.reshape(-1, target.d_star)[j]!r}")
+                                 f"x0={x0.reshape(-1, target.d_star)[j].tolist()}")
     return x0
 
 
@@ -713,9 +716,10 @@ def simulate_ensemble(
     grid is raw process time (diagnostic runs). Paths run in blocks of
     min(n_paths, BLOCK_PATHS), each drawing its tape in chunks that keep the
     tape and the states its events meet within one tape's floats, on
-    `threads` threads or the usable cores, whichever is fewer; none of these
-    changes any path's values. n_paths, master_seed and threads are integers
-    (numpy's too): n_paths and threads at least 1, master_seed in [0, 2**64).
+    `threads` worker processes or the usable cores, whichever is fewer (see
+    run_spans); none of these changes any path's values. n_paths,
+    master_seed and threads are integers (numpy's too): n_paths and threads
+    at least 1, master_seed in [0, 2**64).
     """
     obs = check_run(obs_grid, n_paths)
     x0 = _validate_x0(target, x0)

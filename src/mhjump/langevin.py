@@ -20,24 +20,19 @@ Every chunk of steps draws the noise of a full group, (steps, LANGEVIN_BLOCK,
 d*), and path p reads column p - g * LANGEVIN_BLOCK of it, so a last,
 partial group reads the first columns of the same draws. A path's values
 therefore depend only on (master_seed, domain, path index): not on n_paths,
-not on the thread count, not on the chunk length that count sets (below).
+not on the worker count, not on the chunk length (below).
 LANGEVIN_BLOCK is part of the reference format: changing it changes the
 bytes of every reference ensemble.
 
-Chunks. Groups run through jump.run_spans on jump.span_workers(threads,
-groups) workers; threads defaults to None, the usable cores, since the
-normal draws that take most of the time release the GIL. One worker draws
-a chunk of as many steps as fit in the package's working-set budget, one
-block tape's floats (jump.TAPE_ROWS x jump.TAPE_COLS), at least one: 768
-steps at d*=1, 256 at d*=3, 12 at d*=64. The call splits that budget
-between its workers (128 steps each at d*=3 on two), so its noise stays
-within one tape's floats however many run. The call allocates one noise
-buffer per worker before any group runs; a group takes one from the free
-list, draws every chunk into it, and gives it back when it ends, also on an
-error. (Buffers allocated in the worker threads instead raised the peak
-RSS of the oracles benchmark from 114 to 120 MB.) The noise is drawn in C
-order (step, path, coordinate) from a counter-based stream, so the chunk
-length decides only where the draws are cut, never their values.
+Chunks. Groups run through jump.run_spans, on worker processes; threads
+defaults to None, the usable cores. A group draws its noise in chunks of as
+many steps as fit in the package's working-set budget, one block tape's
+floats (jump.TAPE_ROWS x jump.TAPE_COLS), at least one: 768 steps at d*=1,
+256 at d*=3, 12 at d*=64. Each group allocates its one noise buffer where it
+runs, so each worker's noise fits one tape's floats, the rule the jump
+engine's blocks follow. The noise is drawn in C order (step, path,
+coordinate) from a counter-based stream, so the chunk length decides only
+where the draws are cut, never their values.
 """
 
 from __future__ import annotations
@@ -59,10 +54,10 @@ def default_dt(target):
     return 1e-3 * min(1.0, 2.0 * target.T * target.d_star)
 
 
-def _chunk_steps(d_star, workers=1):
-    """Steps whose noise for a full group, one buffer per worker, fits in one
-    block tape's floats, at least 1."""
-    return max(1, jump.TAPE_ROWS * jump.TAPE_COLS // (LANGEVIN_BLOCK * d_star * workers))
+def _chunk_steps(d_star):
+    """Steps whose noise for a full group fits in one block tape's floats, at
+    least 1."""
+    return max(1, jump.TAPE_ROWS * jump.TAPE_COLS // (LANGEVIN_BLOCK * d_star))
 
 
 def _step_into(target, x, dt, noise, out):
@@ -97,9 +92,9 @@ def ou_exact_marginal(x0, t, T, d_star=1):
 def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads=None):
     """Euler-Maruyama ensemble on obs_grid, a grid of whole steps of dt.
 
-    Groups of LANGEVIN_BLOCK paths run on `threads` threads or the usable
-    cores, whichever is fewer (all of them when threads is None); the count
-    changes no path's values."""
+    Groups of LANGEVIN_BLOCK paths run on `threads` worker processes or the
+    usable cores, whichever is fewer (all of them when threads is None; see
+    jump.run_spans); the count changes no path's values."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be positive, got {dt}")
     obs = check_run(obs_grid, n_paths)
@@ -120,36 +115,30 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
         step_to_obs.setdefault(int(s), []).append(k)
     samples = np.empty((n_paths, obs.size, target.d_star))
     group = LANGEVIN_BLOCK
-    workers = jump.span_workers(threads, -(-n_paths // group))
-    chunk = min(_chunk_steps(target.d_star, workers), n_steps)
-    # one noise buffer per worker, allocated here: a group takes one and gives it back
-    free = [np.empty((chunk, group, target.d_star)) for _ in range(workers)]
+    chunk = min(_chunk_steps(target.d_star), n_steps)
 
     def run_span(g, lo, hi):
-        draws = free.pop()  # every chunk's noise, full group
-        try:
-            rng = path_stream(master_seed, DOMAIN_LANGEVIN, g)
-            rows = np.empty((hi - lo, obs.size, target.d_star))
-            state = np.broadcast_to(x0, (hi - lo, target.d_star)).copy()
-            spare = np.empty_like(state)  # each step writes here, then the two swap
-            for k in step_to_obs.get(0, ()):
-                rows[:, k, :] = state
-            s = 0
-            while s < n_steps:
-                m = min(chunk, n_steps - s)
-                noise = rng.standard_normal(out=draws[:m])[:, :hi - lo]
-                noise *= math.sqrt(dt)
-                noise /= math.sqrt(target.d_star)
-                for j in range(m):
-                    state, spare = _step_into(target, state, dt, noise[j], spare), state
-                    s += 1
-                    for k in step_to_obs.get(s, ()):
-                        rows[:, k, :] = state
-            return (rows,)
-        finally:
-            free.append(draws)
+        draws = np.empty((chunk, group, target.d_star))  # every chunk's noise, full group
+        rng = path_stream(master_seed, DOMAIN_LANGEVIN, g)
+        rows = np.empty((hi - lo, obs.size, target.d_star))
+        state = np.broadcast_to(x0, (hi - lo, target.d_star)).copy()
+        spare = np.empty_like(state)  # each step writes here, then the two swap
+        for k in step_to_obs.get(0, ()):
+            rows[:, k, :] = state
+        s = 0
+        while s < n_steps:
+            m = min(chunk, n_steps - s)
+            noise = rng.standard_normal(out=draws[:m])[:, :hi - lo]
+            noise *= math.sqrt(dt)
+            noise /= math.sqrt(target.d_star)
+            for j in range(m):
+                state, spare = _step_into(target, state, dt, noise[j], spare), state
+                s += 1
+                for k in step_to_obs.get(s, ()):
+                    rows[:, k, :] = state
+        return (rows,)
 
-    run_spans(run_span, (samples,), group, workers)
+    run_spans(run_span, (samples,), group, threads)
     return ObservedEnsemble(
         obs_grid=obs,
         samples=samples,

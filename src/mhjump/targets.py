@@ -256,6 +256,10 @@ def make_potential(name, d_star=1, T=1.0, **params):
         cls = _POTENTIALS[name]
     except KeyError:
         raise ConfigurationError(f"unknown potential {name!r}; known: {potential_names()}") from None
+    for key, value in params.items():  # a NaN or inf one makes U NaN or inf where it is used
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigurationError(f"bad parameters for potential {name!r}: {key} must be "
+                                     f"finite, got {value}")
     try:
         return cls(d_star=d_star, T=T, **params)
     except (TypeError, ValueError, OverflowError) as exc:

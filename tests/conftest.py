@@ -5,6 +5,7 @@ reproducible; derandomizing hypothesis keeps the property tests in the same
 regime.
 """
 
+import multiprocessing.pool
 import tracemalloc
 
 import numpy as np
@@ -60,3 +61,17 @@ def traced_peak_mb():
         finally:
             tracemalloc.stop()
     return peak
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker count of each process pool started while the test runs."""
+    sizes = []
+
+    class Spy(multiprocessing.pool.Pool):
+        def __init__(self, processes, *args, **kwargs):
+            sizes.append(processes)
+            super().__init__(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool, "Pool", Spy)
+    return sizes

@@ -132,13 +132,22 @@ def test_sbound_command(tmp_path, capsys, monkeypatch):
     assert "pass" in capsys.readouterr().out
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf in dU
-@pytest.mark.parametrize("param", [{"a": float("nan")}, {"b": float("inf")}], ids=["a-nan", "b-inf"])
-def test_sbound_fails_on_a_potential_that_is_nan(tmp_path, capsys, monkeypatch, param):
+@pytest.mark.parametrize("param,shown", [({"a": float("nan")}, "a must be finite, got nan"),
+                                         ({"b": float("inf")}, "b must be finite, got inf")],
+                         ids=["a-nan", "b-inf"])
+def test_sbound_refuses_a_potential_parameter_that_is_not_finite(tmp_path, capsys, monkeypatch,
+                                                                  param, shown):
+    # a NaN or inf parameter is a malformed config, not a failed check: exit
+    # 2 before any pair is drawn, and no manifest
     monkeypatch.delenv("MHJUMP_SEED", raising=False)
     cfg = write_config(tmp_path, potential="doublewell", potential_params=param, n_pairs=100)
-    assert main(["sbound", "--config", cfg, "--out", str(tmp_path / "s")]) == 1
-    assert "FAIL verify.s_bound_check" in capsys.readouterr().out
+    out = tmp_path / "s"
+    assert main(["sbound", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("configuration error: bad parameters for potential 'doublewell': "
+                            f"{shown}\n")
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("bad", [{"quad_tol": 0}, {"quad_tol": -1}, {"quad_tol": float("nan")},
@@ -152,6 +161,20 @@ def test_moments_exit_code_2_and_no_manifest_on_a_malformed_config(tmp_path, cap
                  "--quiet"]) == 2
     assert "configuration error" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("t_grid", [[0.0, float("nan")], [0.0, float("inf")]], ids=["nan", "inf"])
+def test_moments_refuses_a_non_finite_t_grid_before_any_check(tmp_path, capsys, monkeypatch,
+                                                              t_grid):
+    # the config is refused as it loads: no check line printed, no file made
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    out = tmp_path / "m"
+    assert main(["moments", "--config", write_config(tmp_path, t_grid=t_grid),
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config field 't_grid' must be a non-empty list of finite numbers" in captured.err
+    assert not out.exists()
 
 
 def test_verify_geometry_quick(tmp_path, capsys, monkeypatch):

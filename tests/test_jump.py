@@ -1,6 +1,7 @@
 """Event-driven simulator: tape determinism, clocks, observation semantics."""
 
 import math
+import multiprocessing
 import threading
 
 import numpy as np
@@ -21,7 +22,7 @@ from mhjump import (
     simulate_langevin,
     simulate_path,
 )
-from mhjump import jump
+from mhjump import jump, langevin
 from mhjump.jump import DOMAIN_JUMP, JumpPath, ObservedEnsemble, path_streams
 
 DW = SmoothedDoubleWell(d_star=2)
@@ -229,25 +230,29 @@ def test_ensemble_invariant_to_blocks_and_threads(monkeypatch, kind, target):
 
 @pytest.mark.parametrize("threads", [1, 4])
 def test_run_spans_places_every_block_at_its_paths(monkeypatch, threads):
-    # on 4 threads each block waits for the next one to finish, so the blocks
+    # on 4 workers each block waits for the next one to finish, so the blocks
     # finish last to first; the rows of two outputs of different dtypes still
-    # land at their paths' indices, the last block a partial one
+    # land at their paths' indices, the last block a partial one. The forked
+    # workers inherit the events and the finish counter.
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     n, block = 14, 4
-    done = [threading.Event() for _ in range(4)]
-    finished = []
+    fork = multiprocessing.get_context("fork")
+    done = [fork.Event() for _ in range(4)]
+    finished = fork.Value("i", 0)
 
     def run_span(b, lo, hi):
         if threads > 1 and b < 3:
             assert done[b + 1].wait(timeout=30)
-        finished.append(b)
+        with finished.get_lock():
+            rank = finished.value
+            finished.value += 1
         done[b].set()
         paths = np.arange(lo, hi)
-        return paths + 0.5, -paths
+        return paths + 0.5, -paths, np.full(hi - lo, rank)
 
-    out = (np.full(n, np.nan), np.zeros(n, dtype=np.int64))
+    out = (np.full(n, np.nan), np.zeros(n, dtype=np.int64), np.full(n, -1))
     jump.run_spans(run_span, out, block, threads)
-    assert finished == ([3, 2, 1, 0] if threads > 1 else [0, 1, 2, 3])
+    assert out[2][::block].tolist() == ([3, 2, 1, 0] if threads > 1 else [0, 1, 2, 3])
     assert np.array_equal(out[0], np.arange(n) + 0.5)
     assert np.array_equal(out[1], -np.arange(n)) and out[1].dtype == np.int64
 
@@ -262,8 +267,8 @@ class SteepBeyondThreeQuadratic(BoxedQuadratic):
 
 def test_an_error_in_a_later_block_is_raised_as_in_process(monkeypatch):
     # paths 6 to 15 start where the declared bound is too small; blocks 1 to 3
-    # raise, and on 4 threads the caller gets block 1's error, the one a run in
-    # process meets first, and no worker thread outlives the call
+    # raise, and on 4 workers the caller gets block 1's error, the one a run in
+    # process meets first, and no worker process or pool thread outlives the call
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     monkeypatch.setattr(jump, "BLOCK_PATHS", 4)
     x0 = np.where(np.arange(16) < 6, 0.7, 5.0)[:, None]
@@ -273,27 +278,21 @@ def test_an_error_in_a_later_block_is_raised_as_in_process(monkeypatch):
         with pytest.raises(DominationError) as err:
             simulate_ensemble(GeneratorKind.m2(), SteepBeyondThreeQuadratic(d_star=1),
                               GaussianProposal(0.04), x0, [0.5, 1.0], 16, 4, threads=threads)
-        assert threading.active_count() == before
+        assert threading.active_count() == before and multiprocessing.active_children() == []
         messages.append(str(err.value))
     assert messages[0] == messages[1] and "at path 6, x=array([5.])" in messages[0]
 
 
-def test_threads_are_capped_at_the_usable_cores(monkeypatch):
-    # a run starts no more threads than the process may run on, nor more than
+def test_threads_are_capped_at_the_usable_cores(monkeypatch, pool_sizes):
+    # a run starts no more workers than the process may run on, nor more than
     # it has blocks, and with one usable core or one block it starts no pool
     # at all; no byte changes
-    pools = []
-    real_pool = jump.ThreadPoolExecutor
-
-    def spy(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
+    pools = pool_sizes
 
     def run(threads):
         return simulate_ensemble(MIX, DW, GaussianProposal(0.09), np.zeros(2), [0.25, 0.5], 40, 5,
                                  threads=threads).samples
 
-    monkeypatch.setattr(jump, "ThreadPoolExecutor", spy)
     monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
     base = run(1)
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -310,6 +309,26 @@ def test_threads_are_capped_at_the_usable_cores(monkeypatch):
     assert np.array_equal(run(8), base) and pools == [2, 2, 3, 2]
     monkeypatch.setattr(jump, "BLOCK_PATHS", 40)
     assert np.array_equal(run(8), base) and pools == [2, 2, 3, 2]
+
+
+def test_without_fork_the_blocks_run_in_process(monkeypatch, pool_sizes):
+    # where the OS cannot fork, a run on two usable cores starts no pool, and
+    # both engines give the same bytes as on the two forked workers
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
+    monkeypatch.setattr(langevin, "LANGEVIN_BLOCK", 8)
+
+    def run():
+        jumps = simulate_ensemble(MIX, DW, GaussianProposal(0.09), np.zeros(2), [0.25, 0.5], 40,
+                                  5, threads=2).samples
+        return jumps, simulate_langevin(DW, np.zeros(2), [0.1], 20, 1e-2, 5, threads=2).samples
+
+    forked = run()
+    assert pool_sizes == [2, 2]
+    monkeypatch.setattr(jump.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    in_process = run()
+    assert pool_sizes == [2, 2]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(forked, in_process))
 
 
 @pytest.mark.parametrize("threads", [1, 4])
@@ -573,7 +592,7 @@ def test_a_start_of_infinite_potential_is_refused_by_every_engine():
     # U(1e200) overflows to inf, so every dU would be inf - inf = NaN: no
     # candidate is accepted, and the first-jump sampler would never return
     target, prop, far = SmoothedDoubleWell(d_star=1), GaussianProposal(1e-2), np.array([1e200])
-    refused = r"doublewell is not finite at x0=array\(\[1.e\+200\]\)"
+    refused = r"doublewell is not finite at x0=\[1e\+200\]$"  # plain numbers, not a numpy repr
     for run in (lambda: first_jump_displacements(GeneratorKind.m2(), target, prop, far, 10, 0),
                 lambda: simulate_path(GeneratorKind.m2(), target, prop, far, 1.0, 0),
                 lambda: simulate_ensemble(MIX, target, prop, np.array([[0.0], [1e200]]), [0.5],

@@ -1,6 +1,7 @@
 """Reference integrator: step formula, OU oracle, observation grid, determinism."""
 
 import math
+import multiprocessing
 import threading
 
 import numpy as np
@@ -95,18 +96,6 @@ def test_langevin_working_memory_does_not_grow_with_d(traced_peak_mb):
     assert peak < 16.0
 
 
-def test_langevin_noise_budget_is_split_across_workers(monkeypatch, traced_peak_mb):
-    # four groups at d=64 on four patched cores: each worker draws chunks of
-    # 3 steps, so the call's noise is 6.3 MB in all, not four 12-step buffers
-    # (25 MB); samples, the groups' rows and their states are 4.2 MB each
-    d = 64
-    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    assert langevin._chunk_steps(d, workers=4) == 3
-    peak = traced_peak_mb(lambda: simulate_langevin(
-        BoxedQuadratic(d_star=d), np.zeros(d), [0.012, 0.024], 4096, 1e-3, 0))
-    assert peak < 28.0
-
-
 def test_ou_oracle_values():
     m, v = ou_exact_marginal(1.0, 0.0, 1.0)
     assert m == 1.0 and v == 0.0
@@ -181,25 +170,18 @@ def test_langevin_deterministic_across_threads(monkeypatch):
     )
 
 
-def test_langevin_threads_default_to_the_usable_cores(monkeypatch):
-    # a default call starts one thread per usable core, at most one per group,
-    # and with one group or one usable core no pool; the workers split the
-    # noise budget (chunks of 12 steps on one, 4 on three), and no byte changes
-    pools = []
-    real_pool = jump.ThreadPoolExecutor
-
-    def spy(max_workers):
-        pools.append(max_workers)
-        return real_pool(max_workers=max_workers)
+def test_langevin_threads_default_to_the_usable_cores(monkeypatch, pool_sizes):
+    # a default call starts one worker per usable core, at most one per group,
+    # and with one group or one usable core no pool; no byte changes
+    pools = pool_sizes
 
     def run(n_paths, **threads):
         return simulate_langevin(SmoothedDoubleWell(d_star=2), np.array([1.0, -1.0]), [0.1, 0.3],
                                  n_paths, 1e-2, 123, **threads).samples
 
-    monkeypatch.setattr(jump, "ThreadPoolExecutor", spy)
     monkeypatch.setattr(langevin, "LANGEVIN_BLOCK", 8)
     monkeypatch.setattr(jump, "TAPE_ROWS", 32)
-    assert (langevin._chunk_steps(2), langevin._chunk_steps(2, workers=3)) == (12, 4)
+    assert langevin._chunk_steps(2) == 12
     base = run(30, threads=1)
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert np.array_equal(run(30), base) and pools == [3]
@@ -210,7 +192,7 @@ def test_langevin_threads_default_to_the_usable_cores(monkeypatch):
 
 class BreaksAtItsSecondChunk:
     """A group's noise stream that raises on its second chunk, after the group
-    has taken its noise buffer and stepped through its first chunk."""
+    has allocated its noise buffer and stepped through its first chunk."""
 
     def __init__(self, rng):
         self.rng, self.chunks = rng, 0
@@ -225,11 +207,12 @@ class BreaksAtItsSecondChunk:
 def test_an_error_in_a_later_group_is_raised_as_in_process(monkeypatch):
     # group 1 of 6 fails mid-run; on the pool of two patched cores, by default
     # and at threads=2, the caller gets the error a run in process meets, and
-    # no worker thread outlives the call. Each call runs in a daemon thread
-    # with a timeout, so that a call that never returns fails the test.
+    # no worker process or pool thread outlives the call. Each call runs in a
+    # daemon thread with a timeout, so that a call that never returns fails
+    # the test.
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(langevin, "LANGEVIN_BLOCK", 4)
-    monkeypatch.setattr(jump, "TAPE_ROWS", 4)  # chunks of 6 steps on one worker, 3 on two
+    monkeypatch.setattr(jump, "TAPE_ROWS", 4)  # chunks of 6 steps
     stream = langevin.path_stream
     monkeypatch.setattr(langevin, "path_stream", lambda seed, domain, g: (
         BreaksAtItsSecondChunk(stream(seed, domain, g)) if g == 1 else stream(seed, domain, g)))
@@ -247,7 +230,7 @@ def test_an_error_in_a_later_group_is_raised_as_in_process(monkeypatch):
         caller.start()
         caller.join(timeout=60)
         assert not caller.is_alive()
-        assert threading.active_count() == before
+        assert threading.active_count() == before and multiprocessing.active_children() == []
     assert [(type(e), str(e)) for e in errors] == [
         (ConfigurationError, "group 1's noise ran out")] * 3
 
