@@ -19,18 +19,25 @@ two verdicts:
 - a regression is flagged when the change's median is worse than the
   parent's by more than the metric's relative bound.
 
+After the batch the script compares the two checkouts' records of the
+batch's workload and seed, perfbench/out/records-<workload>-seed<seed>.json,
+which hold a digest of every ensemble the workload made: a change that
+claims to keep the bytes keeps these files identical.
+
 Each batch appends one record, one line of JSON, to BENCH_pairs.json at the
 root of the repository that holds this script; the file is only ever
 appended to, so a wrong record is corrected by a later one that says so. A
 record holds the commit of each checkout (with a digest of its uncommitted
 changes, if any), the workload, seed, seconds and pair count, every run's
 metrics, and for each metric both sides' medians and quartiles, the ratio of
-the medians, the pairs won and lost, and both verdicts.
+the medians, the pairs won and lost, and both verdicts, and
+records_identical: true or false, or null when either checkout lacks the
+records file.
 
-Exit status 0 when every run passed its gates and no metric regressed, 1
-otherwise. A run that exits non-zero ends the batch at once, with status 1,
-no record, and a message that names its side and pair and shows the last
-lines of its stderr. A batch needs at least two pairs, since its verdicts
+Exit status 0 when every run passed its gates, no metric regressed and the
+records are not found to differ, 1 otherwise. A run that exits non-zero
+ends the batch at once, with status 1, no record, and a message that names
+its side and pair and shows the last lines of its stderr. A batch needs at least two pairs, since its verdicts
 rest on quartiles.
 """
 
@@ -38,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import filecmp
 import hashlib
 import json
 import os
@@ -63,6 +71,16 @@ def run_once(checkout, names, args):
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True).stdout
     result = json.loads(out.strip().splitlines()[-1])
     return {m: result["metrics"][m]["value"] for m in names}, result["correct"]
+
+
+def records_identical(checkouts, workload, seed):
+    """Whether the checkouts' records of workload and seed hold the same
+    bytes; None when either file is missing."""
+    paths = [os.path.join(c, "perfbench", "out", f"records-{workload}-seed{seed}.json")
+             for c in checkouts]
+    if not all(map(os.path.isfile, paths)):
+        return None
+    return filecmp.cmp(*paths, shallow=False)
 
 
 def at_least_two(text):
@@ -159,15 +177,19 @@ def main(argv=None):
             print(f"{m:<12} {side:<6} median {q2:.4f} [{q1:.4f}, {q3:.4f}]")
     verdicts = {name: judge(name, better, bound, [r[name] for r in runs["parent"]],
                             [r[name] for r in runs["change"]]) for name, better, bound in metrics}
+    identical = records_identical(sides.values(), args.workload, args.seed)
+    print(f"records-{args.workload}-seed{args.seed}.json: "
+          + {True: "identical", False: "DIFFER", None: "missing in a checkout"}[identical])
     append_record({
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "parent": checkout_identity(args.parent), "change": checkout_identity(args.change),
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
         "pairs": args.pairs, "all_gates_passed": all_correct, "runs": runs, "metrics": verdicts,
+        "records_identical": identical,
     })
     print(f"appended the batch's record to {RECORDS}")
     regressed = any(v["regressed"] for v in verdicts.values())
-    return 0 if all_correct and not regressed else 1
+    return 0 if all_correct and not regressed and identical is not False else 1
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ from .finite import (
     random_reversible_batch,
     reversibility_gap,
 )
-from .jump import DOMAIN_GEOMETRY, _validate_x0, check_seed, path_stream, simulate_ensemble
+from .jump import DOMAIN_GEOMETRY, check_seed, path_stream, simulate_ensemble
 from .kernels import GeneratorKind
 from .langevin import default_dt, simulate_langevin
 from .targets import GaussianProposal, make_potential
@@ -197,13 +197,12 @@ class ExperimentConfig:
         return GeneratorKind.from_string(self.kind, self.alpha)
 
     def start_state(self, target):
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.ndim == 0:
-            try:
-                x0 = np.full(target.d_star, float(x0))
-            except ValueError as exc:  # numpy's "Maximum allowed dimension exceeded"
-                raise ConfigurationError(f"d_star is too large for a start state: {exc}") from None
-        return _validate_x0(target, x0)
+        if isinstance(self.x0, list):
+            return self.x0
+        try:
+            return np.full(target.d_star, float(self.x0))
+        except ValueError as exc:  # numpy's "Maximum allowed dimension exceeded"
+            raise ConfigurationError(f"d_star is too large for a start state: {exc}") from None
 
 
 def load_config(path):

@@ -43,7 +43,8 @@ through run_spans, the package's one parallel mechanism: a block returns its
 rows, and run_spans alone writes them at their paths' indices, whatever the
 schedule. Rows are drawn in chunks; a path that ends mid-chunk ignores the
 unused rows, and because the stream is counter-based a path's rows, and so
-its values, do not depend on the chunk length either.
+its values, do not depend on the chunk length either. Every engine, the
+Langevin reference too, takes its start state through one rule, _validate_x0.
 
 Blocks and chunks. The package has one working-set budget, the floats of
 one block tape: TAPE_ROWS x TAPE_COLS (6.3 MB). Every sampler sizes its draw
@@ -112,6 +113,7 @@ import math
 import multiprocessing
 import os
 from collections import namedtuple
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
@@ -120,6 +122,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DominationError
 from .kernels import (
+    _KIND_TAGS,
     GeneratorKind,
     accept_log_from_delta,
     check_domination,
@@ -140,7 +143,7 @@ MAX_CANDIDATES = 1e9  # expected candidate events per path a run may go on to
 # these domains, so no two engines or oracles ever share a stream.
 DOMAIN_JUMP, DOMAIN_LANGEVIN, DOMAIN_DIRECT, DOMAIN_SBOUND, DOMAIN_GEOMETRY = range(5)
 # the kinds an ensemble may hold, in the order of their binary kind codes 0..3
-ENSEMBLE_KINDS = ("m1", "m2", "mix", "langevin")
+ENSEMBLE_KINDS = (*_KIND_TAGS, "langevin")
 
 
 def _integer(name, value, least):
@@ -357,7 +360,7 @@ def _at(p, x):
     if not theta.min() >= 0.0:
         j = int(np.argmax(~(np.reshape(theta, -1) >= 0.0)))
         raise DominationError(f"slope_bound of {target.name} is negative or NaN at "
-                              f"x={np.reshape(x, (-1, target.d_star))[j]!r}")
+                              f"x={np.reshape(x, (-1, target.d_star))[j].tolist()}")
     return _kernel(p.alpha, p.epsilon, theta)
 
 
@@ -439,10 +442,12 @@ def run_spans(run_span, out, block, threads):
     out[i][lo:hi], in block order. The blocks run on min(threads, usable
     cores, blocks) worker processes, forked per call: each inherits run_span,
     so only (b, lo, hi) goes out and only rows come back, in block order, and
-    the first block that raises raises its error here, as in process; the
-    pool ends with the call. With one worker, or where the OS cannot fork,
-    the blocks run in order in this process. threads is an integer >= 1, or
-    None for the usable cores; this is the one place that checks it.
+    the first block that raises raises its error here, as in process, once
+    the blocks handed to workers finish; a worker killed without raising
+    (SIGKILL) ends the call with a MemoryError. The pool ends with the call. With one worker,
+    or where the OS cannot fork, the blocks run in order in this process.
+    threads is an integer >= 1, or None for the usable cores; this is the one
+    place that checks it.
     """
     n_paths = len(out[0])
     spans = [(b, lo, min(lo + block, n_paths)) for b, lo in enumerate(range(0, n_paths, block))]
@@ -452,12 +457,15 @@ def run_spans(run_span, out, block, threads):
         cores = os.cpu_count() or 1
     workers = min(cores if threads is None else _integer("threads", threads, 1), cores, len(spans))
     forks = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
-    with (multiprocessing.get_context("fork").Pool(workers, _adopt, (run_span,)) if forks
-          else nullcontext()) as pool:
-        rows = pool.imap(_run_adopted, spans) if pool else (run_span(*span) for span in spans)
-        for (_, lo, hi), block_rows in zip(spans, rows):
-            for array, r in zip(out, block_rows):
-                array[lo:hi] = r
+    try:
+        with (ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt,
+                                  (run_span,)) if forks else nullcontext()) as pool:
+            rows = pool.map(_run_adopted, spans) if pool else (run_span(*span) for span in spans)
+            for (_, lo, hi), block_rows in zip(spans, rows):
+                for array, r in zip(out, block_rows):
+                    array[lo:hi] = r
+    except BrokenExecutor as exc:  # a worker died without raising, as under the OOM killer
+        raise MemoryError(f"a worker process was killed: {exc}") from exc
 
 
 def _check_candidates(q, remaining):
@@ -475,10 +483,14 @@ def _check_candidates(q, remaining):
         )
 
 
-def _validate_x0(target, x0):
+def _validate_x0(target, x0, n_paths=None):
+    """Start-state rule: one finite state of d* coordinates, U finite there, or n_paths of them."""
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape[-1:] != (target.d_star,):
-        raise ConfigurationError(f"x0 must have {target.d_star} coordinates, got shape {x0.shape}")
+    d = target.d_star
+    if x0.shape != (d,) and (n_paths is None or x0.shape != (n_paths, d)):
+        per_path = "" if n_paths is None else f" or one per path, shape ({n_paths}, {d})"
+        raise ConfigurationError(f"x0 must be a single state of {d} coordinates{per_path}, "
+                                 f"got shape {x0.shape}")
     if not np.all(np.isfinite(x0)):
         raise ConfigurationError("x0 must be finite")
     # from a state of infinite U every dU is inf - inf = NaN: no candidate is
@@ -488,8 +500,8 @@ def _validate_x0(target, x0):
     if not np.all(np.isfinite(u)):
         j = int(np.argmax(~np.isfinite(u.reshape(-1))))
         raise ConfigurationError(f"the potential {target.name} is not finite at "
-                                 f"x0={x0.reshape(-1, target.d_star)[j].tolist()}")
-    return x0
+                                 f"x0={x0.reshape(-1, d)[j].tolist()}")
+    return x0 if n_paths is None else np.broadcast_to(x0, (n_paths, d))
 
 
 def simulate_path(kind, target, proposal, x0, horizon, stream):
@@ -502,8 +514,6 @@ def simulate_path(kind, target, proposal, x0, horizon, stream):
         raise ConfigurationError(f"horizon must be positive, got {horizon}")
     rng = stream if isinstance(stream, np.random.Generator) else path_stream(stream, DOMAIN_JUMP, 0)
     x = _validate_x0(target, x0).copy()
-    if x.ndim != 1:
-        raise ConfigurationError("simulate_path takes a single initial state")
     p = _event_params(kind, target, proposal)
     times, states = [], []
     t = 0.0
@@ -524,7 +534,7 @@ def simulate_path(kind, target, proposal, x0, horizon, stream):
                 )
             i, z = int(coords[k]), float(z)
             if _thin(p, q.tilt, target.delta_u_move(x, i, z), abs_z, log_us[k],
-                     lambda _: f"x={x!r}, i={i}, z={z!r}"):
+                     lambda _: f"x={x.tolist()}, i={i}, z={z!r}"):
                 x[i] += z
                 times.append(t)
                 states.append(x.copy())
@@ -615,7 +625,7 @@ def _run_chunk(p, ev, x, ux, horizon, obs_proc, describe):
     inside = None  # every row is inside the horizon
 
     def where(j):
-        return f"{describe(j)}, x={x[j]!r}, i={int(fk[j] - offsets[j])}, z={float(zk[j])!r}"
+        return f"{describe(j)}, x={x[j].tolist()}, i={int(fk[j] - offsets[j])}, z={float(zk[j])!r}"
 
     for k in range(chunk):
         fk = flat[k]
@@ -722,13 +732,7 @@ def simulate_ensemble(
     at least 1, master_seed in [0, 2**64).
     """
     obs = check_run(obs_grid, n_paths)
-    x0 = _validate_x0(target, x0)
-    if x0.ndim == 1:
-        starts = np.broadcast_to(x0, (n_paths, target.d_star))
-    elif x0.shape == (n_paths, target.d_star):
-        starts = x0
-    else:
-        raise ConfigurationError("x0 must be one state or one per path")
+    starts = _validate_x0(target, x0, n_paths)
     scale = proposal.epsilon if rescaled else 1.0
     obs_proc = obs / scale
     horizon = float(obs_proc[-1])
@@ -766,8 +770,6 @@ def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed):
     draws.
     """
     x = _validate_x0(target, x)
-    if x.ndim != 1:
-        raise ConfigurationError("first_jump_displacements takes a single state")
     n_samples = _integer("n_samples", n_samples, 1)
     rng = path_stream(master_seed, DOMAIN_DIRECT, 0)
     p = _event_params(kind, target, proposal)
@@ -779,7 +781,7 @@ def first_jump_displacements(kind, target, proposal, x, n_samples, master_seed):
         e, i, neg, u_mag, u_branch, log_u = _decode_tape(rows, target.d_star)
         _, z, abs_z = _decode_move(q, e, neg, u_mag, u_branch)
         acc = _thin(p, q.tilt, target.delta_u_move(x, i, z), abs_z, log_u,
-                    lambda j: f"x={x!r}, i={int(i[j])}, z={float(z[j])!r}")
+                    lambda j: f"x={x.tolist()}, i={int(i[j])}, z={float(z[j])!r}")
         return z[acc], i[acc]
 
     batch = np.empty((FIRST_JUMP_BATCH, TAPE_COLS))

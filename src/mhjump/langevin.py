@@ -31,8 +31,8 @@ floats (jump.TAPE_ROWS x jump.TAPE_COLS), at least one: 768 steps at d*=1,
 256 at d*=3, 12 at d*=64. Each group allocates its one noise buffer where it
 runs, so each worker's noise fits one tape's floats, the rule the jump
 engine's blocks follow. The noise is drawn in C order (step, path,
-coordinate) from a counter-based stream, so the chunk length decides only
-where the draws are cut, never their values.
+coordinate) from a counter-based stream: the chunk length cuts the draws,
+never changes them. Every path starts from x0, one state (jump._validate_x0).
 """
 
 from __future__ import annotations
@@ -99,8 +99,6 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
         raise ConfigurationError(f"dt must be positive, got {dt}")
     obs = check_run(obs_grid, n_paths)
     x0 = _validate_x0(target, x0)
-    if x0.ndim != 1:
-        raise ConfigurationError("simulate_langevin takes a single initial state")
     steps = obs / dt
     obs_steps = np.rint(steps).astype(np.int64)
     off = np.abs(steps - obs_steps)

@@ -5,13 +5,17 @@ reproducible; derandomizing hypothesis keeps the property tests in the same
 regime.
 """
 
-import multiprocessing.pool
+import os
+import signal
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from mhjump import jump
 from mhjump.targets import TargetPotential
 
 settings.register_profile(
@@ -68,10 +72,35 @@ def pool_sizes(monkeypatch):
     """The worker count of each process pool started while the test runs."""
     sizes = []
 
-    class Spy(multiprocessing.pool.Pool):
-        def __init__(self, processes, *args, **kwargs):
-            sizes.append(processes)
-            super().__init__(processes, *args, **kwargs)
+    class Spy(jump.ProcessPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(multiprocessing.pool, "Pool", Spy)
+    monkeypatch.setattr(jump, "ProcessPoolExecutor", Spy)
     return sizes
+
+
+@pytest.fixture
+def isolated():
+    """run(code, *args) -> the finished `python -c code *args`, with this
+    checkout's package importable. A run still going after 60 s fails the
+    test (subprocess.TimeoutExpired) instead of hanging the suite, and every
+    process of its session, forked workers included, is killed."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def run(code, *args):
+        with subprocess.Popen([sys.executable, "-c", code, *args], stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE, text=True, env=env,
+                              start_new_session=True) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            finally:
+                try:
+                    os.killpg(proc.pid, signal.SIGKILL)
+                except ProcessLookupError:  # the session ended with the run
+                    pass
+        return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+    return run

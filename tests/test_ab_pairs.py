@@ -73,6 +73,28 @@ def two_checkouts(tmp_path):
             "--seed", "7"]
 
 
+@pytest.mark.parametrize("records,identical,status", [
+    ({"parent": "{}", "change": "{}"}, True, 0),
+    ({"parent": "{}", "change": "{ }"}, False, 1),
+    ({"parent": "{}"}, None, 0),
+])
+def test_a_batch_compares_the_records_of_its_workload_and_seed(ab, monkeypatch, tmp_path, capsys,
+                                                               records, identical, status):
+    # every pair ties, so only the records can fail the batch; a record of
+    # another workload is not compared
+    argv = two_checkouts(tmp_path) + ["--pairs", "2"]
+    for side, text in records.items():
+        (tmp_path / side / "perfbench" / "out").mkdir(parents=True)
+        (tmp_path / side / "perfbench" / "out" / "records-oracles-seed7.json").write_text(text)
+    (tmp_path / "change" / "perfbench" / "out").mkdir(parents=True, exist_ok=True)
+    (tmp_path / "change" / "perfbench" / "out" / "records-ks_sweep-seed7.json").write_text("{}")
+    monkeypatch.setattr(ab, "run_once", lambda checkout, names, args: ({"wall_s": 1.0}, True))
+    assert ab.main(argv) == status
+    assert json.loads(open(ab.RECORDS).read())["records_identical"] is identical
+    verdict = {True: "identical", False: "DIFFER", None: "missing in a checkout"}[identical]
+    assert f"records-oracles-seed7.json: {verdict}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("pairs", ["1", "0"])
 def test_a_batch_of_fewer_than_two_pairs_is_refused_before_any_run(ab, monkeypatch, tmp_path,
                                                                     capsys, pairs):

@@ -2,14 +2,18 @@
 
 import dataclasses
 import json
+import math
 import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mhjump import ConfigurationError, GeneratorKind, cli, simulate_ensemble, simulate_langevin
+from mhjump import (ConfigurationError, GeneratorKind, cli, jump, simulate_ensemble,
+                    simulate_langevin)
 from mhjump.cli import ExperimentConfig, load_config, main, resolve_seed, write_manifest
 from mhjump.ensembles import read_binary, read_csv
 from mhjump.targets import GaussianProposal, make_potential
@@ -406,6 +410,34 @@ def test_exit_code_2_on_a_run_that_cannot_be_allocated(tmp_path, capsys, monkeyp
     assert str(2 ** 57) in err  # numpy's message names the array's shape
 
 
+KILLED_SIMULATE = """
+import os, signal, sys
+from mhjump import jump
+from mhjump.cli import main
+jump.os.sched_getaffinity = lambda pid: {0, 1}
+jump.BLOCK_PATHS = 2
+run_block = jump._run_block
+
+def killed_past_the_first_block(p, x0, horizon, streams, obs_proc, offset):
+    if offset:  # as the OOM killer ends a worker: no exception, no result
+        os.kill(os.getpid(), signal.SIGKILL)
+    return run_block(p, x0, horizon, streams, obs_proc, offset)
+
+jump._run_block = killed_past_the_first_block
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_exit_code_2_and_no_manifest_when_a_worker_is_killed(tmp_path, isolated):
+    cfg = write_config(tmp_path, n_paths=5, obs_grid=[0.1], epsilon=0.1, seed=0, threads=2)
+    out = tmp_path / "o"
+    run = isolated(KILLED_SIMULATE, "simulate", "--config", cfg, "--out", str(out), "--quiet")
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.count("\n") == 1 and "a worker process was killed" in run.stderr
+    assert run.stderr.startswith("configuration error: simulate does not fit in memory")
+    assert not (out / "manifest.json").exists()
+
+
 _UNBUILDABLE_STARTS = [
     ("past_numpy_dims", {"d_star": 10 ** 400}, ("simulate", "langevin", "verify-limit")),
     ("past_memory", {"d_star": 2 ** 57}, ("simulate", "langevin", "verify-limit")),
@@ -510,9 +542,29 @@ _FIELDS = {
     # the start state holds d_star floats, so d_star stays small
     "d_star": st.integers(-2, 8) | st.floats() | st.booleans() | st.none(),
 }
-# a few fields at a time, so that most configs get past the type checks
-_CONFIGS = st.lists(st.sampled_from(sorted(_FIELDS)), max_size=4, unique=True).flatmap(
-    lambda names: st.fixed_dictionaries({name: _FIELDS[name] for name in names}))
+
+
+def _configs(fields):
+    """A few fields at a time, so that most configs get past the type checks."""
+    return st.lists(st.sampled_from(sorted(fields)), max_size=4, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({name: fields[name] for name in names}))
+
+
+_CONFIGS = _configs(_FIELDS)
+# the fields that size a run, drawn only small or malformed, never large and
+# valid: a number where a field takes a list, a list where it takes a number
+_MALFORMED = st.booleans() | st.text(max_size=4)
+_NOT_A_COUNT = st.floats() | st.none() | _MALFORMED | _NUMBERS
+_NOT_A_STEP = st.floats(max_value=0.0) | st.just(math.nan) | _MALFORMED | _NUMBERS
+_RUN_CONFIGS = _configs({
+    **_FIELDS,
+    "n_paths": st.integers(max_value=6) | _NOT_A_COUNT,
+    "d_star": st.integers(max_value=4) | _NOT_A_COUNT,
+    "obs_grid": st.lists(st.floats(max_value=0.2) | st.just(math.nan), max_size=3) | _NUMBER
+    | st.none() | _MALFORMED,
+    "epsilon": st.floats(min_value=0.01) | st.none() | _NOT_A_STEP,
+    "dt": st.floats(min_value=0.01) | _NOT_A_STEP,  # dt None is the default, below 0.01
+})
 
 
 @given(_CONFIGS)
@@ -525,6 +577,23 @@ def test_every_config_builds_or_is_refused(data):
         cfg.start_state(target)
     except ConfigurationError:
         pass
+
+
+@pytest.mark.parametrize("command", ["simulate", "langevin"])
+@given(data=_RUN_CONFIGS)
+def test_every_run_config_ends_in_an_exit_code(command, data):
+    # a few random fields over a small run that succeeds: the run finishes,
+    # fails a numerical check or is refused, and never raises. The start
+    # state is checked only by the engines. A rate that the drawn T or
+    # potential makes large would draw as many events as MAX_CANDIDATES
+    # allows, so a smaller cap refuses it (exit 2) instead.
+    base = {"n_paths": 3, "obs_grid": [0.1, 0.2], "epsilon": 0.1, "dt": 0.05, "seed": 0}
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(jump, "MAX_CANDIDATES", 1e4):
+        cfg = os.path.join(tmp, "config.json")
+        with open(cfg, "w") as f:
+            json.dump({**base, **data}, f)
+        assert main([command, "--config", cfg, "--out", os.path.join(tmp, "o"), "--quiet"]) in (
+            0, 1, 2)
 
 
 def test_per_path_start_states_from_config(tmp_path, monkeypatch):

@@ -280,7 +280,36 @@ def test_an_error_in_a_later_block_is_raised_as_in_process(monkeypatch):
                               GaussianProposal(0.04), x0, [0.5, 1.0], 16, 4, threads=threads)
         assert threading.active_count() == before and multiprocessing.active_children() == []
         messages.append(str(err.value))
-    assert messages[0] == messages[1] and "at path 6, x=array([5.])" in messages[0]
+    assert messages[0] == messages[1] and "at path 6, x=[5.0]" in messages[0]
+
+
+KILLED_ON_BLOCK_1 = """
+import multiprocessing, os, signal, time
+import numpy as np
+from mhjump import jump
+jump.os.sched_getaffinity = lambda pid: {0, 1}
+
+def run_span(b, lo, hi):
+    if b == 1:  # as the OOM killer ends a worker: no exception, no result
+        os.kill(os.getpid(), signal.SIGKILL)
+    return (np.arange(lo, hi),)
+
+start = time.perf_counter()
+try:
+    jump.run_spans(run_span, (np.zeros(4),), 2, 2)
+except MemoryError as exc:
+    print(f"{time.perf_counter() - start:.3f}", len(multiprocessing.active_children()), exc)
+"""
+
+
+def test_a_killed_worker_ends_the_call_with_a_memory_error(isolated):
+    # a worker that dies without raising fails the call at once, in a
+    # separate process so that a call that waits forever fails this test
+    run = isolated(KILLED_ON_BLOCK_1)
+    assert run.returncode == 0, run.stderr
+    seconds, children, message = run.stdout.split(" ", 2)
+    assert float(seconds) < 5.0 and children == "0"
+    assert message.startswith("a worker process was killed")
 
 
 def test_threads_are_capped_at_the_usable_cores(monkeypatch, pool_sizes):
@@ -500,7 +529,7 @@ def test_lying_grad_bound_raises_in_both_engines():
     with pytest.raises(DominationError) as block:
         simulate_ensemble(GeneratorKind.m2(), target, prop, np.array([0.7]), [0.5, 1.0], 16, 4)
     assert str(block.value) == (
-        "acceptance log-probability 2.478e-01 > 0 for kind m2 at path 6, x=array([0.7]), i=0, "
+        "acceptance log-probability 2.478e-01 > 0 for kind m2 at path 6, x=[0.7], i=0, "
         "z=0.591760793622353: the declared grad_bound 0.1 is not a true bound along this move; "
         "declare a true grad_bound or slope_bound"
     )
@@ -568,13 +597,14 @@ def test_validation_errors():
         simulate_ensemble(MIX, DW, prop, np.zeros(2), [-0.5, 0.25], 4, 0)
     with pytest.raises(ConfigurationError):
         simulate_ensemble(MIX, DW, prop, np.zeros(2), [0.5], 0, 0)
-    with pytest.raises(ConfigurationError):
+    per_path = r"or one per path, shape \(4, 2\), got shape \(3, 2\)$"
+    with pytest.raises(ConfigurationError, match=per_path):
         simulate_ensemble(MIX, DW, prop, np.zeros((3, 2)), [0.5], 4, 0)
     # the scalar engine and the first-jump sampler start from one state only
-    with pytest.raises(ConfigurationError, match="simulate_path takes a single initial state"):
+    single = r"x0 must be a single state of 2 coordinates, got shape \(3, 2\)$"
+    with pytest.raises(ConfigurationError, match=single):
         simulate_path(MIX, DW, prop, np.zeros((3, 2)), 1.0, 0)
-    with pytest.raises(ConfigurationError,
-                       match="first_jump_displacements takes a single state"):
+    with pytest.raises(ConfigurationError, match=single):
         first_jump_displacements(MIX, DW, prop, np.zeros((3, 2)), 10, 0)
     with pytest.raises(ConfigurationError, match="finite"):
         simulate_path(GeneratorKind.m1(), QUAD1, prop, np.array([np.inf]), 1.0, 0)
