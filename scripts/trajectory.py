@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The performance trajectory that BENCH_pairs.json records.
 
-    python3 scripts/trajectory.py
+    python3 scripts/trajectory.py [--since YYYY-MM-DD]
 
 For each workload, seed and end-to-end metric, one line per record that
 scripts/ab_pairs.py appended, in the order they were appended: the ratio of
@@ -11,10 +11,16 @@ Then the product of the ratios whose gain was claimed. A seed fixes a
 workload's inputs, so each seed has a trajectory of its own. Absolute
 numbers from different sessions drift with the machine; a ratio compares two
 commits run side by side, so a chain of them survives the drift.
+
+--since keeps only the records appended on or after a date (UTC, as the
+records store it). The cut is by date, not by commit, since a record made in
+a checkout outside a git work tree holds no commit.
 """
 
 from __future__ import annotations
 
+import argparse
+import datetime
 import json
 import os
 import sys
@@ -23,9 +29,15 @@ RECORDS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)
                        "BENCH_pairs.json")
 
 
-def main():
+def main(argv=()):
+    parser = argparse.ArgumentParser(description="The performance trajectory of BENCH_pairs.json.")
+    parser.add_argument("--since", type=datetime.date.fromisoformat, metavar="YYYY-MM-DD",
+                        help="only the records appended on or after this date (UTC)")
+    since = parser.parse_args(argv).since
     with open(RECORDS) as f:
         records = [json.loads(line) for line in f if line.strip()]
+    if since is not None:
+        records = [r for r in records if r["date"][:10] >= since.isoformat()]
     series = {}  # (workload, seed, metric) -> [(date, commit, verdicts of the metric)]
     for record in records:
         change = record["change"]
@@ -48,4 +60,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

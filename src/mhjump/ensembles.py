@@ -174,9 +174,11 @@ def read_binary(path):
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:4] != _MAGIC:
         raise ConfigurationError(f"{path} is not an ensemble dump")
-    magic, version, code, _, d, n_paths, n_grid, scale, alpha, seed = _HEADER.unpack_from(raw)
+    magic, version, code, pad, d, n_paths, n_grid, scale, alpha, seed = _HEADER.unpack_from(raw)
     if version != _VERSION:
         raise ConfigurationError(f"{path}: unsupported format version {version}")
+    if pad:
+        raise ConfigurationError(f"{path}: pad byte at offset 7 is {pad}, not 0")
     if code >= len(ENSEMBLE_KINDS):
         raise ConfigurationError(f"{path}: unknown kind code {code}")
     _check_counts(path, n_paths, n_grid, d)

@@ -151,8 +151,8 @@ def delta_u_line(target, x, i):
     if not delta_u_from_u1(target):
         return lambda z: target.delta_u_move(x, i, z)
     x = np.asarray(x, dtype=float)
-    xi = x[_move_index(x, i)]
-    start = target.u1(xi)
+    xi = x[_move_index(x, i)][()]  # numpy scalars, not 0-d arrays: xi + z is scalar arithmetic
+    start = target.u1(xi)[()]
     return lambda z: target.u1(xi + z) - start
 
 

@@ -157,3 +157,29 @@ def test_trajectory_chains_the_claimed_ratios(monkeypatch, tmp_path, capsys):
         "  2026-03-04 none     ratio 0.5000 (won 10, lost 0) gain claimed",
         "  product of 2 claimed ratio(s): 0.4000",
     ]
+
+
+def test_trajectory_since_a_date_keeps_the_later_records(monkeypatch, tmp_path, capsys):
+    # the cut is by the date a record was appended, on or after it; a record
+    # with no commit is cut the same way
+    trajectory = load_script(monkeypatch, tmp_path, "trajectory")
+    verdicts = {"wins": 10, "losses": 0, "gain_claimed": True, "regressed": False}
+    with open(trajectory.RECORDS, "w") as f:
+        for date, commit, ratio in (("2026-01-02T23:59:59", "a" * 40, 0.8),
+                                    ("2026-01-03T00:00:00", None, 0.5),
+                                    ("2026-02-01T08:00:00", "b" * 40, 0.9)):
+            f.write(json.dumps({"date": f"{date}+00:00", "workload": "oracles", "seed": 7,
+                                "change": {"commit": commit, "dirty": False},
+                                "metrics": {"cpu_s": dict(verdicts, ratio=ratio)}}) + "\n")
+    assert trajectory.main(["--since", "2026-01-03"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "oracles seed 7 cpu_s",
+        "  2026-01-03 none     ratio 0.5000 (won 10, lost 0) gain claimed",
+        "  2026-02-01 bbbbbbb  ratio 0.9000 (won 10, lost 0) gain claimed",
+        "  product of 2 claimed ratio(s): 0.4500",
+    ]
+    assert trajectory.main(["--since", "2026-03-01"]) == 0
+    assert capsys.readouterr().out == ""
+    with pytest.raises(SystemExit) as refused:
+        trajectory.main(["--since", "last week"])
+    assert refused.value.code == 2

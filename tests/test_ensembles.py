@@ -373,3 +373,84 @@ def test_read_csv_refuses_every_truncation(tmp_path, d):
             with pytest.raises(ConfigurationError):
                 read_csv(cut)
         assert not caught, (n, [str(w.message) for w in caught])
+
+
+def test_read_binary_rejects_a_nonzero_pad_byte(tmp_path, jump_ens):
+    # the pad byte used to be read and dropped, so the file wrote back with 0 there
+    p = tmp_path / "e.bin"
+    write_binary(jump_ens, p)
+    raw = bytearray(p.read_bytes())
+    raw[7] = 0x80
+    p.write_bytes(bytes(raw))
+    with pytest.raises(ConfigurationError, match=r"e\.bin: pad byte at offset 7 is 128, not 0"):
+        read_binary(p)
+
+
+def _fuzz_files(tmp_path):
+    """A 3-path mix ensemble as a 116-byte binary dump and as CSV, and a 3-state
+    chain file, each -> (bytes, reader, check of what the reader gave)."""
+    from mhjump import FiniteChain, load_chain, random_chain, save_chain
+
+    ens = simulate_ensemble(GeneratorKind.mix(0.25), BoxedQuadratic(d_star=1),
+                            GaussianProposal(0.04), np.array([1.0]), [0.3, 0.7], 3, master_seed=99)
+    write_binary(ens, tmp_path / "e.bin")
+    write_csv(ens, tmp_path / "e.csv")
+    chain = random_chain(3, np.random.default_rng(0))
+    save_chain(chain, tmp_path / "chain.txt")
+    back = tmp_path / "back"
+
+    def binary_writes_back(raw, got):
+        write_binary(got, back)
+        assert back.read_bytes() == raw
+
+    def csv_writes_back(raw, got):
+        write_csv(got, back)
+        again = read_csv(back)
+        assert np.array_equal(again.samples, got.samples, equal_nan=True)
+        assert np.array_equal(again.obs_grid, got.obs_grid)
+
+    def is_chain(raw, got):
+        assert isinstance(got, FiniteChain)
+
+    return {
+        "binary": ((tmp_path / "e.bin").read_bytes(), read_binary, binary_writes_back),
+        "csv": ((tmp_path / "e.csv").read_bytes(), read_csv, csv_writes_back),
+        "chain": ((tmp_path / "chain.txt").read_bytes(), load_chain, is_chain),
+    }, chain
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv", "chain"])
+def test_every_bit_flip_and_truncation_is_refused_or_read_whole(tmp_path, fmt):
+    # each single-bit flip and each cut of a small file ends in ConfigurationError
+    # or in a valid object (a binary one writes back the same bytes); any other
+    # exception fails the test
+    files, chain = _fuzz_files(tmp_path)
+    whole, reader, check = files[fmt]
+    if fmt == "binary":
+        assert len(whole) == 116
+    p = tmp_path / "fuzzed"
+    read = []
+    for pos in range(len(whole)):
+        for bit in range(8):
+            raw = bytearray(whole)
+            raw[pos] ^= 1 << bit
+            p.write_bytes(bytes(raw))
+            try:
+                got = reader(p)
+            except ConfigurationError:
+                continue
+            check(bytes(raw), got)
+            read.append(pos)
+    assert read  # some flips only change a value
+    cuts = []
+    for n in range(len(whole)):
+        p.write_bytes(whole[:n])
+        try:
+            got = reader(p)
+        except ConfigurationError:
+            continue
+        cuts.append(len(whole) - n)
+        # only a cut within the last rate, the diagonal "0.0\n", loads, and as the same chain
+        assert fmt == "chain" and whole.endswith(b" 0.0\n")
+        assert np.array_equal(got.rates, chain.rates) and np.array_equal(got.mu, chain.mu)
+    assert cuts == ([3, 2, 1] if fmt == "chain" else [])

@@ -165,6 +165,78 @@ def test_oracles_use_an_overridden_delta_u_move():
             kernel_total_rate(kind, well, prop, np.array([1.5]))
 
 
+@pytest.mark.parametrize("kind", [GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.25),
+                                  GeneratorKind.mix(0.5)], ids=lambda k: k.label())
+def test_a_stencil_fill_keeps_the_single_node_bits(coupled, kind):
+    # every (s, phi) of a quadrature comes from a fill of 21 nodes, and equals
+    # the one-node evaluation, dU straight from delta_u_move; so does a lone miss
+    import mhjump.verify as verify
+
+    misses = []
+
+    class Counting(_NodeFactor):
+        def __missing__(self, u):
+            misses.append(u)
+            return super().__missing__(u)
+
+    targets = [make_potential(name, d_star=d) for name in ("quadratic", "logcosh", "doublewell")
+               for d in (1, 3)] + [LogCoshWell(d_star=1, c=0.3), coupled]
+    for target in targets:
+        x, i, eps = default_x_grid(target.d_star)[1], target.d_star - 1, 1e-3
+        misses.clear()
+        factor = Counting(kind, target, eps, x, i)
+        _quad_line(factor, lambda u: u * u)
+        assert len(factor) == 21 * len(misses) and len(misses) >= 2
+        factor[0.3]  # not a stencil centre
+        assert len(factor) == 21 * (len(misses) - 1) + 1
+        for u, (s, phi) in factor.items():
+            du = target.delta_u_move(x, i, math.sqrt(eps) * u)
+            assert s == math.exp(float(log_s_mix(du, target.T, kind.alpha_eff)))
+            assert phi == verify._phi1(u)
+
+
+def test_quad_asks_for_each_interval_centre_then_its_stencil():
+    # _NodeFactor predicts what quad asks for: bisections of [-12, 0] and
+    # [0, 12], each interval's centre c first, then c -+ h x over QUADPACK's ten
+    # abscissae x; a scipy that changed this fails here, not as a slowdown
+    import mhjump.verify as verify
+
+    abscissae = (0.973906528517171720077964012084452, 0.865063366688984510732096688423493,
+                 0.679409568299024406234327365114874, 0.433395394129247190799265943165784,
+                 0.148874338981631210884826001129720, 0.995657163025808080735527280689003,
+                 0.930157491355708226001207180059508, 0.780817726586416897063717578345042,
+                 0.562757134668604683339000099272694, 0.294392862701460198131126603103866)
+    assert verify._GK21 == abscissae
+    asked = []
+
+    class Recording(_NodeFactor):
+        def __getitem__(self, u):
+            asked.append(u)
+            return super().__getitem__(u)
+
+    factor = Recording(GeneratorKind.m2(), SmoothedDoubleWell(d_star=1), 1e-4, np.array([-0.9]), 0)
+    _quad_line(factor, lambda u: u ** 3)
+    intervals, depth = {(-12.0, 0.0), (0.0, 12.0)}, 0
+    assert len(asked) % 21 == 0
+    for start in range(0, len(asked), 21):
+        c = asked[start]
+        a, b = next(ab for ab in intervals if 0.5 * (ab[0] + ab[1]) == c)
+        h = 0.5 * (b - a)
+        assert asked[start:start + 21] == [c] + [v for x in abscissae for v in (c - h * x, c + h * x)]
+        intervals |= {(a, c), (c, b)}
+        depth = max(depth, round(math.log2(6.0 / h)))
+    assert depth >= 2
+    assert len(factor) == len(asked)  # each node asked once, each filled by its centre's miss
+
+
+def test_bump_clip_keeps_the_np_clip_bits():
+    import mhjump.verify as verify
+
+    v = np.array([np.nan, -0.0, 0.0, np.inf, -np.inf, 2.9, 3.0, 3.1, -3.0, -7.5, 1e-320])
+    for r in (3.0, 0.5):
+        assert verify._unit(v, r).tobytes() == np.clip(v / r, -1.0, 1.0).tobytes()
+
+
 def test_moment_limits_formulas():
     target = SmoothedDoubleWell(d_star=3, T=0.5)
     x = np.array([0.7, 0.1, -0.3])
