@@ -7,6 +7,8 @@ For each workload, seed and end-to-end metric, one line per record that
 scripts/ab_pairs.py appended, in the order they were appended: the ratio of
 the change's median to the parent's, the record's date, the change's short
 commit (marked "+" when the change held uncommitted edits), and the verdicts.
+A record marked "backfilled" was appended later, from the runs an earlier
+change listed in CHANGES.md; its date is the day it was appended.
 Then the product of the ratios whose gain was claimed. A seed fixes a
 workload's inputs, so each seed has a trajectory of its own. Absolute
 numbers from different sessions drift with the machine; a ratio compares two
@@ -15,6 +17,9 @@ commits run side by side, so a chain of them survives the drift.
 --since keeps only the records appended on or after a date (UTC, as the
 records store it). The cut is by date, not by commit, since a record made in
 a checkout outside a git work tree holds no commit.
+
+Exit status 0, or 1 when the reader closes stdout before the end, as
+`| head` does; the script then stops without a traceback.
 """
 
 from __future__ import annotations
@@ -44,13 +49,14 @@ def main(argv=()):
         commit = (change["commit"] or "none")[:7] + ("+" if change["dirty"] else "")
         for name, verdicts in record["metrics"].items():
             series.setdefault((record["workload"], record["seed"], name), []).append(
-                (record["date"][:10], commit, verdicts))
+                (record["date"][:10], commit, verdicts, record.get("backfilled", False)))
     for (workload, seed, name), rows in series.items():
         print(f"{workload} seed {seed} {name}")
         product, claims = 1.0, 0
-        for date, commit, v in rows:
+        for date, commit, v, backfilled in rows:
             said = [word for word, on in (("gain claimed", v["gain_claimed"]),
-                                          ("REGRESSED", v["regressed"])) if on]
+                                          ("REGRESSED", v["regressed"]),
+                                          ("backfilled", backfilled)) if on]
             print(f"  {date} {commit:<8} ratio {v['ratio']:.4f} "
                   f"(won {v['wins']}, lost {v['losses']}) {', '.join(said) or 'no verdict'}")
             if v["gain_claimed"]:
@@ -60,4 +66,10 @@ def main(argv=()):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()  # so that a closed pipe shows here, not at exit
+    except BrokenPipeError:  # the Python docs' recipe: no second error at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)

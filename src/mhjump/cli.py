@@ -10,12 +10,12 @@ errors. Seed precedence: a seed in the config file wins, then the
 MHJUMP_SEED environment variable, then --seed, then 0; a seed outside
 [0, 2**64), which the binary header cannot hold, is refused. Exit codes: 0
 all checks passed, 1 a numerical check failed, 2 configuration error, 3 I/O
-error. Every file is written atomically. The run manifest (config hash,
-version, seed, timestamps, outputs) is written once, by main, after the
-command has written every output and returned 0 or 1; a run that ends in an
-error leaves none, so a manifest is the record that its run finished. It is
-the only artifact carrying wall-clock data, so result files are byte-stable
-across reruns.
+error. Every file is written atomically, to the path out(name) gives. The
+run manifest (config hash, version, seed, timestamps, the names given to
+out, in order) is written once, by main, after the command has written
+every output and returned 0 or 1; a run that ends in an error leaves none,
+so a manifest is the record that its run finished. It is the only artifact
+carrying wall-clock data, so result files are byte-stable across reruns.
 """
 
 from __future__ import annotations
@@ -287,12 +287,14 @@ class _Reporter:
         return 0
 
 
-def _ensure_out(out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+def _write_ensemble(ens, out, stem, rep, note):
+    path = out(stem + ".csv")
+    write_csv(ens, path)
+    write_binary(ens, out(stem + ".bin"))
+    rep.say(f"wrote {path} and .bin ({note})")
 
 
-def cmd_simulate(cfg, seed, out_dir, threads, rep):
+def cmd_simulate(cfg, seed, out, threads, rep):
     target = cfg.build_target()
     kind = cfg.build_kind()
     proposal = GaussianProposal(cfg.epsilon)
@@ -300,24 +302,20 @@ def cmd_simulate(cfg, seed, out_dir, threads, rep):
     ens = simulate_ensemble(
         kind, target, proposal, x0, cfg.obs_grid, cfg.n_paths, seed, threads=threads,
     )
-    write_csv(ens, os.path.join(out_dir, "ensemble.csv"))
-    write_binary(ens, os.path.join(out_dir, "ensemble.bin"))
-    rep.say(f"wrote {out_dir}/ensemble.csv and .bin ({cfg.n_paths} paths)")
+    _write_ensemble(ens, out, "ensemble", rep, f"{cfg.n_paths} paths")
     return 0
 
 
-def cmd_langevin(cfg, seed, out_dir, threads, rep):
+def cmd_langevin(cfg, seed, out, threads, rep):
     target = cfg.build_target()
     x0 = cfg.start_state(target)
     dt = cfg.dt if cfg.dt is not None else default_dt(target)
     ens = simulate_langevin(target, x0, cfg.obs_grid, cfg.n_paths, dt, seed, threads=threads)
-    write_csv(ens, os.path.join(out_dir, "reference.csv"))
-    write_binary(ens, os.path.join(out_dir, "reference.bin"))
-    rep.say(f"wrote {out_dir}/reference.csv and .bin (dt={dt:g})")
+    _write_ensemble(ens, out, "reference", rep, f"dt={dt:g}")
     return 0
 
 
-def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
+def cmd_verify_limit(cfg, seed, out, threads, rep):
     target = cfg.build_target()
     x0 = cfg.start_state(target)
     dt = cfg.dt if cfg.dt is not None else default_dt(target)
@@ -339,9 +337,9 @@ def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
             else:
                 rep.check(lo <= slope <= hi, f"verify.moment_report[{report.kind_label}]",
                           f"k={k} error slope", f"{slope:.3f}", f"in [{lo}, {hi}]")
-    write_plot_csv(os.path.join(out_dir, "drift_convergence.csv"), drift_rows)
-    write_plot_csv(os.path.join(out_dir, "volatility_convergence.csv"), vol_rows)
-    write_plot_csv(os.path.join(out_dir, "third_moment.csv"), third_rows)
+    write_plot_csv(out("drift_convergence.csv"), drift_rows)
+    write_plot_csv(out("volatility_convergence.csv"), vol_rows)
+    write_plot_csv(out("third_moment.csv"), third_rows)
 
     probe_rows = []
     plo, phi = _PROBE_WINDOW
@@ -355,7 +353,7 @@ def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
                 f"verify.generator_convergence_probe[{probe.kind_label},{tf.name}]",
                 "gap slope", f"{probe.slope:.3f}", f"in [{plo}, {phi}]",
             )
-    write_plot_csv(os.path.join(out_dir, "probe_convergence.csv"), probe_rows)
+    write_plot_csv(out("probe_convergence.csv"), probe_rows)
 
     kinds = (GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5))
     sweep = sorted(cfg.epsilon_grid, reverse=True)
@@ -384,11 +382,11 @@ def cmd_verify_limit(cfg, seed, out_dir, threads, rep):
             "KS vs eps", "non-increasing" if monotone else str([f"{v:.4f}" for v in per_eps]),
             f"non-increasing within {slack:.4f}",
         )
-    write_plot_csv(os.path.join(out_dir, "ks_vs_epsilon.csv"), ks_rows)
+    write_plot_csv(out("ks_vs_epsilon.csv"), ks_rows)
     return rep.status()
 
 
-def cmd_verify_geometry(cfg, seed, out_dir, threads, rep):
+def cmd_verify_geometry(cfg, seed, out, threads, rep):
     rng = path_stream(seed, DOMAIN_GEOMETRY, 0)
     alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
     worst_alpha_gap = 0.0
@@ -414,7 +412,7 @@ def cmd_verify_geometry(cfg, seed, out_dir, threads, rep):
     rows = [
         (a, per_alpha_sum[j] / cfg.n_chains, 0.0, "mean_d_mu") for j, a in enumerate(alphas)
     ]
-    write_plot_csv(os.path.join(out_dir, "dmu_landscape.csv"), rows)
+    write_plot_csv(out("dmu_landscape.csv"), rows)
     rep.check(worst_alpha_gap <= _GEOM_TOL, "finite.d_mu[mixture sweep]",
               "max |d_mu(Q,mix) - d_mu(Q,M1)|", f"{worst_alpha_gap:.3e}", f"<= {_GEOM_TOL:g}")
     rep.check(worst_lower >= -_GEOM_TOL, "finite.random_reversible[lower bound]",
@@ -426,7 +424,7 @@ def cmd_verify_geometry(cfg, seed, out_dir, threads, rep):
     return rep.status()
 
 
-def cmd_moments(cfg, seed, out_dir, threads, rep):
+def cmd_moments(cfg, seed, out, threads, rep):
     eps_grid = np.asarray(cfg.folded_epsilon_grid, dtype=float)
     rows = []
     for t in cfg.t_grid:
@@ -443,33 +441,24 @@ def cmd_moments(cfg, seed, out_dir, threads, rep):
             gap = abs(folded_normal_moment(0.0, k, e, tol=cfg.quad_tol) - gaussian_abs_moment(k, e))
             rep.check(gap <= cfg.quad_tol, f"verify.folded_normal_moment[t=0,k={k},eps={e:g}]",
                       "closed-form gap", f"{gap:.2e}", f"<= {cfg.quad_tol:g}")
-    write_plot_csv(os.path.join(out_dir, "moments.csv"), rows)
+    write_plot_csv(out("moments.csv"), rows)
     return rep.status()
 
 
-def cmd_sbound(cfg, seed, out_dir, threads, rep):
+def cmd_sbound(cfg, seed, out, threads, rep):
     target = cfg.build_target()
     report = s_bound_check(target, cfg.n_pairs, cfg.scale_grid, seed)
     rows = [
         (s, r, 0.0, "max_ratio") for s, r in zip(report.scales, report.max_ratio)
     ]
-    write_plot_csv(os.path.join(out_dir, "sbound.csv"), rows)
+    write_plot_csv(out("sbound.csv"), rows)
     rep.check(report.stable, "verify.s_bound_check",
               f"violations of c1={report.c1:.4g}", str(report.n_violations), "= 0")
     return rep.status()
 
 
-# each command and the outputs its manifest lists
-_COMMANDS = {
-    "simulate": (cmd_simulate, ["ensemble.csv", "ensemble.bin"]),
-    "langevin": (cmd_langevin, ["reference.csv", "reference.bin"]),
-    "verify-limit": (cmd_verify_limit, ["drift_convergence.csv", "volatility_convergence.csv",
-                                        "third_moment.csv", "probe_convergence.csv",
-                                        "ks_vs_epsilon.csv"]),
-    "verify-geometry": (cmd_verify_geometry, ["dmu_landscape.csv"]),
-    "moments": (cmd_moments, ["moments.csv"]),
-    "sbound": (cmd_sbound, ["sbound.csv"]),
-}
+_COMMANDS = {"simulate": cmd_simulate, "langevin": cmd_langevin, "verify-limit": cmd_verify_limit,
+             "verify-geometry": cmd_verify_geometry, "moments": cmd_moments, "sbound": cmd_sbound}
 
 
 def build_parser():
@@ -497,11 +486,15 @@ def main(argv=None):
         threads = args.threads if args.threads is not None else cfg.threads
         if threads < 1:
             raise ConfigurationError(f"--threads must be >= 1, got {threads}")
-        out_dir = _ensure_out(args.out)
-        command, outputs = _COMMANDS[args.command]
-        status = command(cfg, seed, out_dir, threads, rep)
+        os.makedirs(args.out, exist_ok=True)
+        outputs = []
+
+        def out(name):  # the path to write name to; the manifest lists the names in order
+            outputs.append(name)
+            return os.path.join(args.out, name)
+        status = _COMMANDS[args.command](cfg, seed, out, threads, rep)
         # a failed check (1) still finishes the run; an exception leaves no manifest
-        write_manifest(out_dir, cfg, seed, outputs)
+        write_manifest(args.out, cfg, seed, outputs)
         return status
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

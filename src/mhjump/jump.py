@@ -114,7 +114,6 @@ import multiprocessing
 import os
 from collections import namedtuple
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Optional
 
@@ -422,15 +421,16 @@ def check_run(obs_grid, n_paths):
 
 
 _worker_span = None  # a forked worker's run_span, inherited from the call that forked it
+_worker_stop = None  # that call's event, set once it takes no more rows
 
 
-def _adopt(run_span):
-    global _worker_span
-    _worker_span = run_span
+def _adopt(run_span, stop):
+    global _worker_span, _worker_stop
+    _worker_span, _worker_stop = run_span, stop
 
 
 def _run_adopted(span):
-    return _worker_span(*span)
+    return None if _worker_stop.is_set() else _worker_span(*span)
 
 
 def run_spans(run_span, out, block, threads):
@@ -443,9 +443,10 @@ def run_spans(run_span, out, block, threads):
     cores, blocks) worker processes, forked per call: each inherits run_span,
     so only (b, lo, hi) goes out and only rows come back, in block order, and
     the first block that raises raises its error here, as in process, once
-    the blocks handed to workers finish; a worker killed without raising
-    (SIGKILL) ends the call with a MemoryError. The pool ends with the call. With one worker,
-    or where the OS cannot fork, the blocks run in order in this process.
+    the blocks already running finish (a block taken after it returns at
+    once); a worker killed without raising (SIGKILL) ends the call with a
+    MemoryError. The pool ends with the call. With one worker, or where the
+    OS cannot fork, the blocks run in order in this process.
     threads is an integer >= 1, or None for the usable cores; this is the one
     place that checks it.
     """
@@ -457,15 +458,20 @@ def run_spans(run_span, out, block, threads):
         cores = os.cpu_count() or 1
     workers = min(cores if threads is None else _integer("threads", threads, 1), cores, len(spans))
     forks = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+    stop = multiprocessing.get_context("fork").Event() if forks else None  # one per pooled call
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt,
+                               (run_span, stop)) if forks else None
     try:
-        with (ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt,
-                                  (run_span,)) if forks else nullcontext()) as pool:
-            rows = pool.map(_run_adopted, spans) if pool else (run_span(*span) for span in spans)
-            for (_, lo, hi), block_rows in zip(spans, rows):
-                for array, r in zip(out, block_rows):
-                    array[lo:hi] = r
+        rows = pool.map(_run_adopted, spans) if pool else (run_span(*span) for span in spans)
+        for (_, lo, hi), block_rows in zip(spans, rows):
+            for array, r in zip(out, block_rows):
+                array[lo:hi] = r
     except BrokenExecutor as exc:  # a worker died without raising, as under the OOM killer
         raise MemoryError(f"a worker process was killed: {exc}") from exc
+    finally:
+        if pool:
+            stop.set()  # before the shutdown waits on the blocks the workers took
+            pool.shutdown()
 
 
 def _check_candidates(q, remaining):

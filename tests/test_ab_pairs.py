@@ -4,6 +4,9 @@ scripts/trajectory.py: the chain of their ratios."""
 import importlib.util
 import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -183,3 +186,38 @@ def test_trajectory_since_a_date_keeps_the_later_records(monkeypatch, tmp_path, 
     with pytest.raises(SystemExit) as refused:
         trajectory.main(["--since", "last week"])
     assert refused.value.code == 2
+
+
+def test_trajectory_stops_quietly_when_its_reader_closes(tmp_path):
+    # a reader that takes one line and closes the pipe, as `| head -1` does,
+    # while the script still has far more than a pipe's buffer to print: the
+    # script exits 1 with nothing on stderr, not with a BrokenPipeError
+    (tmp_path / "scripts").mkdir()
+    shutil.copy(os.path.join(ROOT, "scripts", "trajectory.py"), tmp_path / "scripts")
+    verdicts = {"ratio": 1.0, "wins": 5, "losses": 5, "gain_claimed": False, "regressed": False}
+    record = json.dumps({"date": "2026-01-02T12:00:00+00:00", "workload": "ks_sweep", "seed": 7,
+                         "change": {"commit": None, "dirty": False},
+                         "metrics": {"wall_s": verdicts}})
+    (tmp_path / "BENCH_pairs.json").write_text((record + "\n") * 5000)
+    with subprocess.Popen([sys.executable, str(tmp_path / "scripts" / "trajectory.py")],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == "ks_sweep seed 7 wall_s\n"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+        assert proc.stderr.read() == ""
+
+
+def test_trajectory_marks_a_backfilled_record(monkeypatch, tmp_path, capsys):
+    # a record appended later from an earlier change's listed runs says so
+    trajectory = load_script(monkeypatch, tmp_path, "trajectory")
+    verdicts = {"ratio": 0.8, "wins": 10, "losses": 0, "gain_claimed": True, "regressed": False}
+    with open(trajectory.RECORDS, "w") as f:
+        record = {"date": "2026-01-02T12:00:00+00:00", "workload": "ks_sweep", "seed": 7,
+                  "change": {"commit": "a" * 40, "dirty": None}, "metrics": {"wall_s": verdicts}}
+        f.write(json.dumps(record) + "\n")
+        f.write(json.dumps(dict(record, backfilled=True)) + "\n")
+    assert trajectory.main() == 0
+    assert capsys.readouterr().out.splitlines()[1:3] == [
+        "  2026-01-02 aaaaaaa  ratio 0.8000 (won 10, lost 0) gain claimed",
+        "  2026-01-02 aaaaaaa  ratio 0.8000 (won 10, lost 0) gain claimed, backfilled",
+    ]

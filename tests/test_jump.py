@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import os
 import threading
 
 import numpy as np
@@ -310,6 +311,39 @@ def test_a_killed_worker_ends_the_call_with_a_memory_error(isolated):
     seconds, children, message = run.stdout.split(" ", 2)
     assert float(seconds) < 5.0 and children == "0"
     assert message.startswith("a worker process was killed")
+
+
+RAISES_IN_BLOCK_0 = """
+import os, sys, time
+import numpy as np
+from mhjump import jump
+jump.os.sched_getaffinity = lambda pid: {0, 1}
+marks = sys.argv[1]
+
+def run_span(b, lo, hi):
+    open(os.path.join(marks, str(b)), "x").close()
+    if b == 0:
+        raise ValueError("block 0")
+    time.sleep(0.5)
+    return (np.arange(lo, hi),)
+
+try:
+    jump.run_spans(run_span, (np.zeros(8),), 1, 2)
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_an_error_stops_the_blocks_workers_have_not_started(isolated, tmp_path):
+    # 8 blocks of 0.5 s on 2 workers, block 0 raising at once: only the block
+    # running beside it and one a worker took before the call saw the error
+    # start; the blocks already queued to the workers return without running.
+    # A marker file counts each block that starts, in a separate process, so
+    # that a call that waits forever fails this test
+    run = isolated(RAISES_IN_BLOCK_0, str(tmp_path))
+    assert run.returncode == 0 and run.stdout == "block 0\n", run.stderr
+    started = sorted(int(name) for name in os.listdir(tmp_path))
+    assert started[0] == 0 and len(started) <= 3, started
 
 
 def test_threads_are_capped_at_the_usable_cores(monkeypatch, pool_sizes):
