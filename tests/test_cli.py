@@ -1,6 +1,7 @@
 """Config handling, seed precedence, CLI subcommands and exit codes."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -272,6 +273,68 @@ _TINY_RUNS = {
     "moments": {"t_grid": [1.0], "folded_epsilon_grid": [1e-5, 1e-6]},
     "sbound": {"n_pairs": 50},
 }
+
+
+# Every command's artifacts at one seed: the exit code, the sha256 of each
+# output in the manifest's order, the sha256 of the pass/FAIL/summary lines
+# on stdout (the "wrote" lines name the temporary directory) and the FAIL
+# lines in full. verify-limit's doublewell config fails one probe check.
+_PINNED_RUNS = {
+    "simulate": (dict(_TINY_RUNS["simulate"], seed=0), 0, [], {
+        "ensemble.csv": "a83af7fd9c615dba6b477e593ab8246fe14e37d75783e3ab2bd78a254e2b3f56",
+        "ensemble.bin": "ae0ab328c082c9f9e084bf9480ba19a8776170321f0799efc71ca26d5b0051fa",
+    }, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "langevin": (dict(_TINY_RUNS["langevin"], seed=0), 0, [], {
+        "reference.csv": "996080c709700d8a519fec23b9838928b2292eb30ae8d9cea976a70ff8c92d93",
+        "reference.bin": "430800571f2730f4ccfd7d35ebbb14da9798983dd2362d9dc5ad5e906d1fb8c7",
+    }, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify-limit": (
+        {"potential": "doublewell", "moment_epsilon_grid": [0.1, 0.01], "epsilon_grid": [0.3, 0.1],
+         "obs_grid": [0.5], "n_paths": 100, "dt": 0.01, "seed": 3}, 1,
+        ["FAIL verify.generator_convergence_probe[mix(0.25),square_bump]: gap slope = 0.908 "
+         "(required in [0.35, 0.65])"], {
+            "drift_convergence.csv":
+                "3bd616436e7b86d5850acc1f6b7fd99ac083bb2ec53294f4523d687c3cab7d50",
+            "volatility_convergence.csv":
+                "7a404f9764cfbda472e31cae74403c31eea64ee512eacdeb789118e44a6c1649",
+            "third_moment.csv": "fd52c9d97d2ef24c19a354136512f275e368be17bb36c030557e0871fa2b5530",
+            "probe_convergence.csv":
+                "cea1fd59aa763473c4c4d418cec620bdba30b1042b5eac70e966335c520806de",
+            "ks_vs_epsilon.csv": "e8749e66b8d816b34b278c5b995fe4c204d1bcaa404c3d4355c59326e0b45140",
+        }, "542b729f19099158efb859a62a85ab725030fb90cd7650845e1cd6b6a288f7b1"),
+    "verify-geometry": (dict(_TINY_RUNS["verify-geometry"], seed=0), 0, [], {
+        "dmu_landscape.csv": "a54a7597c5f577a0d05b1caf805a4d6bbca084c7ff1849666006738289cc3f84",
+    }, "c5eb1caee975ed71948d11502add33c0b2d7a4c9b87455579e99634e39d18abf"),
+    "moments": (dict(_TINY_RUNS["moments"], seed=0), 0, [], {
+        "moments.csv": "6c1b11bca4a846c66b60f703f4570cef762ca7260d44a8bdb5960262ebf9c8d5",
+    }, "e155a6b36e94df1252573eab4845d8ad8f2b95764f5ab9d845aeb67512c50cbc"),
+    "moments-failing": ({"t_grid": [1.0], "folded_epsilon_grid": [0.5, 0.1], "seed": 0}, 1, [
+        "FAIL verify.folded_normal_moment[t=1,k=3]: log-log slope = 2.0188 "
+        "(required in [1.45, 1.55])",
+        "FAIL verify.folded_normal_moment[t=1,k=4]: log-log slope = 2.5794 "
+        "(required in [1.95, 2.05])",
+    ], {
+        "moments.csv": "446b7fcdfbc4c777a5f66222b7da558cbbc75861ead1521494b60bc0544c47a8",
+    }, "6ef378f5079b3e0643e4d4f2fe56047e8d4746ab09eb7b5247cff893fd5d53f3"),
+    "sbound": (dict(_TINY_RUNS["sbound"], seed=0), 0, [], {
+        "sbound.csv": "15c515f3ddb3592b3ae004d6b2fc9590d5f3dec8e799012fa9d424c3b8bd3ca1",
+    }, "66eacf931502e98114aea637719ba3181e85568567859992f0e8680cad193bcd"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_RUNS))
+def test_each_command_keeps_its_bytes(tmp_path, capsys, monkeypatch, case):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+    config, code, failed, digests, checks_sha256 = _PINNED_RUNS[case]
+    out = tmp_path / "o"
+    command = case.removesuffix("-failing")
+    assert main([command, "--config", write_config(tmp_path, **config), "--out", str(out)]) == code
+    checks = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("wrote ")]
+    assert [line for line in checks if line.startswith("FAIL")] == failed
+    assert hashlib.sha256("\n".join(checks).encode()).hexdigest() == checks_sha256
+    assert json.loads((out / "manifest.json").read_text())["outputs"] == list(digests)
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in digests} == digests
 
 
 @pytest.mark.parametrize("command", sorted(_TINY_RUNS))
