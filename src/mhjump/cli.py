@@ -36,48 +36,20 @@ import numpy as np
 from . import __version__
 from .errors import ConfigurationError, DominationError, QuadratureError
 from .ensembles import atomic_open, write_binary, write_csv
-from .finite import (
-    d_mu,
-    half_space_masses,
-    make_m1,
-    make_m2,
-    mix,
-    random_chain,
-    random_reversible_batch,
-    reversibility_gap,
-)
 from .jump import DOMAIN_GEOMETRY, check_seed, path_stream, simulate_ensemble
 from .kernels import GeneratorKind
 from .langevin import default_dt, simulate_langevin
 from .targets import GaussianProposal, make_potential
 from .verify import (
-    bump_library,
-    compare_ensembles,
+    Check,
     default_x_grid,
-    fit_loglog_slope,
-    folded_normal_moment,
-    gaussian_abs_moment,
-    generator_convergence_probe,
-    ks_null_sd,
-    ks_threshold,
-    moment_report,
+    folded_checks,
+    ks_sweep_checks,
+    minimality_checks,
+    moment_checks,
+    probe_checks,
     s_bound_check,
 )
-
-_SLOPE_WINDOW = (0.35, 0.65)
-# To first order in dU, s_mix = 1 - dU/(2T) + (1 - 2 alpha)|dU|/(2T): the |dU|
-# kink behind the sqrt(eps) moment order cancels at alpha = 1/2, where the
-# moment errors decay at order eps.
-_MIX_SLOPE_WINDOW = (0.85, 1.15)
-_MOMENT_CHECKS = (
-    (GeneratorKind.m1(), _SLOPE_WINDOW),
-    (GeneratorKind.m2(), _SLOPE_WINDOW),
-    (GeneratorKind.mix(0.5), _MIX_SLOPE_WINDOW),
-)
-_PROBE_WINDOW = (0.35, 0.65)
-_FOLDED_WINDOWS = {3: (1.45, 1.55), 4: (1.95, 2.05)}
-_GEOM_TOL = 1e-12
-_REV_TOL = 1e-14
 
 
 def _is_int(v):
@@ -262,7 +234,7 @@ def write_plot_csv(path, rows):
 
 
 class _Reporter:
-    """Collects named check failures; prints unless quiet."""
+    """Prints each Check as a pass or FAIL line unless quiet; collects the failures."""
 
     def __init__(self, quiet):
         self.quiet = quiet
@@ -272,13 +244,14 @@ class _Reporter:
         if not self.quiet:
             print(text)
 
-    def check(self, ok, where, quantity, observed, tolerance):
-        line = f"{where}: {quantity} = {observed} (required {tolerance})"
-        if ok:
-            self.say("pass " + line)
-        else:
-            self.failures.append(line)
-            self.say("FAIL " + line)
+    def check(self, checks):
+        for c in checks:
+            line = f"{c.where}: {c.quantity} = {c.observed} (required {c.required})"
+            if c.ok:
+                self.say("pass " + line)
+            else:
+                self.failures.append(line)
+                self.say("FAIL " + line)
 
     def status(self):
         if self.failures:
@@ -322,125 +295,32 @@ def cmd_verify_limit(cfg, seed, out, threads, rep):
     # the reference first, so that its checks refuse a bad request before any result file
     ref = simulate_langevin(target, x0, cfg.obs_grid, cfg.n_paths, dt, seed, threads=threads)
     x_grid = default_x_grid(target.d_star)
-    eps_grid = list(cfg.moment_epsilon_grid)
-
-    drift_rows, vol_rows, third_rows = [], [], []
-    for kind, (lo, hi) in _MOMENT_CHECKS:
-        report = moment_report(kind, target, eps_grid, x_grid)
-        for k, rows in ((1, drift_rows), (2, vol_rows), (3, third_rows)):
-            for eps, err in zip(report.epsilon_grid, report.sup_errors[k]):
-                rows.append((eps, err, 0.0, report.kind_label))
-            slope = report.slopes[k]
-            if k == 3:
-                rep.check(slope >= lo, f"verify.moment_report[{report.kind_label}]",
-                          "k=3 error slope", f"{slope:.3f}", f">= {lo}")
-            else:
-                rep.check(lo <= slope <= hi, f"verify.moment_report[{report.kind_label}]",
-                          f"k={k} error slope", f"{slope:.3f}", f"in [{lo}, {hi}]")
-    write_plot_csv(out("drift_convergence.csv"), drift_rows)
-    write_plot_csv(out("volatility_convergence.csv"), vol_rows)
-    write_plot_csv(out("third_moment.csv"), third_rows)
-
-    probe_rows = []
-    plo, phi = _PROBE_WINDOW
-    for kind in (GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.25)):
-        for tf in bump_library(target.d_star):
-            probe = generator_convergence_probe(kind, target, tf, x_grid, eps_grid)
-            for eps, gap in zip(probe.epsilon_grid, probe.sup_gaps):
-                probe_rows.append((eps, gap, 0.0, f"{probe.kind_label}:{tf.name}"))
-            rep.check(
-                plo <= probe.slope <= phi,
-                f"verify.generator_convergence_probe[{probe.kind_label},{tf.name}]",
-                "gap slope", f"{probe.slope:.3f}", f"in [{plo}, {phi}]",
-            )
-    write_plot_csv(out("probe_convergence.csv"), probe_rows)
-
-    kinds = (GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5))
-    sweep = sorted(cfg.epsilon_grid, reverse=True)
-    threshold = ks_threshold(cfg.n_paths)
-    slack = 2.0 * ks_null_sd(cfg.n_paths)
-    ks_rows = []
-    for kind in kinds:
-        per_eps = []
-        for eps in sweep:
-            ens = simulate_ensemble(
-                kind, target, GaussianProposal(eps), x0, cfg.obs_grid,
-                cfg.n_paths, seed, threads=threads,
-            )
-            comp = compare_ensembles(ens, ref)
-            per_eps.append(comp.max_ks)
-            ks_rows.append((eps, comp.max_ks, ks_null_sd(cfg.n_paths), kind.label()))
-        rep.check(
-            per_eps[-1] < threshold,
-            f"verify.compare_ensembles[{kind.label()}]",
-            f"max KS at eps={sweep[-1]:g}", f"{per_eps[-1]:.4f}", f"< {threshold:.4f}",
-        )
-        monotone = all(per_eps[j + 1] <= per_eps[j] + slack for j in range(len(per_eps) - 1))
-        rep.check(
-            monotone,
-            f"verify.compare_ensembles[{kind.label()}]",
-            "KS vs eps", "non-increasing" if monotone else str([f"{v:.4f}" for v in per_eps]),
-            f"non-increasing within {slack:.4f}",
-        )
-    write_plot_csv(out("ks_vs_epsilon.csv"), ks_rows)
+    # each stage's checks print and its rows are written before the next stage starts
+    checks, rows = moment_checks(target, cfg.moment_epsilon_grid, x_grid)
+    rep.check(checks)
+    for k, name in ((1, "drift_convergence.csv"), (2, "volatility_convergence.csv"),
+                    (3, "third_moment.csv")):
+        write_plot_csv(out(name), rows[k])
+    checks, rows = probe_checks(target, cfg.moment_epsilon_grid, x_grid)
+    rep.check(checks)
+    write_plot_csv(out("probe_convergence.csv"), rows)
+    checks, rows = ks_sweep_checks(target, x0, ref, cfg.epsilon_grid, seed, threads)
+    rep.check(checks)
+    write_plot_csv(out("ks_vs_epsilon.csv"), rows)
     return rep.status()
 
 
 def cmd_verify_geometry(cfg, seed, out, threads, rep):
     rng = path_stream(seed, DOMAIN_GEOMETRY, 0)
-    alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
-    worst_alpha_gap = 0.0
-    worst_rev = 0.0
-    worst_half_gap = 0.0
-    worst_lower = math.inf
-    per_alpha_sum = np.zeros(len(alphas))
-    for _ in range(cfg.n_chains):
-        chain = random_chain(cfg.n_states, rng)
-        m1 = make_m1(chain)
-        m2 = make_m2(chain)
-        base = d_mu(chain, chain.rates, m1)
-        for j, a in enumerate(alphas):
-            val = d_mu(chain, chain.rates, mix(m1, m2, a))
-            per_alpha_sum[j] += val
-            worst_alpha_gap = max(worst_alpha_gap, abs(val - base))
-        for m in (m1, m2, mix(m1, m2, 0.5)):
-            worst_rev = max(worst_rev, reversibility_gap(chain, m))
-        under, over = half_space_masses(chain)
-        worst_half_gap = max(worst_half_gap, abs(under - over), abs(over - base))
-        dists = d_mu(chain, random_reversible_batch(chain, cfg.n_reversible, rng), chain.rates)
-        worst_lower = min(worst_lower, float(dists.min()) - base)
-    rows = [
-        (a, per_alpha_sum[j] / cfg.n_chains, 0.0, "mean_d_mu") for j, a in enumerate(alphas)
-    ]
+    checks, rows = minimality_checks(cfg.n_chains, cfg.n_states, cfg.n_reversible, rng)
     write_plot_csv(out("dmu_landscape.csv"), rows)
-    rep.check(worst_alpha_gap <= _GEOM_TOL, "finite.d_mu[mixture sweep]",
-              "max |d_mu(Q,mix) - d_mu(Q,M1)|", f"{worst_alpha_gap:.3e}", f"<= {_GEOM_TOL:g}")
-    rep.check(worst_lower >= -_GEOM_TOL, "finite.random_reversible[lower bound]",
-              "min d_mu(Q,R) - d_mu(Q,M1)", f"{worst_lower:.3e}", f">= -{_GEOM_TOL:g}")
-    rep.check(worst_half_gap <= _GEOM_TOL, "finite.half_space_masses",
-              "max half-space asymmetry", f"{worst_half_gap:.3e}", f"<= {_GEOM_TOL:g}")
-    rep.check(worst_rev <= _REV_TOL, "finite.make_m1/make_m2/mix",
-              "max reversibility gap", f"{worst_rev:.3e}", f"<= {_REV_TOL:g}")
+    rep.check(checks)
     return rep.status()
 
 
 def cmd_moments(cfg, seed, out, threads, rep):
-    eps_grid = np.asarray(cfg.folded_epsilon_grid, dtype=float)
-    rows = []
-    for t in cfg.t_grid:
-        for k in (3, 4):
-            vals = np.array([folded_normal_moment(t, k, e, tol=cfg.quad_tol) for e in eps_grid])
-            for e, v in zip(eps_grid, vals):
-                rows.append((e, v, 0.0, f"t={t:g},k={k}"))
-            slope = fit_loglog_slope(eps_grid, vals)
-            lo, hi = _FOLDED_WINDOWS[k]
-            rep.check(lo <= slope <= hi, f"verify.folded_normal_moment[t={t:g},k={k}]",
-                      "log-log slope", f"{slope:.4f}", f"in [{lo}, {hi}]")
-    for k in (3, 4):
-        for e in (1e-1, 1e-2, 1e-3):
-            gap = abs(folded_normal_moment(0.0, k, e, tol=cfg.quad_tol) - gaussian_abs_moment(k, e))
-            rep.check(gap <= cfg.quad_tol, f"verify.folded_normal_moment[t=0,k={k},eps={e:g}]",
-                      "closed-form gap", f"{gap:.2e}", f"<= {cfg.quad_tol:g}")
+    checks, rows = folded_checks(cfg.t_grid, cfg.folded_epsilon_grid, cfg.quad_tol)
+    rep.check(checks)
     write_plot_csv(out("moments.csv"), rows)
     return rep.status()
 
@@ -452,8 +332,8 @@ def cmd_sbound(cfg, seed, out, threads, rep):
         (s, r, 0.0, "max_ratio") for s, r in zip(report.scales, report.max_ratio)
     ]
     write_plot_csv(out("sbound.csv"), rows)
-    rep.check(report.stable, "verify.s_bound_check",
-              f"violations of c1={report.c1:.4g}", str(report.n_violations), "= 0")
+    rep.check([Check("verify.s_bound_check", f"violations of c1={report.c1:.4g}",
+                     str(report.n_violations), "= 0", report.stable)])
     return rep.status()
 
 

@@ -5,7 +5,9 @@ the limiting SDE, tilted absolute-moment orders, the second-order bound on
 the linearized acceptance factor, a direct generator-convergence probe on
 compactly supported C^2 test functions, distributional comparison of jump
 ensembles against the reference diffusion, and the stationarity and
-thinning goodness-of-fit statistics.
+thinning goodness-of-fit statistics. Each *_checks function makes claim
+checks the CLI reports and returns (checks, rows): its Check records, with
+the observed value and requirement formatted, and the plot rows behind them.
 
 Error-decay orders are asserted through log-log slope fits on a grid of
 proposal variances. Moment and probe errors are aggregated as the sup over
@@ -26,13 +28,25 @@ first quadrature call.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtrc
 
 from .errors import ConfigurationError, QuadratureError
-from .jump import DOMAIN_SBOUND, _integer, path_stream
+from .finite import (
+    d_mu,
+    half_space_masses,
+    make_m1,
+    make_m2,
+    mix,
+    random_chain,
+    random_reversible_batch,
+    reversibility_gap,
+)
+from .jump import DOMAIN_SBOUND, _integer, path_stream, simulate_ensemble
+from .kernels import GeneratorKind
 from .targets import (
     GaussianProposal,
     delta_u_line,
@@ -50,6 +64,17 @@ _SQRT2PI = math.sqrt(2.0 * math.pi)
 
 DEFAULT_X_VALUES = (-1.8, -0.9, 0.45, 1.1, 2.2)
 _OFFCOORD_FILL = (0.3, -0.7, 1.2, -0.2)
+
+Check = namedtuple("Check", "where quantity observed required ok")
+_SLOPE_WINDOW = (0.35, 0.65)
+# To first order in dU, s_mix = 1 - dU/(2T) + (1 - 2 alpha)|dU|/(2T): the |dU|
+# kink behind the sqrt(eps) moment order cancels at alpha = 1/2, where the
+# moment errors decay at order eps.
+_MIX_SLOPE_WINDOW = (0.85, 1.15)
+_PROBE_WINDOW = (0.35, 0.65)
+_FOLDED_WINDOWS = {3: (1.45, 1.55), 4: (1.95, 2.05)}
+_GEOM_TOL = 1e-12
+_REV_TOL = 1e-14
 
 
 def default_x_grid(d_star):
@@ -166,7 +191,6 @@ class MomentReport:
     kind_label: str
     epsilon_grid: np.ndarray
     x_grid: np.ndarray
-    coord: int
     values: dict
     sup_errors: dict
     slopes: dict
@@ -195,11 +219,29 @@ def moment_report(kind, target, epsilon_grid, x_grid=None, i=0):
         kind_label=kind.label(),
         epsilon_grid=eps_grid,
         x_grid=x_grid,
-        coord=i,
         values=values,
         sup_errors=sup_errors,
         slopes=slopes,
     )
+
+
+def moment_checks(target, epsilon_grid, x_grid):
+    """The moment orders: the k = 1, 2 sup errors of m1 and m2 decay at order
+    sqrt(eps) and those of mix(1/2) at order eps, and the k = 3 error at
+    least as fast. Rows {k: [(eps, sup error, 0, kind)]}."""
+    checks, rows = [], {1: [], 2: [], 3: []}
+    for kind, (lo, hi) in ((GeneratorKind.m1(), _SLOPE_WINDOW), (GeneratorKind.m2(), _SLOPE_WINDOW),
+                           (GeneratorKind.mix(0.5), _MIX_SLOPE_WINDOW)):
+        report = moment_report(kind, target, epsilon_grid, x_grid)
+        where = f"verify.moment_report[{report.kind_label}]"
+        for k in (1, 2, 3):
+            rows[k] += [(eps, err, 0.0, report.kind_label)
+                        for eps, err in zip(report.epsilon_grid, report.sup_errors[k])]
+            slope = report.slopes[k]
+            ok, required = ((lo <= slope <= hi, f"in [{lo}, {hi}]") if k < 3
+                            else (slope >= lo, f">= {lo}"))
+            checks.append(Check(where, f"k={k} error slope", f"{slope:.3f}", required, ok))
+    return checks, rows
 
 
 def folded_normal_moment(t, k, epsilon, tol=QUAD_TOL):
@@ -242,6 +284,28 @@ def gaussian_abs_moment(k, epsilon):
         return table[k]
     except KeyError:
         raise ConfigurationError(f"k must be in 0..4, got {k}") from None
+
+
+def folded_checks(t_grid, epsilon_grid, tol):
+    """The tilted absolute-moment orders: at each t in t_grid the k = 3, 4
+    folded moments on epsilon_grid decay at order eps^{k/2}, and at t = 0 they
+    meet the closed forms within tol at eps 1e-1, 1e-2 and 1e-3. Rows
+    [(eps, moment, 0, "t=..,k=..")]."""
+    eps_grid = np.asarray(epsilon_grid, dtype=float)
+    checks, rows = [], []
+    for t in t_grid:
+        for k in (3, 4):
+            vals = np.array([folded_normal_moment(t, k, e, tol=tol) for e in eps_grid])
+            rows += [(e, v, 0.0, f"t={t:g},k={k}") for e, v in zip(eps_grid, vals)]
+            slope, (lo, hi) = fit_loglog_slope(eps_grid, vals), _FOLDED_WINDOWS[k]
+            checks.append(Check(f"verify.folded_normal_moment[t={t:g},k={k}]", "log-log slope",
+                                f"{slope:.4f}", f"in [{lo}, {hi}]", lo <= slope <= hi))
+    for k in (3, 4):
+        for e in (1e-1, 1e-2, 1e-3):
+            gap = abs(folded_normal_moment(0.0, k, e, tol=tol) - gaussian_abs_moment(k, e))
+            checks.append(Check(f"verify.folded_normal_moment[t=0,k={k},eps={e:g}]",
+                                "closed-form gap", f"{gap:.2e}", f"<= {tol:g}", gap <= tol))
+    return checks, rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,7 +475,6 @@ def generator_probe_value(kind, target, proposal, tf, x):
 @dataclass(frozen=True, eq=False)
 class ProbeReport:
     kind_label: str
-    function_name: str
     epsilon_grid: np.ndarray
     sup_gaps: np.ndarray
     slope: float
@@ -431,11 +494,27 @@ def generator_convergence_probe(kind, target, tf, x_grid, epsilon_grid):
         sup_gaps[a] = max(gaps)
     return ProbeReport(
         kind_label=kind.label(),
-        function_name=tf.name,
         epsilon_grid=eps_grid,
         sup_gaps=sup_gaps,
         slope=fit_loglog_slope(eps_grid, sup_gaps),
     )
+
+
+def probe_checks(target, epsilon_grid, x_grid):
+    """The generator convergence: for m1, m2 and mix(1/4) and each function of
+    bump_library, the sup gap |(1/eps) M f - G f| decays at order sqrt(eps).
+    Rows [(eps, sup gap, 0, "kind:function")]."""
+    checks, rows = [], []
+    lo, hi = _PROBE_WINDOW
+    for kind in (GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.25)):
+        for tf in bump_library(target.d_star):
+            probe = generator_convergence_probe(kind, target, tf, x_grid, epsilon_grid)
+            rows += [(eps, gap, 0.0, f"{probe.kind_label}:{tf.name}")
+                     for eps, gap in zip(probe.epsilon_grid, probe.sup_gaps)]
+            checks.append(Check(
+                f"verify.generator_convergence_probe[{probe.kind_label},{tf.name}]",
+                "gap slope", f"{probe.slope:.3f}", f"in [{lo}, {hi}]", lo <= probe.slope <= hi))
+    return checks, rows
 
 
 # ensemble comparison
@@ -477,8 +556,6 @@ def ks_null_sd(n):
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    obs_grid: np.ndarray
-    n_paths: int
     ks: np.ndarray  # (n_obs, d)
 
     @property
@@ -498,7 +575,72 @@ def compare_ensembles(ens, ref):
     ks = np.empty((ens.obs_grid.size, ens.d_star))
     for k, j in np.ndindex(ks.shape):
         ks[k, j] = ks_statistic(ens.samples[:, k, j], ref.samples[:, k, j])
-    return ConvergenceReport(obs_grid=ens.obs_grid, n_paths=ens.n_paths, ks=ks)
+    return ConvergenceReport(ks=ks)
+
+
+def ks_sweep_checks(target, x0, ref, epsilon_grid, seed, threads):
+    """The shared limit in law: m1, m2 and mix(1/2) ensembles from x0, on the
+    reference ensemble ref's observation grid and of its size, at each eps of
+    epsilon_grid. At the smallest eps each kind's max KS distance to ref is
+    below the 95% critical value, and from the largest eps down it rises by
+    no more than two null sds. Rows [(eps, max KS, null sd, kind)]."""
+    n = ref.n_paths
+    sweep = sorted(epsilon_grid, reverse=True)
+    threshold, slack = ks_threshold(n), 2.0 * ks_null_sd(n)
+    checks, rows = [], []
+    for kind in (GeneratorKind.m1(), GeneratorKind.m2(), GeneratorKind.mix(0.5)):
+        per_eps = []
+        for eps in sweep:
+            ens = simulate_ensemble(kind, target, GaussianProposal(eps), x0, ref.obs_grid, n, seed,
+                                    threads=threads)
+            per_eps.append(compare_ensembles(ens, ref).max_ks)
+            rows.append((eps, per_eps[-1], ks_null_sd(n), kind.label()))
+        where = f"verify.compare_ensembles[{kind.label()}]"
+        checks.append(Check(where, f"max KS at eps={sweep[-1]:g}", f"{per_eps[-1]:.4f}",
+                            f"< {threshold:.4f}", per_eps[-1] < threshold))
+        monotone = all(b <= a + slack for a, b in zip(per_eps, per_eps[1:]))
+        checks.append(Check(where, "KS vs eps",
+                            "non-increasing" if monotone else str([f"{v:.4f}" for v in per_eps]),
+                            f"non-increasing within {slack:.4f}", monotone))
+    return checks, rows
+
+
+def minimality_checks(n_chains, n_states, n_reversible, rng):
+    """L1-minimality on n_chains random chains of n_states states drawn from
+    rng: d_mu(Q, M) takes one value for M1, M2 and their mixtures, equal to
+    each half-space mass, no one of n_reversible random reversible competitors
+    per chain comes closer, and M1, M2 and mix(1/2) are reversible. Rows
+    [(alpha, mean d_mu, 0, "mean_d_mu")]."""
+    alphas = (0.0, 0.25, 0.5, 0.75, 1.0)
+    worst_alpha_gap = worst_rev = worst_half_gap = 0.0
+    worst_lower = math.inf
+    per_alpha_sum = np.zeros(len(alphas))
+    for _ in range(n_chains):
+        chain = random_chain(n_states, rng)
+        m1, m2 = make_m1(chain), make_m2(chain)
+        base = d_mu(chain, chain.rates, m1)
+        for j, a in enumerate(alphas):
+            val = d_mu(chain, chain.rates, mix(m1, m2, a))
+            per_alpha_sum[j] += val
+            worst_alpha_gap = max(worst_alpha_gap, abs(val - base))
+        for m in (m1, m2, mix(m1, m2, 0.5)):
+            worst_rev = max(worst_rev, reversibility_gap(chain, m))
+        under, over = half_space_masses(chain)
+        worst_half_gap = max(worst_half_gap, abs(under - over), abs(over - base))
+        dists = d_mu(chain, random_reversible_batch(chain, n_reversible, rng), chain.rates)
+        worst_lower = min(worst_lower, float(dists.min()) - base)
+    rows = [(a, per_alpha_sum[j] / n_chains, 0.0, "mean_d_mu") for j, a in enumerate(alphas)]
+    checks = [
+        Check("finite.d_mu[mixture sweep]", "max |d_mu(Q,mix) - d_mu(Q,M1)|",
+              f"{worst_alpha_gap:.3e}", f"<= {_GEOM_TOL:g}", worst_alpha_gap <= _GEOM_TOL),
+        Check("finite.random_reversible[lower bound]", "min d_mu(Q,R) - d_mu(Q,M1)",
+              f"{worst_lower:.3e}", f">= -{_GEOM_TOL:g}", worst_lower >= -_GEOM_TOL),
+        Check("finite.half_space_masses", "max half-space asymmetry",
+              f"{worst_half_gap:.3e}", f"<= {_GEOM_TOL:g}", worst_half_gap <= _GEOM_TOL),
+        Check("finite.make_m1/make_m2/mix", "max reversibility gap",
+              f"{worst_rev:.3e}", f"<= {_REV_TOL:g}", worst_rev <= _REV_TOL),
+    ]
+    return checks, rows
 
 
 # goodness-of-fit statistics

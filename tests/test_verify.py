@@ -1,5 +1,6 @@
 """Quadrature oracles, slope fits, goodness-of-fit, ensemble comparison."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -21,12 +22,15 @@ from mhjump import (
     first_jump_displacements,
     folded_normal_moment,
     generator_moment,
+    make_m2,
     make_potential,
     moment_report,
+    path_stream,
     s_bound_check,
     simulate_langevin,
     stationarity_chisquare,
 )
+from mhjump.jump import DOMAIN_GEOMETRY
 from mhjump.targets import gibbs_quantiles_1d, log_s_mix
 from mhjump.verify import (
     _NodeFactor,
@@ -36,14 +40,19 @@ from mhjump.verify import (
     default_x_grid,
     displacement_chisquare,
     fit_loglog_slope,
+    folded_checks,
     gaussian_abs_moment,
     generator_convergence_probe,
     generator_probe_value,
     kernel_displacement_cdf,
     ks_null_sd,
     ks_statistic,
+    ks_sweep_checks,
     ks_threshold,
+    minimality_checks,
+    moment_checks,
     moment_limits,
+    probe_checks,
 )
 
 
@@ -270,7 +279,8 @@ def test_equal_weight_mixture_moment_error_decays_faster():
 def test_mixture_moment_window_of_verify_limit(name, d_star):
     # verify-limit's mix(0.5) window on its default eps grid; mix(0.45) keeps
     # part of the |dU| kink, so its k=1 slope falls outside the window
-    from mhjump.cli import _MIX_SLOPE_WINDOW, ExperimentConfig
+    from mhjump.cli import ExperimentConfig
+    from mhjump.verify import _MIX_SLOPE_WINDOW
 
     lo, hi = _MIX_SLOPE_WINDOW
     target = make_potential(name, d_star=d_star, T=1.0)
@@ -617,3 +627,72 @@ def test_displacement_chisquare_bad_binning():
         with pytest.raises(ConfigurationError, match="binning"):
             displacement_chisquare(np.zeros(10), GeneratorKind.m2(), target,
                                    GaussianProposal(1e-2), np.array([0.7]), binning=binning)
+
+
+# --- claim checks: each *_checks function against a named defect ---
+
+
+def failed(checks):
+    return [f"{c.where}: {c.quantity} = {c.observed}" for c in checks if not c.ok]
+
+
+class _SteepDrift(BoxedQuadratic):
+    """The quadratic with its gradient, and so the limit's drift, 5% too steep;
+    the kernels still see U, so the jump generators tend to another limit."""
+
+    def grad(self, x):
+        return 1.05 * super().grad(x)
+
+
+def test_moment_checks_fail_on_a_drift_5_percent_too_steep():
+    checks, rows = moment_checks(_SteepDrift(d_star=1), [1e-1, 1e-2, 1e-3], default_x_grid(1))
+    assert failed(checks) == ["verify.moment_report[m1]: k=1 error slope = 0.315",
+                              "verify.moment_report[mix(0.5)]: k=1 error slope = 0.068"]
+    # a gap: m2's k=1 error keeps a slope inside its window
+    assert checks[3][:3] == ("verify.moment_report[m2]", "k=1 error slope", "0.649")
+    assert [len(rows[k]) for k in (1, 2, 3)] == [9, 9, 9]
+
+
+def test_probe_checks_fail_on_a_drift_5_percent_too_steep():
+    # a gap: on three eps the defect trips one probe of the nine
+    checks, rows = probe_checks(_SteepDrift(d_star=1), [1e-1, 1e-2, 1e-3], default_x_grid(1))
+    assert failed(checks) == [
+        "verify.generator_convergence_probe[mix(0.25),linear_bump]: gap slope = 0.336"]
+    assert len(rows) == 27
+
+
+def test_ks_sweep_checks_fail_on_a_reference_at_twice_the_time_scale():
+    target, x0 = BoxedQuadratic(d_star=1), np.array([1.0])
+    slow = simulate_langevin(target, x0, [1.0, 2.0], 2000, 1e-3, 0)
+    ref = dataclasses.replace(slow, obs_grid=np.array([0.5, 1.0]))
+    checks, rows = ks_sweep_checks(target, x0, ref, [1e-1, 1e-2], 0, 1)
+    # a gap: KS does not rise as eps falls, so the non-increasing checks pass
+    assert failed(checks) == [
+        "verify.compare_ensembles[m1]: max KS at eps=0.01 = 0.1455",
+        "verify.compare_ensembles[m2]: max KS at eps=0.01 = 0.1355",
+        "verify.compare_ensembles[mix(0.5)]: max KS at eps=0.01 = 0.1410",
+    ]
+    assert checks[0].required == "< 0.0430"
+    assert len(rows) == 6
+
+
+def test_minimality_checks_fail_when_m2_halves_one_pairs_flux(monkeypatch):
+    def halved(chain):
+        m = make_m2(chain)
+        m[0, 1] *= 0.5
+        m[1, 0] *= 0.5
+        return m
+
+    monkeypatch.setattr("mhjump.verify.make_m2", halved)
+    checks, rows = minimality_checks(20, 5, 1000, path_stream(0, DOMAIN_GEOMETRY, 0))
+    # a gap: both directions of the pair lose half, so M2 stays reversible
+    assert failed(checks) == ["finite.d_mu[mixture sweep]: max |d_mu(Q,mix) - d_mu(Q,M1)| "
+                              "= 5.137e-02"]
+    assert len(rows) == 5
+
+
+def test_folded_checks_fail_on_an_eps_grid_far_from_zero():
+    checks, rows = folded_checks([1.0], [0.5, 0.1], 1e-10)
+    assert failed(checks) == ["verify.folded_normal_moment[t=1,k=3]: log-log slope = 2.0188",
+                              "verify.folded_normal_moment[t=1,k=4]: log-log slope = 2.5794"]
+    assert len(checks) == 8 and len(rows) == 4
