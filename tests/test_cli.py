@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mhjump import (ConfigurationError, GeneratorKind, cli, jump, simulate_ensemble,
-                    simulate_langevin)
+from mhjump import (ConfigurationError, GeneratorKind, QuadratureError, cli, jump,
+                    simulate_ensemble, simulate_langevin)
 from mhjump.cli import ExperimentConfig, load_config, main, resolve_seed, write_manifest
 from mhjump.ensembles import read_binary, read_csv
 from mhjump.targets import GaussianProposal, make_potential
@@ -733,6 +733,28 @@ def test_exit_code_1_on_numerical_failure(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, quad_tol=1e-300, seed=0)
     assert main(["moments", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
     assert "numerical failure: folded moment" in capsys.readouterr().err
+
+
+def test_a_stage_that_raises_leaves_the_earlier_stages_checks_and_rows(tmp_path, capsys,
+                                                                       monkeypatch):
+    monkeypatch.delenv("MHJUMP_SEED", raising=False)
+
+    def no_probe(*args):
+        raise QuadratureError("probe quadrature did not converge")
+
+    monkeypatch.setattr("mhjump.verify.generator_convergence_probe", no_probe)
+    config, _, _, digests, _ = _PINNED_RUNS["verify-limit"]
+    out = tmp_path / "o"
+    assert main(["verify-limit", "--config", write_config(tmp_path, **config),
+                 "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "numerical failure: probe quadrature" in captured.err
+    checks = [line for line in captured.out.splitlines() if not line.startswith("wrote ")]
+    assert len(checks) == 9 and all(line.startswith("pass verify.moment_report[") for line in checks)
+    moments = ["drift_convergence.csv", "volatility_convergence.csv", "third_moment.csv"]
+    assert sorted(os.listdir(out)) == sorted(moments)
+    assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in moments} == {name: digests[name] for name in moments}
 
 
 def test_unknown_command_exits_via_argparse(capsys):
