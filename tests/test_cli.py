@@ -750,7 +750,8 @@ def test_a_stage_that_raises_leaves_the_earlier_stages_checks_and_rows(tmp_path,
     captured = capsys.readouterr()
     assert "numerical failure: probe quadrature" in captured.err
     checks = [line for line in captured.out.splitlines() if not line.startswith("wrote ")]
-    assert len(checks) == 9 and all(line.startswith("pass verify.moment_report[") for line in checks)
+    assert len(checks) == 9
+    assert all(line.startswith("pass verify.moment_report[") for line in checks)
     moments = ["drift_convergence.csv", "volatility_convergence.csv", "third_moment.csv"]
     assert sorted(os.listdir(out)) == sorted(moments)
     assert {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
