@@ -50,11 +50,13 @@ Blocks and chunks. The package has one working-set budget, the floats of
 one block tape: TAPE_ROWS x TAPE_COLS (6.3 MB). Every sampler sizes its draw
 buffer from it, so no call's working memory grows with its sample count or
 with d*. The scalar engine draws TAPE_CHUNK rows at a time. A block holds
-min(n_paths, BLOCK_PATHS) paths, and each path of a block of b paths draws
-the largest chunk c that divides TAPE_CHUNK with b c max(TAPE_COLS, d) within
-the budget. For d <= TAPE_COLS that is b c <= TAPE_ROWS (256 paths draw 256
-rows, 1024 paths 128, 2048 paths 64); a wider state draws shorter chunks
-(1024 paths at d=64 draw 8 rows). The paths draw a chunk a group at a time
+min(n_paths, BLOCK_PATHS) paths, or, once a call's expected candidate events
+reach SPLIT_CANDIDATES, min(BLOCK_PATHS, ceil(n_paths / workers)), so that
+each worker runs one block (see simulate_ensemble). Each path of a block of
+b paths draws the largest chunk c that divides TAPE_CHUNK with
+b c max(TAPE_COLS, d) within the budget. For d <= TAPE_COLS that is
+b c <= TAPE_ROWS (256 paths draw 256 rows, 1024 paths 128, 2048 paths 64); a
+wider state draws shorter chunks (1024 paths at d=64 draw 8 rows). The paths draw a chunk a group at a time
 into one group tape of FIRST_JUMP_BATCH rows (256 paths of 128 rows), and
 each group is decoded from it straight into the chunk's event-major arrays,
 so no tape of the whole block exists. The budget bounds what a chunk holds:
@@ -137,6 +139,9 @@ BLOCK_PATHS = 2048
 TAPE_ROWS = 1 << 17  # a block tape's rows; its TAPE_ROWS x TAPE_COLS floats are the budget
 FIRST_JUMP_BATCH = 1 << 15  # rows of the first-jump batch and of a block's group tape
 MAX_CANDIDATES = 1e9  # expected candidate events per path a run may go on to
+# expected candidate events of a simulate_ensemble call from which one block
+# per worker beats a single block in process: a pool start's break-even
+SPLIT_CANDIDATES = 1 << 19
 
 # The stream registry: every random draw of the package comes from one of
 # these domains, so no two engines or oracles ever share a stream.
@@ -433,30 +438,37 @@ def _run_adopted(span):
     return None if _worker_stop.is_set() else _worker_span(*span)
 
 
+def _workers(threads, blocks):
+    """The worker processes for `blocks` blocks: min(threads, usable cores,
+    blocks), all usable cores when threads is None. The one place that
+    checks threads, an integer >= 1 or None."""
+    try:
+        cores = len(os.sched_getaffinity(0))  # the cores this process may run on
+    except AttributeError:  # the OS does not say: the machine's
+        cores = os.cpu_count() or 1
+    return min(cores if threads is None else _integer("threads", threads, 1), cores, blocks)
+
+
 def run_spans(run_span, out, block, threads):
     """Run the paths of out, arrays of one row per path, in blocks of `block`
     consecutive paths, and place each block's rows.
 
     run_span(b, lo, hi) returns block b's rows of paths lo to hi, one array
     per array of out, and writes nowhere; this loop alone writes them into
-    out[i][lo:hi], in block order. The blocks run on min(threads, usable
-    cores, blocks) worker processes, forked per call: each inherits run_span,
+    out[i][lo:hi], in block order. The blocks run on _workers(threads,
+    blocks) worker processes, forked per call: each inherits run_span,
     so only (b, lo, hi) goes out and only rows come back, in block order, and
     the first block that raises raises its error here, as in process, once
     the blocks already running finish (a block taken after it returns at
     once); a worker killed without raising (SIGKILL) ends the call with a
     MemoryError. The pool ends with the call. With one worker, or where the
-    OS cannot fork, the blocks run in order in this process.
-    threads is an integer >= 1, or None for the usable cores; this is the one
-    place that checks it.
+    OS cannot fork, the blocks run in order in this process. The caller
+    picks `block`; simulate_ensemble widens it only when its call's work pays
+    for the pool (SPLIT_CANDIDATES).
     """
     n_paths = len(out[0])
     spans = [(b, lo, min(lo + block, n_paths)) for b, lo in enumerate(range(0, n_paths, block))]
-    try:
-        cores = len(os.sched_getaffinity(0))  # the cores this process may run on
-    except AttributeError:  # the OS does not say: the machine's
-        cores = os.cpu_count() or 1
-    workers = min(cores if threads is None else _integer("threads", threads, 1), cores, len(spans))
+    workers = _workers(threads, len(spans))
     forks = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
     stop = multiprocessing.get_context("fork").Event() if forks else None  # one per pooled call
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt,
@@ -722,20 +734,24 @@ def simulate_ensemble(
     master_seed,
     *,
     rescaled=True,
-    threads=1,
+    threads=None,
     return_counts=False,
 ):
     """Independent paths recorded on obs_grid; deterministic in master_seed.
 
     With rescaled=True (the default) obs_grid is macroscopic time and each
     path runs to process time max(obs_grid)/epsilon; with rescaled=False the
-    grid is raw process time (diagnostic runs). Paths run in blocks of
-    min(n_paths, BLOCK_PATHS), each drawing its tape in chunks that keep the
-    tape and the states its events meet within one tape's floats, on
-    `threads` worker processes or the usable cores, whichever is fewer (see
-    run_spans); none of these changes any path's values. n_paths,
-    master_seed and threads are integers (numpy's too): n_paths and threads
-    at least 1, master_seed in [0, 2**64).
+    grid is raw process time (diagnostic runs). Paths run in blocks, each
+    drawing its tape in chunks that keep the tape and the states its events
+    meet within one tape's floats, on `threads` worker processes or the
+    usable cores, whichever is fewer (all of them when threads is None; see
+    run_spans). A block holds min(n_paths, BLOCK_PATHS) paths, unless the
+    call's expected candidate events, sum_p R(x0_p) x horizon, reach
+    SPLIT_CANDIDATES: then the paths split into one block per worker, of
+    min(BLOCK_PATHS, ceil(n_paths / workers)) paths. Below it a call of one
+    block runs in this process. None of these changes any path's values.
+    n_paths, master_seed and threads are integers (numpy's too): n_paths
+    and threads at least 1, master_seed in [0, 2**64).
     """
     obs = check_run(obs_grid, n_paths)
     starts = _validate_x0(target, x0, n_paths)
@@ -750,7 +766,11 @@ def simulate_ensemble(
         streams = path_streams(master_seed, DOMAIN_JUMP, lo, hi)
         return _run_block(p, np.array(starts[lo:hi], dtype=float), horizon, streams, obs_proc, lo)
 
-    run_spans(run_span, (samples, counts), BLOCK_PATHS, threads)
+    block = BLOCK_PATHS
+    # the rates _check_candidates reads at each path's chunk 0
+    if np.broadcast_to(_at(p, starts).rate_total, n_paths).sum() * horizon >= SPLIT_CANDIDATES:
+        block = min(block, -(-n_paths // _workers(threads, n_paths)))
+    run_spans(run_span, (samples, counts), block, threads)
     ens = ObservedEnsemble(
         obs_grid=obs,
         samples=samples,

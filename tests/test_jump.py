@@ -394,6 +394,60 @@ def test_without_fork_the_blocks_run_in_process(monkeypatch, pool_sizes):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(forked, in_process))
 
 
+# the occupation workload's starts: 256 paths, half in each well
+OCC_STARTS = np.where(np.arange(256) % 2 == 0, 1.48946, -1.48946)[:, None]
+
+
+def test_a_default_call_below_the_split_runs_in_process(monkeypatch, pool_sizes):
+    # m1's clock rate is 1, so 256 paths to process time 100 expect 25600
+    # candidates, far below SPLIT_CANDIDATES: a default call on two usable
+    # cores runs its one block in process. With the constant at one candidate
+    # above the call's it still does; at the call's own count it splits
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def run():
+        return simulate_ensemble(GeneratorKind.m1(), SmoothedDoubleWell(d_star=1),
+                                 GaussianProposal(0.05), OCC_STARTS, [50.0, 100.0], 256, 0,
+                                 rescaled=False).samples
+
+    base = run()
+    assert pool_sizes == []
+    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 25601.0)
+    assert np.array_equal(run(), base) and pool_sizes == []
+    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 25600.0)
+    assert np.array_equal(run(), base) and pool_sizes == [2]
+
+
+@pytest.mark.parametrize("kind,target", [(GeneratorKind.m1(), SmoothedDoubleWell(d_star=1)),
+                                         (GeneratorKind.m2(), QUAD1), (MIX, QUAD1)],
+                         ids=["m1-doublewell", "m2-quadratic", "mix-quadratic"])
+def test_a_run_worth_a_pool_splits_one_block_per_worker(monkeypatch, pool_sizes, kind, target):
+    # the occupation cell to process time 2055: every clock rate is at least
+    # 1, so the call expects at least SPLIT_CANDIDATES candidates, and a
+    # default call on two usable cores runs one block of 128 paths on each of
+    # two workers, with the samples and counts of one block in process
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    blocks = []
+    run_spans = jump.run_spans
+
+    def spy(run_span, out, block, threads):
+        blocks.append(block)
+        run_spans(run_span, out, block, threads)
+
+    monkeypatch.setattr(jump, "run_spans", spy)
+    grid = 80.0 + 25.0 * np.arange(80)
+    assert 256 * grid[-1] >= jump.SPLIT_CANDIDATES
+
+    def run(**threads):
+        return simulate_ensemble(kind, target, GaussianProposal(0.05), OCC_STARTS, grid, 256, 0,
+                                 rescaled=False, return_counts=True, **threads)
+
+    (one, one_counts), (split, split_counts) = run(threads=1), run()
+    assert blocks == [256, 128] and pool_sizes == [2]
+    assert one.samples.tobytes() == split.samples.tobytes()
+    assert np.array_equal(one_counts, split_counts)
+
+
 @pytest.mark.parametrize("threads", [1, 4])
 @both_clocks
 def test_ensemble_paths_do_not_depend_on_n_paths(kind, target, threads):
@@ -459,7 +513,7 @@ def test_blocks_share_one_tape_budget(monkeypatch, n, block, chunk):
 
     monkeypatch.setattr(jump, "_tape_chunk", spy)
     simulate_ensemble(GeneratorKind.m1(), WELL, GaussianProposal(0.3), np.array([0.4]), [0.01],
-                      n, 0)
+                      n, 0, threads=1)
     assert shapes[0] == (block, chunk)
     assert sum(b for b, _ in shapes) == n
     assert all(b <= block and b * c <= jump.TAPE_ROWS and jump.TAPE_CHUNK % c == 0
@@ -686,7 +740,7 @@ def test_block_chunk_fits_in_two_budgets(traced_peak_mb, kind):
     # within two budgets (a whole-block tape and its event-major copy alone
     # were two)
     peak = traced_peak_mb(lambda: simulate_ensemble(
-        kind, QUAD1, GaussianProposal(1e-2), np.array([1.0]), [0.5, 1.0], 1024, 0))
+        kind, QUAD1, GaussianProposal(1e-2), np.array([1.0]), [0.5, 1.0], 1024, 0, threads=1))
     assert peak <= 2 * BUDGET_MB
 
 
@@ -697,7 +751,7 @@ def test_occupation_block_fits_in_one_budget(traced_peak_mb):
     for kind in KINDS[:2]:
         peak = traced_peak_mb(lambda: simulate_ensemble(
             kind, SmoothedDoubleWell(d_star=1), GaussianProposal(0.05), starts,
-            80.0 + 25.0 * np.arange(20), 256, 0, rescaled=False))
+            80.0 + 25.0 * np.arange(20), 256, 0, rescaled=False, threads=1))
         assert peak <= BUDGET_MB
 
 
@@ -708,7 +762,7 @@ def test_block_working_memory_does_not_grow_with_d(traced_peak_mb):
     assert jump._tape_chunk(1024, d) == 8
     peak = traced_peak_mb(lambda: simulate_ensemble(
         GeneratorKind.m1(), SmoothedDoubleWell(d_star=d), GaussianProposal(1e-2), np.zeros(d),
-        [0.005, 0.01], 1024, 0))
+        [0.005, 0.01], 1024, 0, threads=1))
     assert peak <= 2 * BUDGET_MB
 
 
