@@ -24,9 +24,8 @@ is a fresh process, so that its memory figures are its own. A run prints:
 - sha256, one digest over the job's samples and counts.
 
 Then the median of each metric per job and thread count, and for each job
-whether every run gave the same digest. --paths, --langevin-paths,
---occupation-paths and --dt shrink the jobs for a quick look; the defaults
-are the sizes above.
+whether every run gave the same digest. --paths, --langevin-paths and --dt
+shrink the jobs for a quick look; the defaults are the sizes above.
 """
 
 from __future__ import annotations
@@ -127,10 +126,9 @@ def main(argv=None):
     ap.add_argument("--paths", type=int, default=10_000)
     ap.add_argument("--langevin-paths", type=int, default=4096)
     ap.add_argument("--dt", type=float, default=1e-4)
-    ap.add_argument("--occupation-paths", type=int, default=256)
     ap.add_argument("--one", nargs=2, metavar=("JOB", "THREADS"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    sizes = (args.paths, args.langevin_paths, args.dt, args.occupation_paths)
+    sizes = (args.paths, args.langevin_paths, args.dt)
     if args.one:
         print(json.dumps(measure(args.one[0], int(args.one[1]), *sizes)))
         return 0
@@ -141,7 +139,7 @@ def main(argv=None):
                 out = subprocess.run(
                     [sys.executable, os.path.abspath(__file__), "--one", job, str(threads),
                      "--paths", str(args.paths), "--langevin-paths", str(args.langevin_paths),
-                     "--dt", repr(args.dt), "--occupation-paths", str(args.occupation_paths)],
+                     "--dt", repr(args.dt)],
                     check=True, capture_output=True, text=True).stdout
                 m = json.loads(out)
                 runs.setdefault((job, threads), []).append(m)

@@ -50,10 +50,10 @@ Blocks and chunks. The package has one working-set budget, the floats of
 one block tape: TAPE_ROWS x TAPE_COLS (6.3 MB). Every sampler sizes its draw
 buffer from it, so no call's working memory grows with its sample count or
 with d*. The scalar engine draws TAPE_CHUNK rows at a time. A block holds
-min(n_paths, BLOCK_PATHS) paths, or, once a call's expected candidate events
-reach SPLIT_CANDIDATES, min(BLOCK_PATHS, ceil(n_paths / workers)), so that
-each worker runs one block (see simulate_ensemble). Each path of a block of
-b paths draws the largest chunk c that divides TAPE_CHUNK with
+min(BLOCK_PATHS, ceil(n_paths / workers)) paths, where a call gets one
+worker per SPLIT_CANDIDATES expected candidate events, so that a call worth
+a pool runs one block per worker (see simulate_ensemble). Each path of a
+block of b paths draws the largest chunk c that divides TAPE_CHUNK with
 b c max(TAPE_COLS, d) within the budget. For d <= TAPE_COLS that is
 b c <= TAPE_ROWS (256 paths draw 256 rows, 1024 paths 128, 2048 paths 64); a
 wider state draws shorter chunks (1024 paths at d=64 draw 8 rows). The paths draw a chunk a group at a time
@@ -139,8 +139,9 @@ BLOCK_PATHS = 2048
 TAPE_ROWS = 1 << 17  # a block tape's rows; its TAPE_ROWS x TAPE_COLS floats are the budget
 FIRST_JUMP_BATCH = 1 << 15  # rows of the first-jump batch and of a block's group tape
 MAX_CANDIDATES = 1e9  # expected candidate events per path a run may go on to
-# expected candidate events of a simulate_ensemble call from which one block
-# per worker beats a single block in process: a pool start's break-even
+# expected candidate events that pay for one more simulate_ensemble worker:
+# from it one block per worker beats a single block in process, a pool
+# start's break-even
 SPLIT_CANDIDATES = 1 << 19
 
 # The stream registry: every random draw of the package comes from one of
@@ -440,13 +441,14 @@ def _run_adopted(span):
 
 def _workers(threads, blocks):
     """The worker processes for `blocks` blocks: min(threads, usable cores,
-    blocks), all usable cores when threads is None. The one place that
-    checks threads, an integer >= 1 or None."""
+    blocks), all usable cores when threads is None, and 1 where the OS
+    cannot fork. The one place that checks threads, an integer >= 1 or None."""
     try:
         cores = len(os.sched_getaffinity(0))  # the cores this process may run on
     except AttributeError:  # the OS does not say: the machine's
         cores = os.cpu_count() or 1
-    return min(cores if threads is None else _integer("threads", threads, 1), cores, blocks)
+    workers = min(cores if threads is None else _integer("threads", threads, 1), cores, blocks)
+    return workers if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
 def run_spans(run_span, out, block, threads):
@@ -461,15 +463,15 @@ def run_spans(run_span, out, block, threads):
     the first block that raises raises its error here, as in process, once
     the blocks already running finish (a block taken after it returns at
     once); a worker killed without raising (SIGKILL) ends the call with a
-    MemoryError. The pool ends with the call. With one worker, or where the
+    MemoryError. The pool ends with the call. With one worker, as where the
     OS cannot fork, the blocks run in order in this process. The caller
-    picks `block`; simulate_ensemble widens it only when its call's work pays
-    for the pool (SPLIT_CANDIDATES).
+    picks `block` and `threads`; simulate_ensemble's default asks for only
+    the workers its call's work pays for (SPLIT_CANDIDATES).
     """
     n_paths = len(out[0])
     spans = [(b, lo, min(lo + block, n_paths)) for b, lo in enumerate(range(0, n_paths, block))]
     workers = _workers(threads, len(spans))
-    forks = workers > 1 and "fork" in multiprocessing.get_all_start_methods()
+    forks = workers > 1
     stop = multiprocessing.get_context("fork").Event() if forks else None  # one per pooled call
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt,
                                (run_span, stop)) if forks else None
@@ -743,13 +745,15 @@ def simulate_ensemble(
     path runs to process time max(obs_grid)/epsilon; with rescaled=False the
     grid is raw process time (diagnostic runs). Paths run in blocks, each
     drawing its tape in chunks that keep the tape and the states its events
-    meet within one tape's floats, on `threads` worker processes or the
-    usable cores, whichever is fewer (all of them when threads is None; see
-    run_spans). A block holds min(n_paths, BLOCK_PATHS) paths, unless the
-    call's expected candidate events, sum_p R(x0_p) x horizon, reach
-    SPLIT_CANDIDATES: then the paths split into one block per worker, of
-    min(BLOCK_PATHS, ceil(n_paths / workers)) paths. Below it a call of one
-    block runs in this process. None of these changes any path's values.
+    meet within one tape's floats, on worker processes (see run_spans). The
+    call's expected candidate events, E = sum_p R(x0_p) x horizon, pay for
+    floor(E / SPLIT_CANDIDATES) + 1 workers, at most n_paths, `threads` and
+    the usable cores; a block holds min(BLOCK_PATHS, ceil(n_paths / workers))
+    paths, so a call worth a pool runs one block per worker. When threads is
+    None the call runs on those workers alone, so a call below
+    SPLIT_CANDIDATES runs in this process whatever its size; an explicit
+    `threads` runs the blocks on up to that many. None of these changes any
+    path's values.
     n_paths, master_seed and threads are integers (numpy's too): n_paths
     and threads at least 1, master_seed in [0, 2**64).
     """
@@ -766,11 +770,13 @@ def simulate_ensemble(
         streams = path_streams(master_seed, DOMAIN_JUMP, lo, hi)
         return _run_block(p, np.array(starts[lo:hi], dtype=float), horizon, streams, obs_proc, lo)
 
-    block = BLOCK_PATHS
-    # the rates _check_candidates reads at each path's chunk 0
-    if np.broadcast_to(_at(p, starts).rate_total, n_paths).sum() * horizon >= SPLIT_CANDIDATES:
-        block = min(block, -(-n_paths // _workers(threads, n_paths)))
-    run_spans(run_span, (samples, counts), block, threads)
+    # one worker per SPLIT_CANDIDATES expected candidates, from the rates
+    # _check_candidates reads at each path's chunk 0; a NaN or inf count,
+    # which that check refuses, gives n_paths
+    expected = float(np.broadcast_to(_at(p, starts).rate_total, n_paths).sum()) * horizon
+    workers = _workers(threads, int(min(n_paths, expected // SPLIT_CANDIDATES + 1)))
+    run_spans(run_span, (samples, counts), min(BLOCK_PATHS, -(-n_paths // workers)),
+              workers if threads is None else threads)
     ens = ObservedEnsemble(
         obs_grid=obs,
         samples=samples,

@@ -398,24 +398,73 @@ def test_without_fork_the_blocks_run_in_process(monkeypatch, pool_sizes):
 OCC_STARTS = np.where(np.arange(256) % 2 == 0, 1.48946, -1.48946)[:, None]
 
 
+def spy_blocks(monkeypatch):
+    """The block width of each run_spans call while the test runs."""
+    blocks = []
+    run_spans = jump.run_spans
+
+    def spy(run_span, out, block, threads):
+        blocks.append(block)
+        run_spans(run_span, out, block, threads)
+
+    monkeypatch.setattr(jump, "run_spans", spy)
+    return blocks
+
+
+def occupation_m1_to_100(**threads):
+    # m1's clock rate is 1: 25600 expected candidates
+    return simulate_ensemble(GeneratorKind.m1(), SmoothedDoubleWell(d_star=1),
+                             GaussianProposal(0.05), OCC_STARTS, [50.0, 100.0], 256, 0,
+                             rescaled=False, **threads).samples
+
+
 def test_a_default_call_below_the_split_runs_in_process(monkeypatch, pool_sizes):
-    # m1's clock rate is 1, so 256 paths to process time 100 expect 25600
-    # candidates, far below SPLIT_CANDIDATES: a default call on two usable
-    # cores runs its one block in process. With the constant at one candidate
-    # above the call's it still does; at the call's own count it splits
+    # 25600 expected candidates, far below SPLIT_CANDIDATES: a default call on
+    # two usable cores runs its one block in process. With the constant at
+    # one candidate above the call's it still does; at the call's own count it
+    # splits
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-
-    def run():
-        return simulate_ensemble(GeneratorKind.m1(), SmoothedDoubleWell(d_star=1),
-                                 GaussianProposal(0.05), OCC_STARTS, [50.0, 100.0], 256, 0,
-                                 rescaled=False).samples
-
-    base = run()
+    base = occupation_m1_to_100()
     assert pool_sizes == []
     monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 25601.0)
-    assert np.array_equal(run(), base) and pool_sizes == []
+    assert np.array_equal(occupation_m1_to_100(), base) and pool_sizes == []
     monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 25600.0)
-    assert np.array_equal(run(), base) and pool_sizes == [2]
+    assert np.array_equal(occupation_m1_to_100(), base) and pool_sizes == [2]
+
+
+def test_a_default_call_of_many_blocks_below_the_split_runs_in_process(monkeypatch, pool_sizes):
+    # four blocks of 64 paths below SPLIT_CANDIDATES: by default they run in
+    # this process, where threads=2 runs them on two workers
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(jump, "BLOCK_PATHS", 64)
+    blocks = spy_blocks(monkeypatch)
+    base = occupation_m1_to_100()
+    assert blocks == [64] and pool_sizes == []
+    assert np.array_equal(occupation_m1_to_100(threads=2), base) and pool_sizes == [2]
+
+
+def test_the_work_caps_the_workers_on_many_cores(monkeypatch, pool_sizes):
+    # 25600 expected candidates at one worker per 10000 pay for three of 64
+    # usable cores, each running one block of 86 paths, and threads=2 caps
+    # them at two blocks of 128
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 10000.0)
+    blocks = spy_blocks(monkeypatch)
+    base = occupation_m1_to_100(threads=1)
+    assert np.array_equal(occupation_m1_to_100(), base) and pool_sizes == [3]
+    assert np.array_equal(occupation_m1_to_100(threads=2), base) and pool_sizes == [3, 2]
+    assert blocks == [256, 86, 128]
+
+
+def test_without_fork_a_run_worth_a_pool_keeps_one_block(monkeypatch, pool_sizes):
+    # where the OS cannot fork, a call worth a pool sees one worker: it runs
+    # one block of 256 paths in process, not two of 128 in turn
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(jump.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 25600.0)
+    blocks = spy_blocks(monkeypatch)
+    occupation_m1_to_100()
+    assert blocks == [256] and pool_sizes == []
 
 
 @pytest.mark.parametrize("kind,target", [(GeneratorKind.m1(), SmoothedDoubleWell(d_star=1)),
@@ -427,14 +476,7 @@ def test_a_run_worth_a_pool_splits_one_block_per_worker(monkeypatch, pool_sizes,
     # default call on two usable cores runs one block of 128 paths on each of
     # two workers, with the samples and counts of one block in process
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    blocks = []
-    run_spans = jump.run_spans
-
-    def spy(run_span, out, block, threads):
-        blocks.append(block)
-        run_spans(run_span, out, block, threads)
-
-    monkeypatch.setattr(jump, "run_spans", spy)
+    blocks = spy_blocks(monkeypatch)
     grid = 80.0 + 25.0 * np.arange(80)
     assert 256 * grid[-1] >= jump.SPLIT_CANDIDATES
 

@@ -32,11 +32,11 @@ def test_both_jobs_give_one_digest_at_threads_1_and_2(monkeypatch, pool_sizes):
 
 
 def test_the_occupation_job_splits_at_threads_2_with_one_digest(monkeypatch, pool_sizes):
-    # 16 paths, with the split's constant at 0 so that threads=2 runs each
+    # 16 paths, with the split's constant at 1 so that threads=2 runs each
     # cell as one block of 8 paths on each of two workers
     workers = load_workers()
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 0.0)
+    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 1.0)
     one, two = (workers.measure("occupation", threads, 40, 20, 1e-2, 16) for threads in (1, 2))
     assert one["sha256"] == two["sha256"]
     assert all(np.isfinite(two[k]) and two[k] >= 0.0 for k in workers.METRICS)
