@@ -51,10 +51,11 @@ one block tape: TAPE_ROWS x TAPE_COLS (6.3 MB). Every sampler sizes its draw
 buffer from it, so no call's working memory grows with its sample count or
 with d*. The scalar engine draws TAPE_CHUNK rows at a time. A block holds
 min(BLOCK_PATHS, ceil(n_paths / workers)) paths, where a call gets one
-worker per SPLIT_CANDIDATES expected candidate events, so that a call worth
-a pool runs one block per worker (see simulate_ensemble). Each path of a
-block of b paths draws the largest chunk c that divides TAPE_CHUNK with
-b c max(TAPE_COLS, d) within the budget. For d <= TAPE_COLS that is
+worker per SPLIT_CANDIDATES expected candidate events, `threads` only
+capping that count, so that a call worth a pool runs one block per worker
+(see simulate_ensemble). Each path of a block of b paths draws the largest
+chunk c that divides TAPE_CHUNK with b c max(TAPE_COLS, d) within the
+budget. For d <= TAPE_COLS that is
 b c <= TAPE_ROWS (256 paths draw 256 rows, 1024 paths 128, 2048 paths 64); a
 wider state draws shorter chunks (1024 paths at d=64 draw 8 rows). The paths draw a chunk a group at a time
 into one group tape of FIRST_JUMP_BATCH rows (256 paths of 128 rows), and
@@ -439,38 +440,39 @@ def _run_adopted(span):
     return None if _worker_stop.is_set() else _worker_span(*span)
 
 
-def _workers(threads, blocks):
-    """The worker processes for `blocks` blocks: min(threads, usable cores,
-    blocks), all usable cores when threads is None, and 1 where the OS
-    cannot fork. The one place that checks threads, an integer >= 1 or None."""
+def _workers(threads, cap):
+    """The worker processes of an engine call whose work pays for `cap` of
+    them: min(threads, usable cores, cap), the usable cores standing for
+    threads when it is None, and 1 where the OS cannot fork. Each engine
+    call asks once, and this is the one place that checks threads, an
+    integer >= 1 or None."""
     try:
         cores = len(os.sched_getaffinity(0))  # the cores this process may run on
     except AttributeError:  # the OS does not say: the machine's
         cores = os.cpu_count() or 1
-    workers = min(cores if threads is None else _integer("threads", threads, 1), cores, blocks)
+    workers = min(cores if threads is None else _integer("threads", threads, 1), cores, cap)
     return workers if "fork" in multiprocessing.get_all_start_methods() else 1
 
 
-def run_spans(run_span, out, block, threads):
+def run_spans(run_span, out, block, workers):
     """Run the paths of out, arrays of one row per path, in blocks of `block`
     consecutive paths, and place each block's rows.
 
     run_span(b, lo, hi) returns block b's rows of paths lo to hi, one array
     per array of out, and writes nowhere; this loop alone writes them into
-    out[i][lo:hi], in block order. The blocks run on _workers(threads,
-    blocks) worker processes, forked per call: each inherits run_span,
-    so only (b, lo, hi) goes out and only rows come back, in block order, and
-    the first block that raises raises its error here, as in process, once
-    the blocks already running finish (a block taken after it returns at
-    once); a worker killed without raising (SIGKILL) ends the call with a
-    MemoryError. The pool ends with the call. With one worker, as where the
-    OS cannot fork, the blocks run in order in this process. The caller
-    picks `block` and `threads`; simulate_ensemble's default asks for only
-    the workers its call's work pays for (SPLIT_CANDIDATES).
+    out[i][lo:hi], in block order. The blocks run on `workers` worker
+    processes, at most one per block, forked per call: each inherits
+    run_span, so only (b, lo, hi) goes out and only rows come back, in block
+    order, and the first block that raises raises its error here, as in
+    process, once the blocks already running finish (a block taken after it
+    returns at once); a worker killed without raising (SIGKILL) ends the
+    call with a MemoryError. The pool ends with the call. With one worker
+    the blocks run in order in this process. The caller picks `block`, and
+    `workers` from _workers; this loop reads neither threads nor the machine.
     """
     n_paths = len(out[0])
     spans = [(b, lo, min(lo + block, n_paths)) for b, lo in enumerate(range(0, n_paths, block))]
-    workers = _workers(threads, len(spans))
+    workers = min(workers, len(spans))
     forks = workers > 1
     stop = multiprocessing.get_context("fork").Event() if forks else None  # one per pooled call
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt,
@@ -749,11 +751,9 @@ def simulate_ensemble(
     call's expected candidate events, E = sum_p R(x0_p) x horizon, pay for
     floor(E / SPLIT_CANDIDATES) + 1 workers, at most n_paths, `threads` and
     the usable cores; a block holds min(BLOCK_PATHS, ceil(n_paths / workers))
-    paths, so a call worth a pool runs one block per worker. When threads is
-    None the call runs on those workers alone, so a call below
-    SPLIT_CANDIDATES runs in this process whatever its size; an explicit
-    `threads` runs the blocks on up to that many. None of these changes any
-    path's values.
+    paths, so a call worth a pool runs one block per worker, and a call
+    below SPLIT_CANDIDATES runs in this process whatever its size or
+    `threads`. None of these changes any path's values.
     n_paths, master_seed and threads are integers (numpy's too): n_paths
     and threads at least 1, master_seed in [0, 2**64).
     """
@@ -775,8 +775,7 @@ def simulate_ensemble(
     # which that check refuses, gives n_paths
     expected = float(np.broadcast_to(_at(p, starts).rate_total, n_paths).sum()) * horizon
     workers = _workers(threads, int(min(n_paths, expected // SPLIT_CANDIDATES + 1)))
-    run_spans(run_span, (samples, counts), min(BLOCK_PATHS, -(-n_paths // workers)),
-              workers if threads is None else threads)
+    run_spans(run_span, (samples, counts), min(BLOCK_PATHS, -(-n_paths // workers)), workers)
     ens = ObservedEnsemble(
         obs_grid=obs,
         samples=samples,

@@ -24,15 +24,15 @@ not on the worker count, not on the chunk length (below).
 LANGEVIN_BLOCK is part of the reference format: changing it changes the
 bytes of every reference ensemble.
 
-Chunks. Groups run through jump.run_spans, on worker processes; threads
-defaults to None, the usable cores. A group draws its noise in chunks of as
-many steps as fit in the package's working-set budget, one block tape's
-floats (jump.TAPE_ROWS x jump.TAPE_COLS), at least one: 768 steps at d*=1,
-256 at d*=3, 12 at d*=64. Each group allocates its one noise buffer where it
-runs, so each worker's noise fits one tape's floats, the rule the jump
-engine's blocks follow. The noise is drawn in C order (step, path,
-coordinate) from a counter-based stream: the chunk length cuts the draws,
-never changes them. Every path starts from x0, one state (jump._validate_x0).
+Chunks. Groups run through jump.run_spans, one worker process per group,
+at most `threads` and the usable cores (jump._workers). A group draws its
+noise in chunks of as many steps as fit in the package's working-set
+budget, one block tape's floats (jump.TAPE_ROWS x jump.TAPE_COLS), at least
+one: 768 steps at d*=1, 256 at d*=3, 12 at d*=64. Each group allocates its
+one noise buffer where it runs, so each worker's noise fits one tape's
+floats, the rule the jump engine's blocks follow. The noise is drawn in C
+order (step, path, coordinate) from a counter-based stream: the chunk
+length cuts the draws, never changes them. Every path starts from x0, one state (jump._validate_x0).
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ def ou_exact_marginal(x0, t, T, d_star=1):
 def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads=None):
     """Euler-Maruyama ensemble on obs_grid, a grid of whole steps of dt.
 
-    Groups of LANGEVIN_BLOCK paths run on `threads` worker processes or the
-    usable cores, whichever is fewer (all of them when threads is None; see
-    jump.run_spans); the count changes no path's values."""
+    Groups of LANGEVIN_BLOCK paths run on one worker process per group, at
+    most `threads` and the usable cores (all of them when threads is None;
+    see jump.run_spans); the count changes no path's values."""
     if not (dt > 0.0 and math.isfinite(dt)):
         raise ConfigurationError(f"dt must be positive, got {dt}")
     obs = check_run(obs_grid, n_paths)
@@ -136,7 +136,7 @@ def simulate_langevin(target, x0, obs_grid, n_paths, dt, master_seed, *, threads
                     rows[:, k, :] = state
         return (rows,)
 
-    run_spans(run_span, (samples,), group, threads)
+    run_spans(run_span, (samples,), group, jump._workers(threads, -(-n_paths // group)))
     return ObservedEnsemble(
         obs_grid=obs,
         samples=samples,

@@ -478,6 +478,7 @@ import os, signal, sys
 from mhjump import jump
 from mhjump.cli import main
 jump.os.sched_getaffinity = lambda pid: {0, 1}
+jump.SPLIT_CANDIDATES = 1.0  # the work of each path pays for a worker
 jump.BLOCK_PATHS = 2
 run_block = jump._run_block
 

@@ -215,7 +215,7 @@ def test_m1_needs_no_dominating_mass():
 
 
 @both_clocks
-def test_ensemble_invariant_to_blocks_and_threads(monkeypatch, kind, target):
+def test_ensemble_invariant_to_blocks_and_threads(monkeypatch, pool_sizes, kind, target):
     prop = GaussianProposal(0.09)
     obs = [0.25, 0.5]
     monkeypatch.setattr(jump, "BLOCK_PATHS", 512)
@@ -224,25 +224,28 @@ def test_ensemble_invariant_to_blocks_and_threads(monkeypatch, kind, target):
         monkeypatch.setattr(jump, "BLOCK_PATHS", block)
         other = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5)
         assert np.array_equal(base.samples, other.samples)
+    # at one worker per candidate the call's work pays for a pool of 4
+    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 1.0)
     monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
     threaded = simulate_ensemble(kind, target, prop, np.zeros(2), obs, 40, 5, threads=4)
-    assert np.array_equal(base.samples, threaded.samples)
+    assert np.array_equal(base.samples, threaded.samples) and pool_sizes == [4]
 
 
-@pytest.mark.parametrize("threads", [1, 4])
-def test_run_spans_places_every_block_at_its_paths(monkeypatch, threads):
-    # on 4 workers each block waits for the next one to finish, so the blocks
-    # finish last to first; the rows of two outputs of different dtypes still
-    # land at their paths' indices, the last block a partial one. The forked
-    # workers inherit the events and the finish counter.
-    monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+@pytest.mark.parametrize("workers", [1, 8])
+def test_run_spans_places_every_block_at_its_paths(pool_sizes, workers):
+    # 8 workers for 4 blocks start a pool of 4, where each block waits for the
+    # next one to finish, so the blocks finish last to first; the rows of two
+    # outputs of different dtypes still land at their paths' indices, the
+    # last block a partial one. The forked workers inherit the events and
+    # the finish counter.
     n, block = 14, 4
     fork = multiprocessing.get_context("fork")
     done = [fork.Event() for _ in range(4)]
     finished = fork.Value("i", 0)
 
     def run_span(b, lo, hi):
-        if threads > 1 and b < 3:
+        if workers > 1 and b < 3:
             assert done[b + 1].wait(timeout=30)
         with finished.get_lock():
             rank = finished.value
@@ -252,8 +255,9 @@ def test_run_spans_places_every_block_at_its_paths(monkeypatch, threads):
         return paths + 0.5, -paths, np.full(hi - lo, rank)
 
     out = (np.full(n, np.nan), np.zeros(n, dtype=np.int64), np.full(n, -1))
-    jump.run_spans(run_span, out, block, threads)
-    assert out[2][::block].tolist() == ([3, 2, 1, 0] if threads > 1 else [0, 1, 2, 3])
+    jump.run_spans(run_span, out, block, workers)
+    assert pool_sizes == ([4] if workers > 1 else [])
+    assert out[2][::block].tolist() == ([3, 2, 1, 0] if workers > 1 else [0, 1, 2, 3])
     assert np.array_equal(out[0], np.arange(n) + 0.5)
     assert np.array_equal(out[1], -np.arange(n)) and out[1].dtype == np.int64
 
@@ -266,11 +270,13 @@ class SteepBeyondThreeQuadratic(BoxedQuadratic):
         return np.where(x < 3.0, x, 0.5 * x)
 
 
-def test_an_error_in_a_later_block_is_raised_as_in_process(monkeypatch):
+def test_an_error_in_a_later_block_is_raised_as_in_process(monkeypatch, pool_sizes):
     # paths 6 to 15 start where the declared bound is too small; blocks 1 to 3
-    # raise, and on 4 workers the caller gets block 1's error, the one a run in
-    # process meets first, and no worker process or pool thread outlives the call
+    # raise, and on 4 workers (at one worker per candidate) the caller gets
+    # block 1's error, the one a run in process meets first, and no worker
+    # process or pool thread outlives the call
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 1.0)
     monkeypatch.setattr(jump, "BLOCK_PATHS", 4)
     x0 = np.where(np.arange(16) < 6, 0.7, 5.0)[:, None]
     messages = []
@@ -282,13 +288,13 @@ def test_an_error_in_a_later_block_is_raised_as_in_process(monkeypatch):
         assert threading.active_count() == before and multiprocessing.active_children() == []
         messages.append(str(err.value))
     assert messages[0] == messages[1] and "at path 6, x=[5.0]" in messages[0]
+    assert pool_sizes == [4]
 
 
 KILLED_ON_BLOCK_1 = """
 import multiprocessing, os, signal, time
 import numpy as np
 from mhjump import jump
-jump.os.sched_getaffinity = lambda pid: {0, 1}
 
 def run_span(b, lo, hi):
     if b == 1:  # as the OOM killer ends a worker: no exception, no result
@@ -317,7 +323,6 @@ RAISES_IN_BLOCK_0 = """
 import os, sys, time
 import numpy as np
 from mhjump import jump
-jump.os.sched_getaffinity = lambda pid: {0, 1}
 marks = sys.argv[1]
 
 def run_span(b, lo, hi):
@@ -347,15 +352,16 @@ def test_an_error_stops_the_blocks_workers_have_not_started(isolated, tmp_path):
 
 
 def test_threads_are_capped_at_the_usable_cores(monkeypatch, pool_sizes):
-    # a run starts no more workers than the process may run on, nor more than
-    # it has blocks, and with one usable core or one block it starts no pool
-    # at all; no byte changes
+    # at one worker per candidate, a run starts no more workers than the
+    # process may run on, nor more than it has paths, and with one usable
+    # core or one path it starts no pool at all; no byte changes
     pools = pool_sizes
 
-    def run(threads):
-        return simulate_ensemble(MIX, DW, GaussianProposal(0.09), np.zeros(2), [0.25, 0.5], 40, 5,
-                                 threads=threads).samples
+    def run(threads, n_paths=40):
+        return simulate_ensemble(MIX, DW, GaussianProposal(0.09), np.zeros(2), [0.25, 0.5],
+                                 n_paths, 5, threads=threads).samples
 
+    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 1.0)
     monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
     base = run(1)
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0}, raising=False)
@@ -368,16 +374,16 @@ def test_threads_are_capped_at_the_usable_cores(monkeypatch, pool_sizes):
     assert np.array_equal(run(4), base) and pools == [2]
     monkeypatch.setattr(jump.os, "cpu_count", lambda: 3)
     assert np.array_equal(run(2), base) and np.array_equal(run(8), base) and pools == [2, 2, 3]
-    monkeypatch.setattr(jump, "BLOCK_PATHS", 20)
-    assert np.array_equal(run(8), base) and pools == [2, 2, 3, 2]
-    monkeypatch.setattr(jump, "BLOCK_PATHS", 40)
-    assert np.array_equal(run(8), base) and pools == [2, 2, 3, 2]
+    assert np.array_equal(run(8, 2), base[:2]) and pools == [2, 2, 3, 2]
+    assert np.array_equal(run(8, 1), base[:1]) and pools == [2, 2, 3, 2]
 
 
 def test_without_fork_the_blocks_run_in_process(monkeypatch, pool_sizes):
     # where the OS cannot fork, a run on two usable cores starts no pool, and
-    # both engines give the same bytes as on the two forked workers
+    # both engines give the same bytes as on the two forked workers; the jump
+    # call's work pays for them at one worker per candidate
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 1.0)
     monkeypatch.setattr(jump, "BLOCK_PATHS", 7)
     monkeypatch.setattr(langevin, "LANGEVIN_BLOCK", 8)
 
@@ -399,13 +405,13 @@ OCC_STARTS = np.where(np.arange(256) % 2 == 0, 1.48946, -1.48946)[:, None]
 
 
 def spy_blocks(monkeypatch):
-    """The block width of each run_spans call while the test runs."""
+    """The block width and worker count of each run_spans call while the test runs."""
     blocks = []
     run_spans = jump.run_spans
 
-    def spy(run_span, out, block, threads):
-        blocks.append(block)
-        run_spans(run_span, out, block, threads)
+    def spy(run_span, out, block, workers):
+        blocks.append((block, workers))
+        run_spans(run_span, out, block, workers)
 
     monkeypatch.setattr(jump, "run_spans", spy)
     return blocks
@@ -433,14 +439,16 @@ def test_a_default_call_below_the_split_runs_in_process(monkeypatch, pool_sizes)
 
 
 def test_a_default_call_of_many_blocks_below_the_split_runs_in_process(monkeypatch, pool_sizes):
-    # four blocks of 64 paths below SPLIT_CANDIDATES: by default they run in
-    # this process, where threads=2 runs them on two workers
+    # four blocks of 64 paths below SPLIT_CANDIDATES run in this process, by
+    # default and at threads=2 alike: threads only caps the one worker the
+    # work pays for
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr(jump, "BLOCK_PATHS", 64)
     blocks = spy_blocks(monkeypatch)
     base = occupation_m1_to_100()
-    assert blocks == [64] and pool_sizes == []
-    assert np.array_equal(occupation_m1_to_100(threads=2), base) and pool_sizes == [2]
+    assert blocks == [(64, 1)] and pool_sizes == []
+    assert np.array_equal(occupation_m1_to_100(threads=2), base) and pool_sizes == []
+    assert blocks == [(64, 1), (64, 1)]
 
 
 def test_the_work_caps_the_workers_on_many_cores(monkeypatch, pool_sizes):
@@ -453,7 +461,7 @@ def test_the_work_caps_the_workers_on_many_cores(monkeypatch, pool_sizes):
     base = occupation_m1_to_100(threads=1)
     assert np.array_equal(occupation_m1_to_100(), base) and pool_sizes == [3]
     assert np.array_equal(occupation_m1_to_100(threads=2), base) and pool_sizes == [3, 2]
-    assert blocks == [256, 86, 128]
+    assert blocks == [(256, 1), (86, 3), (128, 2)]
 
 
 def test_without_fork_a_run_worth_a_pool_keeps_one_block(monkeypatch, pool_sizes):
@@ -464,7 +472,7 @@ def test_without_fork_a_run_worth_a_pool_keeps_one_block(monkeypatch, pool_sizes
     monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 25600.0)
     blocks = spy_blocks(monkeypatch)
     occupation_m1_to_100()
-    assert blocks == [256] and pool_sizes == []
+    assert blocks == [(256, 1)] and pool_sizes == []
 
 
 @pytest.mark.parametrize("kind,target", [(GeneratorKind.m1(), SmoothedDoubleWell(d_star=1)),
@@ -485,7 +493,7 @@ def test_a_run_worth_a_pool_splits_one_block_per_worker(monkeypatch, pool_sizes,
                                  rescaled=False, return_counts=True, **threads)
 
     (one, one_counts), (split, split_counts) = run(threads=1), run()
-    assert blocks == [256, 128] and pool_sizes == [2]
+    assert blocks == [(256, 1), (128, 2)] and pool_sizes == [2]
     assert one.samples.tobytes() == split.samples.tobytes()
     assert np.array_equal(one_counts, split_counts)
 

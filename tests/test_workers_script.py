@@ -19,9 +19,11 @@ def load_workers():
 
 
 def test_both_jobs_give_one_digest_at_threads_1_and_2(monkeypatch, pool_sizes):
-    # tiny jobs, with blocks small enough that threads=2 forks two workers
+    # tiny jobs, with blocks small enough, and the jump cells' work worth a
+    # worker per candidate, that threads=2 forks two workers
     workers = load_workers()
     monkeypatch.setattr(jump.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr(jump, "SPLIT_CANDIDATES", 1.0)
     monkeypatch.setattr(jump, "BLOCK_PATHS", 16)
     monkeypatch.setattr(langevin, "LANGEVIN_BLOCK", 8)
     for job in ("jump", "langevin"):
