@@ -351,8 +351,7 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None, help="fallback seed (config and MHJUMP_SEED win)")
     parser.add_argument("--out", default="mhjump-out", help="output directory")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap on worker processes: a call forks those its work pays for, "
-                             "at most this many and the usable cores (default from config)")
+                        help="cap on the worker processes a call's work pays for (default from config)")
     parser.add_argument("--quiet", action="store_true")
     return parser
 

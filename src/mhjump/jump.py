@@ -55,9 +55,9 @@ worker per SPLIT_CANDIDATES expected candidate events, `threads` only
 capping that count, so that a call worth a pool runs one block per worker
 (see simulate_ensemble). Each path of a block of b paths draws the largest
 chunk c that divides TAPE_CHUNK with b c max(TAPE_COLS, d) within the
-budget. For d <= TAPE_COLS that is
-b c <= TAPE_ROWS (256 paths draw 256 rows, 1024 paths 128, 2048 paths 64); a
-wider state draws shorter chunks (1024 paths at d=64 draw 8 rows). The paths draw a chunk a group at a time
+budget. For d <= TAPE_COLS that is b c <= TAPE_ROWS (256 paths draw 256
+rows, 1024 paths 128, 2048 paths 64); a wider state draws shorter chunks
+(1024 paths at d=64 draw 8 rows). The paths draw a chunk a group at a time
 into one group tape of FIRST_JUMP_BATCH rows (256 paths of 128 rows), and
 each group is decoded from it straight into the chunk's event-major arrays,
 so no tape of the whole block exists. The budget bounds what a chunk holds:

@@ -32,7 +32,8 @@ one: 768 steps at d*=1, 256 at d*=3, 12 at d*=64. Each group allocates its
 one noise buffer where it runs, so each worker's noise fits one tape's
 floats, the rule the jump engine's blocks follow. The noise is drawn in C
 order (step, path, coordinate) from a counter-based stream: the chunk
-length cuts the draws, never changes them. Every path starts from x0, one state (jump._validate_x0).
+length cuts the draws, never changes them. Every path starts from x0, one
+state (jump._validate_x0).
 """
 
 from __future__ import annotations
